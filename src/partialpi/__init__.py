@@ -39,6 +39,7 @@ from .chiefs import (
     classify_factor,
     minimal_normal_subgroups,
     normal_subgroups,
+    search_chains,
 )
 from .structure import (
     StructureFacts,

@@ -271,16 +271,19 @@ NUMPY_IMPL = {
     "spin_basis": _spin_basis_numpy,
 }
 
+# The loop kernels run as plain Python in tests when numba is absent.
+LOOP_IMPL = {
+    "closure_idx": _closure_idx_loop,
+    "normalizer_mask": _normalizer_mask_loop,
+    "centralizer_mask": _centralizer_mask_loop,
+    "class_min_rep": _class_min_rep_loop,
+    "product_mask": _product_mask_loop,
+    "spin_basis": _spin_basis_loop,
+}
+
 if NUMBA_ENABLED:
     _modinv = njit(cache=True)(_modinv)
-    NUMBA_IMPL = {
-        "closure_idx": njit(cache=True)(_closure_idx_loop),
-        "normalizer_mask": njit(cache=True)(_normalizer_mask_loop),
-        "centralizer_mask": njit(cache=True)(_centralizer_mask_loop),
-        "class_min_rep": njit(cache=True)(_class_min_rep_loop),
-        "product_mask": njit(cache=True)(_product_mask_loop),
-        "spin_basis": njit(cache=True)(_spin_basis_loop),
-    }
+    NUMBA_IMPL = {name: njit(cache=True)(fn) for name, fn in LOOP_IMPL.items()}
     ACTIVE = NUMBA_IMPL
     BACKEND = "numba"
 else:

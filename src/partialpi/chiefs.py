@@ -1,9 +1,9 @@
 """Normal subgroups, chief series enumeration and chief-factor classification.
 
 A chief series is a maximal chain in the normal-subgroup lattice; every step
-is a chief factor (nothing normal strictly between). Enumeration is a DFS
-from the bottom in canonical order, streamed lazily so consumers evaluating
-per-prefix predicates can short-circuit.
+is a chief factor (nothing normal strictly between). ``search_chains`` is
+the one enumeration: a DFS from the bottom in canonical order, streamed
+lazily, which prunes any prefix a per-factor step function rejects.
 """
 
 from __future__ import annotations
@@ -186,46 +186,54 @@ def _chief_children(G: Group, top: Subgroup) -> list:
     return out
 
 
+def search_chains(G: Group, step=None, through: Subgroup | None = None,
+                  caps: Caps = DEFAULT_CAPS) -> Iterator[tuple]:
+    """Stream (series, records) over chief series of G in canonical DFS order.
+
+    ``step(below, above, i)`` returns the record of factor i, or None to
+    prune that prefix; with no step every record is True. ``through=N``
+    keeps only the series having N as a term. Each complete chain and each
+    pruned prefix counts against caps.series; children dropped by the
+    through filter do not.
+    """
+    if through is not None and through not in normal_subgroups(G):
+        raise NotNormal("series can only pass through a normal subgroup")
+    step = step or (lambda below, above, i: True)
+    explored = 0
+
+    def count():
+        nonlocal explored
+        explored += 1
+        if explored > caps.series:
+            raise SeriesCapExceeded(f"explored over {caps.series} chains")
+
+    def dfs(terms, records):
+        top = terms[-1]
+        if top.order == G.order:
+            count()
+            yield ChiefSeries(G, terms), records
+            return
+        below_n = through is not None and top.order < through.order
+        for M in _chief_children(G, top):
+            if below_n and not through.contains(M):
+                continue
+            rec = step(top, M, len(records))
+            if rec is None:
+                count()
+                continue
+            yield from dfs(terms + [M], records + [rec])
+
+    yield from dfs([G.trivial_subgroup()], [])
+
+
 def all_chief_series(G: Group, caps: Caps = DEFAULT_CAPS) -> Iterator[ChiefSeries]:
     """Stream every chief series of G in canonical DFS order."""
-    normal_subgroups(G)
-    count = 0
-
-    def dfs(prefix):
-        nonlocal count
-        top = prefix[-1]
-        if top.order == G.order:
-            count += 1
-            if count > caps.series:
-                raise SeriesCapExceeded(f"more than {caps.series} chief series")
-            yield ChiefSeries(G, prefix)
-            return
-        for M in _chief_children(G, top):
-            yield from dfs(prefix + [M])
-
-    yield from dfs([G.trivial_subgroup()])
+    for series, _ in search_chains(G, caps=caps):
+        yield series
 
 
 def chief_series_through(G: Group, N: Subgroup,
                          caps: Caps = DEFAULT_CAPS) -> Iterator[ChiefSeries]:
     """Only the chief series having N as a term."""
-    if not N.is_normal():
-        raise NotNormal("series can only pass through a normal subgroup")
-    count = 0
-
-    def dfs(prefix):
-        nonlocal count
-        top = prefix[-1]
-        if top.order == G.order:
-            count += 1
-            if count > caps.series:
-                raise SeriesCapExceeded(f"more than {caps.series} chief series")
-            yield ChiefSeries(G, prefix)
-            return
-        below_n = top.order < N.order
-        for M in _chief_children(G, top):
-            if below_n and not N.contains(M):
-                continue
-            yield from dfs(prefix + [M])
-
-    yield from dfs([G.trivial_subgroup()])
+    for series, _ in search_chains(G, through=N, caps=caps):
+        yield series

@@ -125,8 +125,7 @@ def _cmd_verify(args) -> int:
     p_filter = set(args.p) if args.p else None
     d_filter = set(args.d) if args.d else None
     reports = run_corpus(corpus, caps=caps, p_filter=p_filter,
-                         d_filter=d_filter, theorem_filter=theorem_filter,
-                         workers=args.workers)
+                         d_filter=d_filter, theorem_filter=theorem_filter)
     summary = {"pass": 0, "fail": 0, "vacuous": 0, "indeterminate": 0}
     for r in reports:
         summary[r.status] += 1
@@ -191,8 +190,6 @@ def make_parser() -> argparse.ArgumentParser:
                           help="restrict to this order parameter; repeatable")
     p_verify.add_argument("--format", choices=("text", "structured"),
                           default="text")
-    p_verify.add_argument("--workers", type=int, default=1,
-                          help="evaluate groups on this many threads")
     add_caps(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
     return parser

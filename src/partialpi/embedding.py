@@ -13,8 +13,10 @@ Two evaluation routes exist and must agree:
 * the oracle route builds each quotient G/G_{i-1} explicitly and evaluates
   the definition verbatim (used in tests and the acceptance suite).
 
-The fast route runs a pruned DFS over series prefixes: the factor condition
-depends only on (G_{i-1}, G_i, H), so a failing prefix is abandoned whole.
+The fast route is a step function for ``chiefs.search_chains``: the factor
+condition depends only on (G_{i-1}, G_i, H), so the search abandons a failing
+prefix whole. The partial CAP property and ``pi_series_through`` are step
+functions for the same search.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .chiefs import ChiefSeries, _chief_children, _prime_factors, all_chief_series
+from .chiefs import ChiefSeries, _prime_factors, all_chief_series, search_chains
 from .config import Caps, DEFAULT_CAPS
-from .errors import HypothesisViolated, NotNormal, SeriesCapExceeded
+from .errors import HypothesisViolated
 from .groups import Group, Subgroup, normalizer, quotient
 from .perms import _DTYPE
 from .structure import all_subgroups, _p_part
@@ -85,13 +87,18 @@ def _normalizer_order(G: Group, d_idx: np.ndarray) -> int:
     return store[key]
 
 
+def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
+           hn_cache: dict) -> tuple:
+    """(|D/below|, |G : N_G(D)|) for the trace D = (H below) cap above."""
+    d_mask = _hn_mask(G, H, below, hn_cache) & above.mask
+    d_idx = np.flatnonzero(d_mask).astype(_DTYPE)
+    return len(d_idx) // below.order, G.order // _normalizer_order(G, d_idx)
+
+
 def _pi_step(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
              factor_index: int, hn_cache: dict) -> PiFactorRecord:
     """Factor condition via subgroup arithmetic inside G."""
-    d_mask = _hn_mask(G, H, below, hn_cache) & above.mask
-    d_idx = np.flatnonzero(d_mask).astype(_DTYPE)
-    index = G.order // _normalizer_order(G, d_idx)
-    image_order = len(d_idx) // below.order
+    image_order, index = _trace(G, H, below, above, hn_cache)
     primes = _prime_factors(image_order)
     passed = all(q in primes for q in _prime_factors(index))
     return PiFactorRecord(factor_index, image_order, index, primes, passed)
@@ -104,37 +111,18 @@ def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     are counted against caps.series.
     """
     store = G._cache.setdefault("pi_verdicts", {})
-    key = H.idx.tobytes()
+    key = (H.idx.tobytes(), caps.series)
     if key in store:
         return store[key]
     hn_cache: dict = {}
-    explored = 0
 
-    def dfs(terms, records):
-        nonlocal explored
-        top = terms[-1]
-        if top.order == G.order:
-            explored += 1
-            if explored > caps.series:
-                raise SeriesCapExceeded(f"explored over {caps.series} chains")
-            return PiWitness(ChiefSeries(G, terms), records)
-        for M in _chief_children(G, top):
-            rec = _pi_step(G, H, top, M, len(records), hn_cache)
-            if rec.passed:
-                got = dfs(terms + [M], records + [rec])
-                if got is not None:
-                    return got
-            else:
-                explored += 1
-                if explored > caps.series:
-                    raise SeriesCapExceeded(
-                        f"explored over {caps.series} chains")
-        return None
+    def step(below, above, i):
+        rec = _pi_step(G, H, below, above, i, hn_cache)
+        return rec if rec.passed else None
 
-    witness = dfs([G.trivial_subgroup()], [])
-    result = (witness is not None, witness)
-    store[key] = result
-    return result
+    found = next(search_chains(G, step, caps=caps), None)
+    store[key] = (found is not None, found and PiWitness(*found))
+    return store[key]
 
 
 def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:
@@ -184,35 +172,16 @@ def satisfies_partial_cap(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     When both hold "covers" is recorded (determinism only).
     """
     hn_cache: dict = {}
-    explored = 0
 
-    def dfs(terms, modes):
-        nonlocal explored
-        top = terms[-1]
-        if top.order == G.order:
-            explored += 1
-            if explored > caps.series:
-                raise SeriesCapExceeded(f"explored over {caps.series} chains")
-            return CapWitness(ChiefSeries(G, terms), modes)
-        for M in _chief_children(G, top):
-            hn = _hn_mask(G, H, top, hn_cache)
-            if not (M.mask & ~hn).any():
-                mode = "covers"
-            elif not (H.mask & M.mask & ~top.mask).any():
-                mode = "avoids"
-            else:
-                explored += 1
-                if explored > caps.series:
-                    raise SeriesCapExceeded(
-                        f"explored over {caps.series} chains")
-                continue
-            got = dfs(terms + [M], modes + [(len(modes), mode)])
-            if got is not None:
-                return got
+    def step(below, above, i):
+        if not (above.mask & ~_hn_mask(G, H, below, hn_cache)).any():
+            return (i, "covers")
+        if not (H.mask & above.mask & ~below.mask).any():
+            return (i, "avoids")
         return None
 
-    witness = dfs([G.trivial_subgroup()], [])
-    return witness is not None, witness
+    found = next(search_chains(G, step, caps=caps), None)
+    return found is not None, found and CapWitness(*found)
 
 
 # -- complements ----------------------------------------------------------------
@@ -239,8 +208,6 @@ def pi_series_through(G: Group, H: Subgroup, N: Subgroup, p: int,
     Input contract: H a p-subgroup of the normal subgroup N, and H satisfies
     the partial pi-property in G.
     """
-    if not N.is_normal():
-        raise NotNormal("N must be normal")
     if _p_part(H.order, p) != H.order:
         raise HypothesisViolated("H is not a p-group")
     if not N.contains(H):
@@ -248,35 +215,12 @@ def pi_series_through(G: Group, H: Subgroup, N: Subgroup, p: int,
     if not satisfies_partial_pi(G, H, caps)[0]:
         raise HypothesisViolated("H does not satisfy the partial pi-property")
     hn_cache: dict = {}
-    explored = 0
 
-    def dfs(terms, records):
-        nonlocal explored
-        top = terms[-1]
-        if top.order == G.order:
-            explored += 1
-            if explored > caps.series:
-                raise SeriesCapExceeded(f"explored over {caps.series} chains")
-            return PiWitness(ChiefSeries(G, terms), records)
-        below_n = top.order < N.order
-        for M in _chief_children(G, top):
-            if below_n and not N.contains(M):
-                continue
-            d_mask = _hn_mask(G, H, top, hn_cache) & M.mask
-            d_idx = np.flatnonzero(d_mask).astype(_DTYPE)
-            index = G.order // _normalizer_order(G, d_idx)
-            rec = PiFactorRecord(len(records), len(d_idx) // top.order,
-                                 index, (p,), _p_part(index, p) == index)
-            if rec.passed:
-                got = dfs(terms + [M], records + [rec])
-                if got is not None:
-                    return got
-            else:
-                explored += 1
-                if explored > caps.series:
-                    raise SeriesCapExceeded(
-                        f"explored over {caps.series} chains")
-        return None
+    def step(below, above, i):
+        image_order, index = _trace(G, H, below, above, hn_cache)
+        if _p_part(index, p) != index:
+            return None
+        return PiFactorRecord(i, image_order, index, (p,), True)
 
-    witness = dfs([G.trivial_subgroup()], [])
-    return witness is not None, witness
+    found = next(search_chains(G, step, through=N, caps=caps), None)
+    return found is not None, found and PiWitness(*found)

@@ -20,6 +20,7 @@ from .chiefs import (
     all_chief_series,
     minimal_normal_subgroups,
     normal_subgroups,
+    search_chains,
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
@@ -113,11 +114,11 @@ def all_subgroups(G: Group, caps: Caps = DEFAULT_CAPS) -> SubgroupLattice:
     (which keeps the found-set conjugation-closed, the completeness
     invariant of this strategy).
     """
-    if "lattice" in G._cache:
-        return G._cache["lattice"]
     if G.order > caps.lattice:
         raise LatticeCapExceeded(
             f"order {G.order} exceeds lattice cap {caps.lattice}")
+    if "lattice" in G._cache:
+        return G._cache["lattice"]
     table, inv = G.table, G.inverses
     n = G.order
     reps = [int(r) for r in np.unique(G.class_reps) if r != 0]
@@ -370,16 +371,10 @@ def p_rank(G: Group, p: int):
 # -- hypercenters --------------------------------------------------------------
 
 
-def _chain_orders_below(G: Group, N: Subgroup) -> list:
+def _chain_orders_below(G: Group, N: Subgroup) -> tuple:
     """Factor orders of one maximal chain of G-normal subgroups from 1 to N."""
-    from .chiefs import _chief_children
-    orders = []
-    cur = G.trivial_subgroup()
-    while cur.order < N.order:
-        step = next(M for M in _chief_children(G, cur) if N.contains(M))
-        orders.append(step.order // cur.order)
-        cur = step
-    return orders
+    series, _ = next(search_chains(G, through=N))
+    return series.factor_orders()[:series.terms.index(N)]
 
 
 def _hypercenter(G: Group, accept) -> Subgroup:

@@ -826,31 +826,18 @@ def run_check(G: Group, check_id: str, params, caps: Caps = DEFAULT_CAPS,
 
 
 def run_corpus(corpus, checks=None, caps: Caps = DEFAULT_CAPS,
-               p_filter=None, d_filter=None, theorem_filter=None,
-               workers: int = 1) -> list:
+               p_filter=None, d_filter=None, theorem_filter=None) -> list:
     """Run checks over every corpus entry; report order is corpus order.
 
     ``checks``: explicit sequence of (check_id, params) applied to every
     group; default derives the admissible grid per group. Reports with
     status "fail" mean the statement failed on an instance (or the engine
     is wrong); "indeterminate" marks cap violations.
-
-    ``workers`` > 1 evaluates distinct groups on distinct threads (each
-    group's caches stay confined to one thread); the returned sequence is
-    identical to the sequential run.
     """
-    def run_group(name, G):
+    reports = []
+    for name, G in corpus:
         instances = checks if checks is not None else \
             default_checks(G, p_filter, d_filter, theorem_filter)
-        return [run_check(G, check_id, params, caps, name)
-                for check_id, params in instances]
-
-    entries = list(corpus)
-    if workers <= 1:
-        batches = [run_group(name, G) for name, G in entries]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_group, name, G) for name, G in entries]
-            batches = [f.result() for f in futures]
-    return [rep for batch in batches for rep in batch]
+        reports.extend(run_check(G, check_id, params, caps, name)
+                       for check_id, params in instances)
+    return reports

@@ -10,10 +10,13 @@ from partialpi.chiefs import (
     normal_subgroups,
 )
 from partialpi.config import Caps
+from partialpi.corpus import BUILTIN_ENTRIES
+from partialpi.embedding import pi_series_through, satisfies_partial_cap, satisfies_partial_pi
 from partialpi.errors import NotChief, NotNormal, SeriesCapExceeded
-from partialpi.groups import subgroup_generated, symmetric
+from partialpi.groupfile import build_directive
+from partialpi.groups import elementary_abelian, subgroup_generated
 from partialpi.perms import parse_cycles
-from partialpi.structure import p_solubility
+from partialpi.structure import all_subgroups, p_solubility
 from partialpi.chiefs import _prime_factors
 
 
@@ -112,8 +115,48 @@ def test_frattini_flag(groups):
 
 
 def test_series_cap():
-    g = symmetric(4)
+    big = elementary_abelian(2, 4)  # 315 chief series (complete flags)
     with pytest.raises(SeriesCapExceeded):
-        from partialpi.groups import elementary_abelian
-        big = elementary_abelian(2, 4)  # 315 chief series (complete flags)
         list(all_chief_series(big, Caps(series=50)))
+
+
+# Every search counts each complete chain and each pruned prefix against
+# caps.series; chains skipped by a through-N filter are not counted.
+_SEARCHES = {
+    "all": lambda G, H, N, caps: len(list(all_chief_series(G, caps))),
+    "through": lambda G, H, N, caps: len(list(chief_series_through(G, N, caps))),
+    "pi": lambda G, H, N, caps: satisfies_partial_pi(G, H, caps)[0],
+    "cap": lambda G, H, N, caps: satisfies_partial_cap(G, H, caps)[0],
+    "pi-through": lambda G, H, N, caps: pi_series_through(G, H, N, 2, caps)[0],
+}
+
+
+@pytest.mark.parametrize("name, h_index, n_order, search, cap, result", [
+    ("C2^3", 0, 1, "all", 21, 21),
+    ("C2^3", 0, 2, "through", 3, 3),
+    ("C2^3", 0, 4, "through", 3, 3),
+    ("A4xC2", 2, 8, "pi", 2, False),
+    ("A4xC2", 2, 8, "cap", 2, False),
+    ("A4xC2", 3, 8, "pi", 2, True),
+    ("A4xC2", 3, 8, "cap", 2, True),
+    ("A4xC2", 3, 8, "pi-through", 2, True),
+    ("C2^4:C3", 1, 16, "pi", 5, False),
+    ("C2^4:C3", 1, 16, "cap", 5, False),
+    ("C2^4:C3", 33, 16, "pi", 4, True),
+    ("C2^4:C3", 33, 16, "cap", 4, True),
+    ("C2^4:C3", 33, 16, "pi-through", 4, True),
+    ("C2^4:C3", 35, 16, "pi", 3, True),
+    ("C2^4:C3", 35, 16, "cap", 3, True),
+    ("C2^4:C3", 35, 48, "pi-through", 3, True),
+    ("C2^4:C3", 67, 16, "pi", 5, False),
+])
+def test_series_cap_threshold(name, h_index, n_order, search, cap, result):
+    """The smallest caps.series at which each search returns, on a fresh
+    group so that no cached verdict answers for it."""
+    G = build_directive(dict(BUILTIN_ENTRIES)[name])
+    H = all_subgroups(G).all[h_index]
+    N = next(N for N in normal_subgroups(G) if N.order == n_order)
+    run = _SEARCHES[search]
+    with pytest.raises(SeriesCapExceeded):
+        run(G, H, N, Caps(series=cap - 1))
+    assert run(G, H, N, Caps(series=cap)) == result

@@ -13,8 +13,9 @@ from partialpi.embedding import (
     satisfies_partial_pi,
     satisfies_partial_pi_by_quotients,
 )
-from partialpi.errors import HypothesisViolated
-from partialpi.groups import cyclic, quotient, subgroup_generated
+from partialpi.config import Caps
+from partialpi.errors import HypothesisViolated, SeriesCapExceeded
+from partialpi.groups import cyclic, quotient, subgroup_generated, symmetric
 from partialpi.perms import parse_cycles
 from partialpi.structure import (
     _p_part,
@@ -110,6 +111,15 @@ def test_two_route_agreement_sample(groups):
                             assert (a.intersection_order, a.normalizer_index,
                                     a.passed) == (b.intersection_order,
                                                   b.normalizer_index, b.passed)
+
+
+def test_partial_pi_series_cap_warm():
+    """A cached verdict does not answer a call whose series cap forbids it."""
+    s4 = symmetric(4)
+    H = sylow(s4, 2)
+    assert satisfies_partial_pi(s4, H)[0]
+    with pytest.raises(SeriesCapExceeded):
+        satisfies_partial_pi(s4, H, Caps(series=0))
 
 
 def test_partial_cap(groups):

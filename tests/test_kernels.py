@@ -1,5 +1,6 @@
 """Backend equivalence: the numba kernels and the numpy fallbacks must be
-interchangeable on identical inputs."""
+interchangeable on identical inputs. Without numba the loop kernels are
+checked as plain Python instead."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from partialpi.perms import _DTYPE
 BACKENDS = [("numpy", _kernels.NUMPY_IMPL)]
 if _kernels.NUMBA_IMPL is not None:
     BACKENDS.append(("numba", _kernels.NUMBA_IMPL))
+else:
+    BACKENDS.append(("loop", _kernels.LOOP_IMPL))
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,14 @@ def test_lattice_cap():
         all_subgroups(symmetric(4), Caps(lattice=10))
 
 
+def test_lattice_cap_warm():
+    """A cached lattice does not answer a call whose cap forbids it."""
+    s4 = symmetric(4)
+    assert len(all_subgroups(s4).all) == 30
+    with pytest.raises(LatticeCapExceeded):
+        all_subgroups(s4, Caps(lattice=10))
+
+
 def test_lattice_invariants(groups):
     for name in ("S4", "SL(2,3)", "A4", "D16"):
         G = groups[name]

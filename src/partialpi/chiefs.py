@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .config import Caps, DEFAULT_CAPS
 from .errors import NotChief, NotNormal, SeriesCapExceeded
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, memo
 from .perms import _DTYPE
 
 
@@ -39,14 +39,13 @@ def _prime_power(n: int):
     return ps[0] if len(ps) == 1 else None
 
 
+@memo("normals")
 def normal_subgroups(G: Group) -> list:
     """All normal subgroups of G, canonically ordered by (order, indices).
 
     Computed as the join-closure of the normal closures of the conjugacy
     classes; every normal subgroup is a product of such closures.
     """
-    if "normals" in G._cache:
-        return G._cache["normals"]
     table = G.table
     reps = np.unique(G.class_reps)
     seen = {}
@@ -73,7 +72,6 @@ def normal_subgroups(G: Group) -> list:
                 work.append(prod)
     subs = [G.subgroup_from_mask(m) for m in seen.values()]
     subs.sort(key=lambda s: (s.order, s.idx.tobytes()))
-    G._cache["normals"] = subs
     return subs
 
 
@@ -169,12 +167,9 @@ def classify_factor(G: Group, below: Subgroup, above: Subgroup,
                        _is_central_factor(G, below, above), frattini_flag)
 
 
+@memo("chief_children")
 def _chief_children(G: Group, top: Subgroup) -> list:
     """Normal subgroups M > top with nothing normal strictly between."""
-    store = G._cache.setdefault("chief_children", {})
-    key = top.idx.tobytes()
-    if key in store:
-        return store[key]
     normals = normal_subgroups(G)
     above = [M for M in normals if M.order > top.order and M.contains(top)]
     out = []
@@ -182,7 +177,6 @@ def _chief_children(G: Group, top: Subgroup) -> list:
         if not any(K.order < M.order and M.contains(K) for K in above
                    if K.order > top.order):
             out.append(M)
-    store[key] = out
     return out
 
 

@@ -27,7 +27,7 @@ from . import _kernels
 from .chiefs import ChiefSeries, _prime_factors, all_chief_series, search_chains
 from .config import Caps, DEFAULT_CAPS
 from .errors import HypothesisViolated
-from .groups import Group, Subgroup, normalizer, quotient
+from .groups import Group, Subgroup, memo, normalizer, quotient
 from .perms import _DTYPE
 from .structure import all_subgroups, _p_part
 
@@ -78,13 +78,11 @@ def _hn_mask(G: Group, H: Subgroup, below: Subgroup, cache: dict) -> np.ndarray:
     return cache[key]
 
 
-def _normalizer_order(G: Group, d_idx: np.ndarray) -> int:
-    store = G._cache.setdefault("normalizer_orders", {})
-    key = d_idx.tobytes()
-    if key not in store:
-        store[key] = int(_kernels.normalizer_mask(
-            G.table, G.inverses, d_idx).sum())
-    return store[key]
+@memo("normalizer_order")
+def _normalizer_order(G: Group, d_key: bytes) -> int:
+    """|N_G(D)| for D given by the bytes of its index array."""
+    d_idx = np.frombuffer(d_key, dtype=_DTYPE)
+    return int(_kernels.normalizer_mask(G.table, G.inverses, d_idx).sum())
 
 
 def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
@@ -92,7 +90,8 @@ def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
     """(|D/below|, |G : N_G(D)|) for the trace D = (H below) cap above."""
     d_mask = _hn_mask(G, H, below, hn_cache) & above.mask
     d_idx = np.flatnonzero(d_mask).astype(_DTYPE)
-    return len(d_idx) // below.order, G.order // _normalizer_order(G, d_idx)
+    return (len(d_idx) // below.order,
+            G.order // _normalizer_order(G, d_idx.tobytes()))
 
 
 def _pi_step(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
@@ -104,16 +103,13 @@ def _pi_step(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
     return PiFactorRecord(factor_index, image_order, index, primes, passed)
 
 
+@memo("partial_pi")
 def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     """(verdict, witness): does some chief series pass every factor check?
 
     The first witness in canonical DFS order is returned; chains explored
     are counted against caps.series.
     """
-    store = G._cache.setdefault("pi_verdicts", {})
-    key = (H.idx.tobytes(), caps.series)
-    if key in store:
-        return store[key]
     hn_cache: dict = {}
 
     def step(below, above, i):
@@ -121,8 +117,7 @@ def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
         return rec if rec.passed else None
 
     found = next(search_chains(G, step, caps=caps), None)
-    store[key] = (found is not None, found and PiWitness(*found))
-    return store[key]
+    return found is not None, found and PiWitness(*found)
 
 
 def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:

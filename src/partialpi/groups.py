@@ -6,12 +6,18 @@ element orders, conjugacy classes) is computed lazily and cached. Caches are
 pure functions of the element table, so recomputation is idempotent and the
 observable behaviour is that of an immutable value.
 
+Every per-group cache goes through ``memo``: ``fn(G, *args)`` is keyed by
+all its arguments, caps included, so a cached value answers only a call with
+equal arguments and equal caps.
+
 Subgroups are index arrays into the ambient element table. Index 0 is always
 the identity because the identity is the lex-least permutation.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 
 import numpy as np
@@ -35,6 +41,42 @@ def _lex_sorted(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows[order])
 
 
+_MISSING = object()
+
+
+def memo(key: str):
+    """Cache ``fn(G, *args)`` in ``G._cache``, the only code that writes it.
+
+    The value is stored under ``key`` when fn takes G alone and under
+    ``(key, *args)`` otherwise, omitted defaults filled in first, so
+    ``f(G)`` and ``f(G, DEFAULT_CAPS)`` share one entry. A whole ``Caps``
+    value is an argument like any other: a cached value answers only a call
+    with equal arguments and equal caps. The signature is read per call
+    only for keyword arguments or a missing required one.
+    """
+    def decorate(fn):
+        signature = inspect.signature(fn)
+        params = list(signature.parameters.values())[1:]
+        defaults = tuple(p.default for p in params)
+        required = sum(p.default is p.empty for p in params)
+
+        @functools.wraps(fn)
+        def cached(G, *args, **kwargs):
+            if kwargs or len(args) < required:
+                bound = signature.bind(G, *args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args[1:]
+            elif len(args) < len(defaults):
+                args += defaults[len(args):]
+            cache_key = (key, *args) if args else key
+            value = G._cache.get(cache_key, _MISSING)
+            if value is _MISSING:
+                value = G._cache[cache_key] = fn(G, *args)
+            return value
+        return cached
+    return decorate
+
+
 class Group:
     """A finite permutation group on {1..degree}."""
 
@@ -52,6 +94,8 @@ class Group:
         self.name = name
         self._gens = tuple(generators)
         self._cache: dict = {}
+        # (parent, idx) when built by Subgroup.as_group: row i is parent[idx[i]]
+        self.lift_parent = None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -64,11 +108,10 @@ class Group:
         return self._elts
 
     @property
+    @memo("elements")
     def elements(self) -> tuple:
         """All elements as Perm objects, in canonical (lexicographic) order."""
-        if "perms" not in self._cache:
-            self._cache["perms"] = tuple(Perm._from_array(r) for r in self._elts)
-        return self._cache["perms"]
+        return tuple(Perm._from_array(r) for r in self._elts)
 
     @property
     def generators(self) -> tuple:
@@ -77,25 +120,23 @@ class Group:
             self._gens = sub.generators
         return self._gens
 
+    @property
+    @memo("key_index")
     def _key_index(self) -> dict:
-        if "key_index" not in self._cache:
-            self._cache["key_index"] = {
-                row.tobytes(): i for i, row in enumerate(self._elts)
-            }
-        return self._cache["key_index"]
+        return {row.tobytes(): i for i, row in enumerate(self._elts)}
 
     def index_of(self, perm: Perm) -> int:
         """Index of a Perm in the element table; ElementNotInGroup if absent."""
         if perm.degree != self.degree:
             raise ElementNotInGroup(f"degree {perm.degree} != {self.degree}")
-        idx = self._key_index().get(perm.array.tobytes())
+        idx = self._key_index.get(perm.array.tobytes())
         if idx is None:
             raise ElementNotInGroup(f"{perm!r} not in group")
         return idx
 
     def __contains__(self, perm: Perm) -> bool:
         return (perm.degree == self.degree
-                and perm.array.tobytes() in self._key_index())
+                and perm.array.tobytes() in self._key_index)
 
     def perm(self, index: int) -> Perm:
         return Perm._from_array(self._elts[index])
@@ -107,48 +148,43 @@ class Group:
     # -- table machinery ---------------------------------------------------
 
     @property
+    @memo("table")
     def table(self) -> np.ndarray:
         """Cayley table: table[i, j] = index of element_i-then-element_j."""
-        if "table" not in self._cache:
-            n = self.order
-            index = self._key_index()
-            table = np.empty((n, n), dtype=_DTYPE)
-            for i in range(n):
-                # row j of prods is elements[i]-then-elements[j]
-                prods = self._elts[:, self._elts[i]]
-                table[i] = [index[row.tobytes()] for row in prods]
-            table.setflags(write=False)
-            self._cache["table"] = table
-        return self._cache["table"]
+        n = self.order
+        index = self._key_index
+        table = np.empty((n, n), dtype=_DTYPE)
+        for i in range(n):
+            # row j of prods is elements[i]-then-elements[j]
+            prods = self._elts[:, self._elts[i]]
+            table[i] = [index[row.tobytes()] for row in prods]
+        table.setflags(write=False)
+        return table
 
     @property
+    @memo("inverses")
     def inverses(self) -> np.ndarray:
-        if "inv" not in self._cache:
-            n = self.order
-            inv = np.empty(n, dtype=_DTYPE)
-            rows, cols = np.nonzero(self.table == 0)
-            inv[rows] = cols
-            inv.setflags(write=False)
-            self._cache["inv"] = inv
-        return self._cache["inv"]
+        inv = np.empty(self.order, dtype=_DTYPE)
+        rows, cols = np.nonzero(self.table == 0)
+        inv[rows] = cols
+        inv.setflags(write=False)
+        return inv
 
     @property
+    @memo("element_orders")
     def element_orders(self) -> np.ndarray:
-        if "orders" not in self._cache:
-            orders = np.array(
-                [Perm._from_array(r).order() for r in self._elts], dtype=_DTYPE)
-            orders.setflags(write=False)
-            self._cache["orders"] = orders
-        return self._cache["orders"]
+        orders = np.array(
+            [Perm._from_array(r).order() for r in self._elts], dtype=_DTYPE)
+        orders.setflags(write=False)
+        return orders
 
     @property
+    @memo("class_reps")
     def class_reps(self) -> np.ndarray:
         """class_reps[x] = least index in the conjugacy class of x."""
-        if "class_reps" not in self._cache:
-            reps = _kernels.class_min_rep(self.table, self.inverses)
-            reps.setflags(write=False)
-            self._cache["class_reps"] = reps
-        return self._cache["class_reps"]
+        reps = _kernels.class_min_rep(self.table, self.inverses)
+        reps.setflags(write=False)
+        return reps
 
     # -- subgroup constructors --------------------------------------------
 
@@ -234,7 +270,7 @@ class Subgroup:
         G = self.ambient
         sub = Group(G.degree, G.element_array[self.idx],
                     generators=self.generators)
-        sub._cache["lift_parent"] = (G, self.idx)
+        sub.lift_parent = (G, self.idx)
         return sub
 
     def __eq__(self, other):
@@ -250,10 +286,11 @@ class Subgroup:
 def lift_subgroup(sub_of_sub: Subgroup, parent: Group) -> Subgroup:
     """Reinterpret a subgroup of S.as_group() as a subgroup of S's ambient."""
     small = sub_of_sub.ambient
-    cached = small._cache.get("lift_parent")
-    if cached is not None and cached[0] is parent:
-        return parent.subgroup(cached[1][sub_of_sub.idx])
-    index = parent._key_index()
+    if small is parent:
+        return parent.subgroup(sub_of_sub.idx)
+    if small.lift_parent is not None and small.lift_parent[0] is parent:
+        return parent.subgroup(small.lift_parent[1][sub_of_sub.idx])
+    index = parent._key_index
     rows = small.element_array[sub_of_sub.idx]
     return parent.subgroup(np.array([index[r.tobytes()] for r in rows],
                                     dtype=_DTYPE))
@@ -313,23 +350,21 @@ def centralizer(G: Group, H: Subgroup) -> Subgroup:
     return G.subgroup_from_mask(mask)
 
 
+@memo("center")
 def center(G: Group) -> Subgroup:
-    if "center" not in G._cache:
-        G._cache["center"] = centralizer(G, G.as_subgroup())
-    return G._cache["center"]
+    return centralizer(G, G.as_subgroup())
 
 
+@memo("derived")
 def derived_subgroup(G: Group) -> Subgroup:
     """Commutator subgroup [G, G]."""
-    if "derived" not in G._cache:
-        n = G.order
-        table, inv = G.table, G.inverses
-        comms = table[table[inv[:, None], inv[None, :]],
-                      table[np.arange(n)[:, None], np.arange(n)[None, :]]]
-        seeds = np.unique(comms.ravel()).astype(_DTYPE)
-        member = _kernels.closure_idx(table, seeds)
-        G._cache["derived"] = G.subgroup_from_mask(member)
-    return G._cache["derived"]
+    n = G.order
+    table, inv = G.table, G.inverses
+    comms = table[table[inv[:, None], inv[None, :]],
+                  table[np.arange(n)[:, None], np.arange(n)[None, :]]]
+    seeds = np.unique(comms.ravel()).astype(_DTYPE)
+    member = _kernels.closure_idx(table, seeds)
+    return G.subgroup_from_mask(member)
 
 
 def core(G: Group, H: Subgroup) -> Subgroup:
@@ -420,17 +455,12 @@ class QuotientMap:
         return self.source.subgroup_from_mask(mask[self.push_idx])
 
 
-def quotient(G: Group, N: Subgroup, cached: bool = True) -> QuotientMap:
+@memo("quotient")
+def quotient(G: Group, N: Subgroup) -> QuotientMap:
     """Quotient map with target the coset action of G on N's right cosets."""
     if not N.is_normal():
         raise NotNormal("kernel is not normal")
-    if not cached:
-        return QuotientMap(G, N)
-    store = G._cache.setdefault("quotients", {})
-    key = N.idx.tobytes()
-    if key not in store:
-        store[key] = QuotientMap(G, N)
-    return store[key]
+    return QuotientMap(G, N)
 
 
 # -- products ----------------------------------------------------------------

@@ -24,7 +24,15 @@ from .chiefs import (
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
-from .groups import Group, Subgroup, dicyclic, is_isomorphic, lift_subgroup, quotient
+from .groups import (
+    Group,
+    Subgroup,
+    dicyclic,
+    is_isomorphic,
+    lift_subgroup,
+    memo,
+    quotient,
+)
 from .perms import _DTYPE
 
 
@@ -106,6 +114,15 @@ class SubgroupLattice:
 
 
 def all_subgroups(G: Group, caps: Caps = DEFAULT_CAPS) -> SubgroupLattice:
+    """The full subgroup lattice of G, if |G| is within caps.lattice."""
+    if G.order > caps.lattice:
+        raise LatticeCapExceeded(
+            f"order {G.order} exceeds lattice cap {caps.lattice}")
+    return _lattice(G)
+
+
+@memo("lattice")
+def _lattice(G: Group) -> SubgroupLattice:
     """Enumerate the full subgroup lattice by cyclic extension.
 
     Cyclic subgroups are seeded from conjugacy-class representatives; each
@@ -114,11 +131,6 @@ def all_subgroups(G: Group, caps: Caps = DEFAULT_CAPS) -> SubgroupLattice:
     (which keeps the found-set conjugation-closed, the completeness
     invariant of this strategy).
     """
-    if G.order > caps.lattice:
-        raise LatticeCapExceeded(
-            f"order {G.order} exceeds lattice cap {caps.lattice}")
-    if "lattice" in G._cache:
-        return G._cache["lattice"]
     table, inv = G.table, G.inverses
     n = G.order
     reps = [int(r) for r in np.unique(G.class_reps) if r != 0]
@@ -168,19 +180,15 @@ def all_subgroups(G: Group, caps: Caps = DEFAULT_CAPS) -> SubgroupLattice:
         subs.append(G.subgroup(idx, generators=tuple(
             sorted(G.perm(i) for i in gens_idx))))
         flags.append(normal)
-    lattice = SubgroupLattice(G, subs, flags)
-    G._cache["lattice"] = lattice
-    return lattice
+    return SubgroupLattice(G, subs, flags)
 
 
+@memo("as_group")
 def subgroup_as_group(G: Group, P: Subgroup) -> Group:
     """P as a standalone Group, cached per subgroup so its own caches
-    (lattice, table, quotients) are shared across callers."""
-    store = G._cache.setdefault("as_groups", {})
-    key = P.idx.tobytes()
-    if key not in store:
-        store[key] = P.as_group()
-    return store[key]
+    (lattice, table, quotients) are shared across callers; G itself when P
+    is all of G."""
+    return G if P.order == G.order else P.as_group()
 
 
 def subgroups_of_order_in(G: Group, P: Subgroup, order: int,
@@ -202,6 +210,7 @@ def two_maximal_subgroups(G: Group, P: Subgroup,
 # -- Sylow and Hall subgroups ------------------------------------------------
 
 
+@memo("sylow")
 def sylow(G: Group, p: int) -> Subgroup:
     """The canonical Sylow p-subgroup (lex-least among all of them).
 
@@ -209,14 +218,9 @@ def sylow(G: Group, p: int) -> Subgroup:
     conjugate orbit is the least Sylow in canonical lattice order, because
     Sylow subgroups are all conjugate.
     """
-    store = G._cache.setdefault("sylow", {})
-    if p in store:
-        return store[p]
     pk = _p_part(G.order, p)
     if pk == 1:
-        result = G.trivial_subgroup()
-        store[p] = result
-        return result
+        return G.trivial_subgroup()
     table, inv = G.table, G.inverses
     orders = G.element_orders
     is_p_elt = np.array([o > 1 and _p_part(int(o), p) == int(o)
@@ -233,9 +237,7 @@ def sylow(G: Group, p: int) -> Subgroup:
     conj = table[table[inv][:, idx], np.arange(G.order, dtype=_DTYPE)[:, None]]
     conj.sort(axis=1)
     orbit = np.unique(conj, axis=0)
-    result = G.subgroup(orbit[0])
-    store[p] = result
-    return result
+    return G.subgroup(orbit[0])
 
 
 def hall(G: Group, pi, caps: Caps = DEFAULT_CAPS) -> Subgroup:
@@ -262,17 +264,15 @@ def hall_complement(G: Group, p: int, caps: Caps = DEFAULT_CAPS):
 # -- Frattini subgroup and socle ---------------------------------------------
 
 
+@memo("frattini")
 def frattini(G: Group, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """Intersection of all maximal subgroups (G itself when G is trivial)."""
-    if "frattini" not in G._cache:
-        if G.order == 1:
-            G._cache["frattini"] = G.as_subgroup()
-        else:
-            mask = np.ones(G.order, dtype=bool)
-            for M in all_subgroups(G, caps).maximal_subgroups():
-                mask &= M.mask
-            G._cache["frattini"] = G.subgroup_from_mask(mask)
-    return G._cache["frattini"]
+    if G.order == 1:
+        return G.as_subgroup()
+    mask = np.ones(G.order, dtype=bool)
+    for M in all_subgroups(G, caps).maximal_subgroups():
+        mask &= M.mask
+    return G.subgroup_from_mask(mask)
 
 
 def socle_and_minimal_normals(G: Group):
@@ -307,12 +307,12 @@ def o_p_prime(G: Group, p: int) -> Subgroup:
 # -- solubility hierarchy ------------------------------------------------------
 
 
+@memo("first_series")
 def _first_series(G: Group) -> ChiefSeries:
-    if "first_series" not in G._cache:
-        G._cache["first_series"] = next(all_chief_series(G))
-    return G._cache["first_series"]
+    return next(all_chief_series(G))
 
 
+@memo("p_solubility")
 def p_solubility(G: Group, p: int):
     """(is_p_soluble, p_length).
 
@@ -321,9 +321,6 @@ def p_solubility(G: Group, p: int):
     p-terms of the upper p-series 1 <= O_{p'} <= O_{p',p} <= ...; the value
     is only meaningful when the group is p-soluble.
     """
-    store = G._cache.setdefault("p_solubility", {})
-    if p in store:
-        return store[p]
     soluble = True
     for o in _first_series(G).factor_orders():
         if o % p == 0 and _p_part(o, p) != o:
@@ -341,8 +338,7 @@ def p_solubility(G: Group, p: int):
                 break
             length += 1
             cur = step
-    store[p] = (soluble, length)
-    return store[p]
+    return soluble, length
 
 
 def p_supersoluble(G: Group, p: int) -> bool:
@@ -387,21 +383,18 @@ def _hypercenter(G: Group, accept) -> Subgroup:
     return G.subgroup_from_mask(mask)
 
 
+@memo("z_u")
 def hypercenter_u(G: Group) -> Subgroup:
     """Z_U(G): product of all normal N whose chief factors below N all have
     prime order."""
-    if "z_u" not in G._cache:
-        G._cache["z_u"] = _hypercenter(
-            G, lambda o: len(_prime_factors(o)) == 1 and o == _prime_factors(o)[0])
-    return G._cache["z_u"]
+    return _hypercenter(
+        G, lambda o: len(_prime_factors(o)) == 1 and o == _prime_factors(o)[0])
 
 
+@memo("z_up")
 def hypercenter_up(G: Group, p: int) -> Subgroup:
     """Z_{U_p}(G): like Z_U but only p-divisible factors must have order p."""
-    store = G._cache.setdefault("z_up", {})
-    if p not in store:
-        store[p] = _hypercenter(G, lambda o: o % p != 0 or o == p)
-    return store[p]
+    return _hypercenter(G, lambda o: o % p != 0 or o == p)
 
 
 # -- p-group predicates ---------------------------------------------------------
@@ -424,33 +417,24 @@ def omega(P: Group, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     return P.subgroup_from_mask(mask)
 
 
+@memo("quaternion_free")
 def is_quaternion_free(P: Group, caps: Caps = DEFAULT_CAPS) -> bool:
     """No section S/T of P (T normal in S) isomorphic to Q8.
 
     A Q8 section has order exactly 8, so only |S:T| = 8 pairs are scanned.
     """
-    if "quaternion_free" in P._cache:
-        return P._cache["quaternion_free"]
-    result = True
-    if P.order % 8 == 0:
-        q8 = dicyclic(8)
-        lattice = all_subgroups(P, caps)
-        for S in sorted(lattice.all, key=lambda s: -s.order):
-            if S.order % 8:
-                continue
-            s_group = S.as_group()
-            s_lattice = all_subgroups(s_group, caps)
-            for T in s_lattice.of_order(S.order // 8):
-                if not T.is_normal():
-                    continue
-                section = quotient(s_group, T).target
-                if is_isomorphic(section, q8, caps):
-                    result = False
-                    break
-            if not result:
-                break
-    P._cache["quaternion_free"] = result
-    return result
+    if P.order % 8:
+        return True
+    q8 = dicyclic(8)
+    for S in sorted(all_subgroups(P, caps).all, key=lambda s: -s.order):
+        if S.order % 8:
+            continue
+        s_group = subgroup_as_group(P, S)
+        for T in all_subgroups(s_group, caps).of_order(S.order // 8):
+            if T.is_normal() and is_isomorphic(
+                    quotient(s_group, T).target, q8, caps):
+                return False
+    return True
 
 
 # -- aggregate record -----------------------------------------------------------

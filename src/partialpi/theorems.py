@@ -30,7 +30,15 @@ from .embedding import (
     satisfies_partial_pi,
 )
 from .errors import BadParameter, CapExceeded, NotElementaryAbelian, UnknownLemma
-from .groups import Group, Subgroup, centralizer, dicyclic, is_isomorphic, quotient
+from .groups import (
+    Group,
+    Subgroup,
+    centralizer,
+    dicyclic,
+    is_isomorphic,
+    memo,
+    quotient,
+)
 from .modrep import (
     cyclicity_criterion_check,
     is_absolutely_irreducible,
@@ -109,47 +117,27 @@ class VerdictReport:
 # -- cached quantifier sweeps --------------------------------------------------
 
 
-def _pi_cache(G: Group) -> dict:
-    return G._cache.setdefault("pi_sweeps", {})
-
-
+@memo("all_of_order_pi")
 def all_of_order_satisfy_pi(G: Group, P: Subgroup, order: int,
                             caps: Caps = DEFAULT_CAPS) -> bool:
     """Does every subgroup of P of the given order satisfy the property?"""
-    key = ("pi", P.idx.tobytes(), order)
-    store = _pi_cache(G)
-    if key not in store:
-        store[key] = all(
-            satisfies_partial_pi(G, H, caps)[0]
-            for H in subgroups_of_order_in(G, P, order, caps))
-    return store[key]
+    return all(satisfies_partial_pi(G, H, caps)[0]
+               for H in subgroups_of_order_in(G, P, order, caps))
 
 
+@memo("cyclic_order4_pi")
 def cyclic_order4_satisfy_pi(G: Group, P: Subgroup,
                              caps: Caps = DEFAULT_CAPS) -> bool:
-    key = ("pi4", P.idx.tobytes())
-    store = _pi_cache(G)
-    if key not in store:
-        result = True
-        for H in subgroups_of_order_in(G, P, 4, caps):
-            orders = G.element_orders[H.idx]
-            if int(orders.max()) == 4:  # cyclic C4
-                if not satisfies_partial_pi(G, H, caps)[0]:
-                    result = False
-                    break
-        store[key] = result
-    return store[key]
+    return all(satisfies_partial_pi(G, H, caps)[0]
+               for H in subgroups_of_order_in(G, P, 4, caps)
+               if int(G.element_orders[H.idx].max()) == 4)  # cyclic C4
 
 
+@memo("all_of_order_complemented")
 def all_of_order_complemented(G: Group, P: Subgroup, order: int,
                               caps: Caps = DEFAULT_CAPS) -> bool:
-    key = ("compl", P.idx.tobytes(), order)
-    store = _pi_cache(G)
-    if key not in store:
-        store[key] = all(
-            is_complemented(G, H, caps)[0]
-            for H in subgroups_of_order_in(G, P, order, caps))
-    return store[key]
+    return all(is_complemented(G, H, caps)[0]
+               for H in subgroups_of_order_in(G, P, order, caps))
 
 
 def _order_d_hypotheses(G: Group, P: Subgroup, p: int, d: int,

@@ -1,11 +1,22 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from partialpi import _kernels
+from partialpi import _kernels, chiefs, embedding, structure, theorems
+from partialpi import groups as groups_module
 from partialpi.chiefs import _prime_factors, normal_subgroups
-from partialpi.config import Caps
+from partialpi.config import Caps, DEFAULT_CAPS
 from partialpi.errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
-from partialpi.groups import cyclic, dicyclic, is_isomorphic, normalizer, symmetric
+from partialpi.groups import (
+    cyclic,
+    dicyclic,
+    dihedral,
+    is_isomorphic,
+    lift_subgroup,
+    normalizer,
+    symmetric,
+)
 from partialpi.perms import _DTYPE
 from partialpi.structure import (
     all_subgroups,
@@ -28,6 +39,11 @@ from partialpi.structure import (
     sylow,
     two_maximal_subgroups,
 )
+from partialpi.theorems import (
+    all_of_order_complemented,
+    all_of_order_satisfy_pi,
+    cyclic_order4_satisfy_pi,
+)
 
 
 def test_lattice_counts(groups):
@@ -44,12 +60,65 @@ def test_lattice_cap():
         all_subgroups(symmetric(4), Caps(lattice=10))
 
 
-def test_lattice_cap_warm():
-    """A cached lattice does not answer a call whose cap forbids it."""
-    s4 = symmetric(4)
-    assert len(all_subgroups(s4).all) == 30
+@pytest.mark.parametrize("build, call, lattice", [
+    pytest.param(lambda: symmetric(4), all_subgroups, 10, id="all_subgroups"),
+    pytest.param(lambda: symmetric(4), frattini, 10, id="frattini"),
+    pytest.param(lambda: dihedral(16), is_quaternion_free, 4,
+                 id="is_quaternion_free"),
+    pytest.param(lambda: symmetric(4), lambda G, caps: all_of_order_satisfy_pi(
+        G, sylow(G, 2), 2, caps), 4, id="all_of_order_satisfy_pi"),
+    pytest.param(lambda: symmetric(4), lambda G, caps: cyclic_order4_satisfy_pi(
+        G, sylow(G, 2), caps), 4, id="cyclic_order4_satisfy_pi"),
+    pytest.param(lambda: symmetric(4), lambda G, caps: all_of_order_complemented(
+        G, sylow(G, 2), 2, caps), 4, id="all_of_order_complemented"),
+])
+def test_lattice_cap_warm(build, call, lattice):
+    """A cached value does not answer a call whose lattice cap forbids it:
+    a tight call raises cold, and raises again after a default call."""
+    G = build()
+    tight = Caps(lattice=lattice)
     with pytest.raises(LatticeCapExceeded):
-        all_subgroups(s4, Caps(lattice=10))
+        call(G, tight)
+    call(G, DEFAULT_CAPS)
+    with pytest.raises(LatticeCapExceeded):
+        call(G, tight)
+
+
+def test_memo_keys_read_by_tracer():
+    """perfbench/tracer.py counts lattice and normal-subgroup builds by
+    looking for these keys, and wraps the memoised public functions."""
+    s4 = symmetric(4)
+    lattice, normals = all_subgroups(s4), normal_subgroups(s4)
+    assert "lattice" in s4._cache and "normals" in s4._cache
+    assert all_subgroups(s4) is lattice and normal_subgroups(s4) is normals
+    assert frattini(s4) is frattini(s4, DEFAULT_CAPS)
+    for module, name in [(structure, "all_subgroups"), (structure, "frattini"),
+                         (structure, "sylow"), (chiefs, "normal_subgroups"),
+                         (groups_module, "quotient"),
+                         (embedding, "satisfies_partial_pi"),
+                         (theorems, "all_of_order_satisfy_pi")]:
+        fn = getattr(module, name)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_subgroup_as_group_whole_is_group():
+    s4 = symmetric(4)
+    assert subgroup_as_group(s4, s4.as_subgroup()) is s4
+
+
+def test_lift_subgroup_by_element_set():
+    """Lifting by element set: from a separately built equal group, and
+    through two levels of subgroup_as_group."""
+    s4, other = symmetric(4), symmetric(4)
+    direct = sylow(s4, 2)
+    assert lift_subgroup(sylow(other, 2), s4) == direct
+    d8 = subgroup_as_group(s4, direct)
+    for four in all_subgroups(d8).of_order(4):
+        four_group = subgroup_as_group(d8, four)
+        for s in all_subgroups(four_group).of_order(2):
+            lifted = lift_subgroup(s, s4)
+            assert lifted == lift_subgroup(lift_subgroup(s, d8), s4)
+            assert lifted in all_subgroups(s4).of_order(2)
 
 
 def test_lattice_invariants(groups):

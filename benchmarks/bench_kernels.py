@@ -3,6 +3,9 @@
 Both implementations live in partialpi._kernels, so this script times them
 side by side on the workloads that dominate real runs: subgroup closures,
 normalizer scans, conjugacy classes, product sets and module spinning.
+A second section times the per-group builds that single-subgroup checks
+pay on every fresh group, the Cayley table and the normal subgroups, with
+the active backend.
 
 Run:  python benchmarks/bench_kernels.py
 (When PARTIALPI_NUMBA=0 the numba column is skipped.)
@@ -13,7 +16,9 @@ import time
 import numpy as np
 
 from partialpi import _kernels
+from partialpi.chiefs import normal_subgroups
 from partialpi.corpus import builtin_corpus
+from partialpi.groups import elementary_abelian
 from partialpi.perms import _DTYPE
 
 
@@ -79,6 +84,36 @@ def workloads():
             ("spin_basis x267 (F_7^4)", spins)]
 
 
+def cayley_table(G):
+    return G.table
+
+
+def timed_fresh(make, build, before=None, repeat=3):
+    """Best time of ``build(G)`` over fresh groups ``G = make()``;
+    ``before(G)`` runs first, outside the timing."""
+    best = float("inf")
+    for _ in range(repeat):
+        G = make()
+        if before is not None:
+            before(G)
+        t0 = time.perf_counter()
+        build(G)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def group_builds():
+    makers = [("C2^5", lambda: elementary_abelian(2, 5)),
+              ("C3^4", lambda: elementary_abelian(3, 4)),
+              ("C3^4:C4", lambda: builtin_corpus().group("C3^4:C4"))]
+    print(f"\nper-group builds, fresh group each ({_kernels.BACKEND}):")
+    print(f"{'group':<10}{'Group.table':>14}{'normal_subgroups':>18}")
+    for name, make in makers:
+        table = timed_fresh(make, cayley_table)
+        normals = timed_fresh(make, normal_subgroups, before=cayley_table)
+        print(f"{name:<10}{table * 1000:>12.2f}ms{normals * 1000:>16.2f}ms")
+
+
 def main():
     impls = [("numpy", _kernels.NUMPY_IMPL)]
     if _kernels.NUMBA_IMPL is not None:
@@ -106,6 +141,7 @@ def main():
         if len(impls) == 2 and times["numba"] > 0:
             line += f"{times['numpy'] / times['numba']:>9.1f}x"
         print(line)
+    group_builds()
 
 
 if __name__ == "__main__":

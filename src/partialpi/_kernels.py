@@ -1,9 +1,12 @@
 """Hot kernels over Cayley-table index arrays and F_p matrices.
 
-Every kernel has two interchangeable implementations: a ``@njit`` compiled
-loop (default) and a vectorized pure-numpy fallback. Set ``PARTIALPI_NUMBA=0``
-to select the numpy path, e.g. on platforms where numba is unavailable or
-for debugging. ``benchmarks/bench_kernels.py`` compares the two.
+Every kernel is written twice, and runs three ways: the loop functions in
+``LOOP_IMPL`` are compiled with ``@njit`` (the default backend), the same
+loop functions run as plain Python in tests when numba is absent, and
+``NUMPY_IMPL`` holds a vectorized pure-numpy fallback. Set
+``PARTIALPI_NUMBA=0`` to select the numpy path, e.g. on platforms where numba
+is unavailable or for debugging. ``benchmarks/bench_kernels.py`` compares the
+numba and numpy backends.
 
 Conventions: a group of order n is a Cayley table ``table[i, j]`` = index of
 element i composed-then j, ``inv[i]`` = index of the inverse, and index 0 is

@@ -43,33 +43,46 @@ def _prime_power(n: int):
 def normal_subgroups(G: Group) -> list:
     """All normal subgroups of G, canonically ordered by (order, indices).
 
-    Computed as the join-closure of the normal closures of the conjugacy
-    classes; every normal subgroup is a product of such closures.
+    Computed by extension with class closures: starting from the trivial
+    subgroup, every normal subgroup N found so far is multiplied by each
+    distinct normal closure C of a conjugacy class that N does not contain
+    (N·C is a normal subgroup since both factors are). This is complete: a
+    normal subgroup M is a union of classes, so M is the product of the
+    closures of its classes, and that product is reached one closure at a
+    time. All products N·C for one N come from one gather over N × (the
+    closures' elements), scattered into one boolean row per closure.
     """
+    n = G.order
     table = G.table
-    reps = np.unique(G.class_reps)
-    seen = {}
-    triv = np.zeros(G.order, dtype=bool)
-    triv[0] = True
-    seen[triv.tobytes()] = triv
-    for r in reps:
+    closures = {}
+    for r in np.unique(G.class_reps):
         if r == 0:
             continue
         cls = np.flatnonzero(G.class_reps == r).astype(_DTYPE)
         mask = _kernels.closure_idx(table, cls)
-        seen.setdefault(mask.tobytes(), mask)
-    # close under joins: the product of two normal subgroups is a subgroup
-    work = list(seen.values())
-    while work:
-        a = work.pop()
-        for b in list(seen.values()):
-            prod = _kernels.product_mask(
-                table, np.flatnonzero(a).astype(_DTYPE),
-                np.flatnonzero(b).astype(_DTYPE))
-            key = prod.tobytes()
-            if key not in seen:
-                seen[key] = prod
-                work.append(prod)
+        closures.setdefault(mask.tobytes(), np.flatnonzero(mask))
+    triv = np.zeros(n, dtype=bool)
+    triv[0] = True
+    seen = {triv.tobytes(): triv}
+    if closures:
+        members = list(closures.values())
+        sizes = [len(c) for c in members]
+        flat = np.concatenate(members).astype(_DTYPE)
+        starts = np.cumsum([0] + sizes[:-1])
+        row_of = np.repeat(np.arange(len(members)), sizes)
+        work = [triv]
+        while work:
+            N = work.pop()
+            outside = ~np.logical_and.reduceat(N[flat], starts)
+            keep = outside[row_of]
+            rows, cols = row_of[keep], flat[keep]
+            prods = np.zeros((len(members), n), dtype=bool)
+            prods[rows, table[np.flatnonzero(N)[:, None], cols]] = True
+            for prod in prods[outside]:
+                key = prod.tobytes()
+                if key not in seen:
+                    seen[key] = prod = prod.copy()
+                    work.append(prod)
     subs = [G.subgroup_from_mask(m) for m in seen.values()]
     subs.sort(key=lambda s: (s.order, s.idx.tobytes()))
     return subs

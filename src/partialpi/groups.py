@@ -150,14 +150,40 @@ class Group:
     @property
     @memo("table")
     def table(self) -> np.ndarray:
-        """Cayley table: table[i, j] = index of element_i-then-element_j."""
-        n = self.order
-        index = self._key_index
+        """Cayley table: table[i, j] = index of element_i-then-element_j.
+
+        Each element is keyed exactly by its images on a base: points,
+        chosen greedily, each kept when it separates more elements, until
+        only the identity fixes them all. After each base point the key
+        ``key * degree + image`` is replaced by its rank among the
+        elements' keys, so every key stays below order * degree. A
+        product's key takes the same ranked steps through searchsorted;
+        the final rank names its element. Rows are built in blocks of 64.
+        """
+        n, degree = self.order, self.degree
+        elts = self._elts
+        key = np.zeros(n, dtype=np.int64)
+        distinct = 1
+        steps = []  # (base point, sorted distinct keys after it)
+        for b in range(degree):
+            if distinct == n:
+                break
+            ranked, rank = np.unique(key * degree + elts[:, b],
+                                     return_inverse=True)
+            if len(ranked) > distinct:
+                steps.append((b, ranked))
+                key, distinct = rank, len(ranked)
+        element_of = np.empty(n, dtype=_DTYPE)
+        element_of[key] = np.arange(n, dtype=_DTYPE)
         table = np.empty((n, n), dtype=_DTYPE)
-        for i in range(n):
-            # row j of prods is elements[i]-then-elements[j]
-            prods = self._elts[:, self._elts[i]]
-            table[i] = [index[row.tobytes()] for row in prods]
+        for lo in range(0, n, 64):
+            rows = slice(lo, min(lo + 64, n))
+            prod = np.zeros((n, rows.stop - lo), dtype=np.int64)
+            for b, ranked in steps:
+                # column i, row j: image of b under element_i-then-element_j
+                prod = np.searchsorted(ranked,
+                                       prod * degree + elts[:, elts[rows, b]])
+            table[rows] = element_of[prod].T
         table.setflags(write=False)
         return table
 

@@ -290,3 +290,39 @@ def test_center_and_derived():
     q8 = dicyclic(8)
     assert center(q8).order == 2
     assert derived_subgroup(symmetric(4)).order == 12
+
+
+def _table_cases(corpus):
+    cases = [G for _, G in corpus if G.order <= 120]
+    cases.append(trivial_group())
+    # 7 disjoint transpositions on 700 points: 700**7 > 2**63
+    cases.append(group_from_generators(700, [
+        parse_cycles(f"({100 * k + 1},{100 * k + 100})", 700)
+        for k in range(7)]))
+    # C3^6 as 6 disjoint 3-cycles on 900 points
+    cases.append(group_from_generators(900, [
+        parse_cycles(f"({150 * k + 1},{150 * k + 75},{150 * k + 150})", 900)
+        for k in range(6)]))
+    return cases
+
+
+def test_table_matches_perm_arithmetic(corpus):
+    rng = np.random.default_rng(0)
+    for G in _table_cases(corpus):
+        n = G.order
+        table = G.table
+        assert table.shape == (n, n)
+        if n <= 120:
+            pairs = itertools.product(range(n), repeat=2)
+            xs = range(n)
+        else:  # the high-degree cases: seeded samples
+            pairs = rng.integers(0, n, size=(1000, 2)).tolist()
+            xs = rng.integers(0, n, size=4).tolist()
+        for i, j in pairs:
+            assert table[i, j] == G.index_of(G.perm(i) * G.perm(j)), (G, i, j)
+        for x in range(n):
+            assert G.perm(int(G.inverses[x])) == G.perm(x).inverse(), (G, x)
+        elements = G.elements
+        for x in xs:
+            least = min(G.index_of(elements[x].conjugate(g)) for g in elements)
+            assert G.class_reps[x] == least, (G, x)

@@ -2,12 +2,14 @@
 
 These oracles share nothing with the production paths: closures are taken
 over raw Perm arithmetic and subsets, so they catch errors in the kernels,
-the cyclic-extension strategy and the join-closure of normal subgroups.
+the cyclic-extension strategy and the extension of normal subgroups by class
+closures.
 """
 
 import itertools
 
 from partialpi.chiefs import normal_subgroups
+from partialpi.groups import elementary_abelian
 from partialpi.structure import (
     all_subgroups,
     hypercenter_u,
@@ -53,12 +55,21 @@ def test_lattice_matches_brute_force(groups):
 
 
 def test_normals_match_brute_force(groups):
-    for name in ("S4", "SL(2,3)", "S3xS3", "C2^4:C3", "Dic3"):
-        G = groups[name]
-        by_filter = {s.idx.tobytes() for s in all_subgroups(G).all
-                     if s.is_normal()}
-        by_closure = {n.idx.tobytes() for n in normal_subgroups(G)}
-        assert by_filter == by_closure, name
+    # from C1 on, each group has more normal subgroups than class closures
+    cases = [(name, groups[name]) for name in (
+        "S4", "SL(2,3)", "S3xS3", "C2^4:C3", "Dic3",
+        "C1", "V4", "C2^3", "C3^2", "A4xC2")]
+    cases += [("C2^4", elementary_abelian(2, 4)),
+              ("C3^3", elementary_abelian(3, 3))]
+    for name, G in cases:
+        # canonical order: (order, index bytes)
+        by_filter = sorted((s.idx.tobytes() for s in all_subgroups(G).all
+                            if s.is_normal()), key=lambda b: (len(b), b))
+        by_closure = [n.idx.tobytes() for n in normal_subgroups(G)]
+        assert by_closure == by_filter, name
+    # subgroup counts of F_p^k: sums of Gaussian binomial coefficients
+    assert len(normal_subgroups(elementary_abelian(2, 5))) == 374
+    assert len(normal_subgroups(elementary_abelian(3, 4))) == 212
 
 
 def test_hypercenter_characterizes_supersolubility(corpus):

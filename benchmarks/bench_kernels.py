@@ -5,7 +5,8 @@ side by side on the workloads that dominate real runs: subgroup closures,
 normalizer scans, conjugacy classes, product sets and module spinning.
 A second section times the per-group builds that single-subgroup checks
 pay on every fresh group, the Cayley table and the normal subgroups, with
-the active backend.
+the active backend. A third section times the subgroup lattice on fresh
+groups and counts the closures it takes.
 
 Run:  python benchmarks/bench_kernels.py
 (When PARTIALPI_NUMBA=0 the numba column is skipped.)
@@ -20,6 +21,7 @@ from partialpi.chiefs import normal_subgroups
 from partialpi.corpus import builtin_corpus
 from partialpi.groups import elementary_abelian
 from partialpi.perms import _DTYPE
+from partialpi.structure import _lattice
 
 
 def timed(fn, repeat=3):
@@ -114,6 +116,48 @@ def group_builds():
         print(f"{name:<10}{table * 1000:>12.2f}ms{normals * 1000:>16.2f}ms")
 
 
+def c3_4_c4():
+    return builtin_corpus().group("C3^4:C4")
+
+
+def index_2_of_c3_4_c4():
+    """The order-162 normal subgroup of C3^4:C4 as a standalone group."""
+    G = c3_4_c4()
+    return next(N for N in normal_subgroups(G) if N.order == 162).as_group()
+
+
+def closure_calls(build, G) -> int:
+    """How many closure_idx calls ``build(G)`` makes."""
+    kernel, calls = _kernels.closure_idx, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+    _kernels.closure_idx = counted
+    try:
+        build(G)
+    finally:
+        _kernels.closure_idx = kernel
+    return calls
+
+
+def lattice_builds():
+    makers = [("C3^4:C4", c3_4_c4),
+              ("C3^4:C2", index_2_of_c3_4_c4),
+              ("GL(3,2)", lambda: builtin_corpus().group("GL(3,2)")),
+              ("C2^5", lambda: elementary_abelian(2, 5))]
+    print(f"\nsubgroup lattice, fresh group each ({_kernels.BACKEND}):")
+    print(f"{'group':<10}{'order':>6}{'subgroups':>11}{'closures':>10}"
+          f"{'_lattice':>12}")
+    for name, make in makers:
+        seconds = timed_fresh(make, _lattice, before=cayley_table)
+        G = make()
+        calls = closure_calls(_lattice, G)
+        print(f"{name:<10}{G.order:>6}{len(_lattice(G)):>11}{calls:>10}"
+              f"{seconds * 1000:>10.1f}ms")
+
+
 def main():
     impls = [("numpy", _kernels.NUMPY_IMPL)]
     if _kernels.NUMBA_IMPL is not None:
@@ -142,6 +186,7 @@ def main():
             line += f"{times['numpy'] / times['numba']:>9.1f}x"
         print(line)
     group_builds()
+    lattice_builds()
 
 
 if __name__ == "__main__":

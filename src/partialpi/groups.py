@@ -214,9 +214,9 @@ class Group:
 
     # -- subgroup constructors --------------------------------------------
 
-    def subgroup(self, idx, generators=None) -> "Subgroup":
+    def subgroup(self, idx, generators=None, generator_idx=None) -> "Subgroup":
         idx = np.asarray(idx, dtype=_DTYPE)
-        return Subgroup(self, np.sort(idx), generators)
+        return Subgroup(self, np.sort(idx), generators, generator_idx)
 
     def subgroup_from_mask(self, mask, generators=None) -> "Subgroup":
         return Subgroup(self, np.flatnonzero(mask).astype(_DTYPE), generators)
@@ -232,14 +232,18 @@ class Group:
 class Subgroup:
     """A subgroup of an ambient Group, held as a sorted element-index array."""
 
-    __slots__ = ("ambient", "idx", "_gens", "_mask", "_key")
+    __slots__ = ("ambient", "idx", "_gens", "_gens_idx", "_mask", "_key")
 
-    def __init__(self, ambient: Group, idx: np.ndarray, generators=None):
+    def __init__(self, ambient: Group, idx: np.ndarray, generators=None,
+                 generator_idx=None):
+        """``generators`` are Perms; ``generator_idx`` are their indices in
+        the ambient table, turned into sorted Perms when first read."""
         self.ambient = ambient
         idx = np.asarray(idx, dtype=_DTYPE)
         idx.setflags(write=False)
         self.idx = idx
         self._gens = tuple(generators) if generators is not None else None
+        self._gens_idx = generator_idx
         self._mask = None
         self._key = (id(ambient), idx.tobytes())
 
@@ -265,16 +269,19 @@ class Subgroup:
     def generators(self) -> tuple:
         if self._gens is None:
             G = self.ambient
-            gens_idx: list = []
-            member = None
-            for x in self.idx:
-                x = int(x)
-                if x == 0 or (member is not None and member[x]):
-                    continue
-                gens_idx.append(x)
-                member = _kernels.closure_idx(
-                    G.table, np.array(gens_idx, dtype=_DTYPE))
-            self._gens = tuple(G.perm(i) for i in gens_idx)
+            gens_idx = self._gens_idx
+            if gens_idx is None:
+                gens_idx = []
+                member = None
+                for x in self.idx:
+                    x = int(x)
+                    if x == 0 or (member is not None and member[x]):
+                        continue
+                    gens_idx.append(x)
+                    member = _kernels.closure_idx(
+                        G.table, np.array(gens_idx, dtype=_DTYPE))
+            # index order is Perm order: the element table is lex-sorted
+            self._gens = tuple(G.perm(i) for i in sorted(gens_idx))
         return self._gens
 
     def contains(self, other: "Subgroup") -> bool:

@@ -121,19 +121,54 @@ def all_subgroups(G: Group, caps: Caps = DEFAULT_CAPS) -> SubgroupLattice:
     return _lattice(G)
 
 
+def _zuppos(G: Group) -> tuple:
+    """The zuppos of G (cyclic subgroups of prime-power order > 1).
+
+    Returns ``(gens, zid)``: ``gens[z]`` is the least index generating
+    zuppo z, in increasing order, and ``zid[x]`` is the zuppo that x
+    generates (-1 when x is 1 or its order is not a prime power).
+    """
+    n = G.order
+    orders = G.element_orders
+    primes = [_prime_factors(int(o)) for o in orders]
+    is_pp = np.array([len(ps) == 1 for ps in primes])
+    prime = np.array([ps[0] if len(ps) == 1 else 1 for ps in primes])
+    least = np.arange(n, dtype=_DTYPE)
+    power = least.copy()
+    for k in range(2, int(orders.max())):
+        power = G.table[power, np.arange(n)]  # x^k for every x
+        # for o(x) = p^a, x^k generates <x> iff p does not divide k
+        gen = is_pp & (k < orders) & (k % prime != 0)
+        least[gen] = np.minimum(least[gen], power[gen])
+    gens = np.unique(least[is_pp])
+    zid = np.full(n, -1, dtype=_DTYPE)
+    zid[is_pp] = np.searchsorted(gens, least[is_pp])
+    return gens, zid
+
+
 @memo("lattice")
 def _lattice(G: Group) -> SubgroupLattice:
     """Enumerate the full subgroup lattice by cyclic extension.
 
-    Cyclic subgroups are seeded from conjugacy-class representatives; each
-    found subgroup is extended by every class representative outside it, and
-    each new subgroup is added together with its whole conjugation orbit
-    (which keeps the found-set conjugation-closed, the completeness
-    invariant of this strategy).
+    One subgroup per conjugacy class is extended (Neubüser, *Numer. Math.*
+    2, 1960; Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, ch. 4). ``found`` holds every subgroup met so far with
+    its whole conjugation orbit; only the member that was met goes on the
+    work list, as its class's representative R. R is extended by one zuppo
+    (a cyclic subgroup of prime-power order, held by one generator) from
+    each N_G(R)-orbit on the zuppos outside R; the trivial subgroup, with
+    N_G(1) = G, seeds the cyclic classes.
+
+    Complete: every subgroup H is generated by the zuppos it contains, so
+    it ends a chain 1 = H_0 < H_1 < ... < H_k = H with H_i = <H_{i-1}, z_i>
+    for a zuppo z_i outside H_{i-1}. If H_{i-1} is found, some g maps it to
+    its class's representative R, and H_i^g = <R, z_i^g>. R is extended by
+    (z_i^g)^n for some n in N_G(R), giving <R, z_i^g>^n = H_i^(gn), so a
+    conjugate of H_i, and with it the orbit of H_i, is found.
     """
     table, inv = G.table, G.inverses
     n = G.order
-    reps = [int(r) for r in np.unique(G.class_reps) if r != 0]
+    zgens, zid = _zuppos(G)
     all_g = np.arange(n, dtype=_DTYPE)[:, None]
 
     found: dict = {}
@@ -143,42 +178,38 @@ def _lattice(G: Group) -> SubgroupLattice:
         key = idx.tobytes()
         if key in found:
             return
-        conj = table[table[inv][:, idx], all_g]
+        conj = table[table[inv[:, None], idx], all_g]
         conj.sort(axis=1)
-        orbit = np.unique(conj, axis=0)
+        orbit, first = np.unique(conj, axis=0, return_index=True)
         normal = len(orbit) == 1
-        for row in orbit:
-            rkey = row.tobytes()
-            if rkey not in found:
-                g = int(np.flatnonzero((conj == row).all(axis=1))[0])
-                gi = int(inv[g])
-                cgens = tuple(int(table[table[gi, x], g]) for x in gens_idx)
-                found[rkey] = (row.copy(), cgens, normal)
-                work.append((row.copy(), cgens))
+        for row, g in zip(orbit, first):
+            gi = int(inv[g])
+            cgens = tuple(int(table[table[gi, x], g]) for x in gens_idx)
+            found[row.tobytes()] = (row, cgens, normal)
+        work.append((idx, gens_idx))
 
-    triv = np.zeros(1, dtype=_DTYPE)
-    found[triv.tobytes()] = (triv, (), True)
-    for r in reps:
-        mask = _kernels.closure_idx(table, np.array([r], dtype=_DTYPE))
-        add_orbit(np.flatnonzero(mask).astype(_DTYPE), (r,))
+    add_orbit(np.zeros(1, dtype=_DTYPE), ())
     while work:
         idx, gens_idx = work.popleft()
         if len(idx) == n:
             continue
+        norm = np.flatnonzero(
+            _kernels.normalizer_mask(table, inv, idx)).astype(_DTYPE)
+        # zuppo z's N_G(R)-orbit, named by its least member
+        orbit_min = zid[table[table[inv[norm][:, None], zgens],
+                              norm[:, None]]].min(axis=0)
         member = np.zeros(n, dtype=bool)
         member[idx] = True
-        for r in reps:
-            if member[r]:
-                continue
+        for z in np.unique(orbit_min[~member[zgens]]):
+            extended = gens_idx + (int(zgens[z]),)
             mask = _kernels.closure_idx(
-                table, np.array(gens_idx + (r,), dtype=_DTYPE))
-            add_orbit(np.flatnonzero(mask).astype(_DTYPE), gens_idx + (r,))
+                table, np.array(extended, dtype=_DTYPE))
+            add_orbit(np.flatnonzero(mask).astype(_DTYPE), extended)
 
     entries = sorted(found.values(), key=lambda e: (len(e[0]), e[0].tobytes()))
     subs, flags = [], []
     for idx, gens_idx, normal in entries:
-        subs.append(G.subgroup(idx, generators=tuple(
-            sorted(G.perm(i) for i in gens_idx))))
+        subs.append(G.subgroup(idx, generator_idx=gens_idx))
         flags.append(normal)
     return SubgroupLattice(G, subs, flags)
 
@@ -421,10 +452,16 @@ def omega(P: Group, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
 def is_quaternion_free(P: Group, caps: Caps = DEFAULT_CAPS) -> bool:
     """No section S/T of P (T normal in S) isomorphic to Q8.
 
-    A Q8 section has order exactly 8, so only |S:T| = 8 pairs are scanned.
+    A Q8 section has order exactly 8, so only |S:T| = 8 pairs are scanned,
+    and an abelian P, whose sections are all abelian, has none.
     """
-    if P.order % 8:
+    if P.order % 8 or np.array_equal(P.table, P.table.T):
         return True
+    return _quaternion_free_by_sections(P, caps)
+
+
+def _quaternion_free_by_sections(P: Group, caps: Caps = DEFAULT_CAPS) -> bool:
+    """is_quaternion_free by scanning the sections of P's lattice."""
     q8 = dicyclic(8)
     for S in sorted(all_subgroups(P, caps).all, key=lambda s: -s.order):
         if S.order % 8:

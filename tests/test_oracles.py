@@ -9,7 +9,7 @@ closures.
 import itertools
 
 from partialpi.chiefs import normal_subgroups
-from partialpi.groups import elementary_abelian
+from partialpi.groups import elementary_abelian, normalizer
 from partialpi.structure import (
     all_subgroups,
     hypercenter_u,
@@ -46,12 +46,29 @@ def brute_subgroups(G, max_gens):
 
 def test_lattice_matches_brute_force(groups):
     # max_gens = 3 suffices: every subgroup of these groups is 3-generated
-    for name in ("S3", "D8", "Q8", "C2^3", "A4", "SD16"):
+    # from S4 on, a class representative's normaliser is a proper overgroup
+    for name in ("S3", "D8", "Q8", "C2^3", "A4", "SD16", "S4", "A4xC2"):
         G = groups[name]
         brute = brute_subgroups(G, 3)
         lattice = {frozenset(p.images for p in s.members)
                    for s in all_subgroups(G).all}
         assert lattice == brute, name
+
+
+def test_lattice_class_counts(groups):
+    """(subgroups, conjugacy classes of subgroups, normal subgroups)."""
+    pins = {"S4": (30, 11, 4), "A5": (59, 9, 2), "SL(2,3)": (15, 7, 4),
+            "GL(3,2)": (179, 15, 2), "F7^2:S3": (172, 14, 4),
+            "C3^4:C4": (2836, 236, 14), "C2^5": (374, 374, 374)}
+    for name, pin in pins.items():
+        G = elementary_abelian(2, 5) if name == "C2^5" else groups[name]
+        lattice = all_subgroups(G)
+        # orbit-stabiliser: H's class has |G : N_G(H)| members
+        normaliser_orders = sum(normalizer(G, s).order for s in lattice.all)
+        assert normaliser_orders % G.order == 0, name
+        counts = (len(lattice), normaliser_orders // G.order,
+                  len(lattice.normal))
+        assert counts == pin, name
 
 
 def test_normals_match_brute_force(groups):

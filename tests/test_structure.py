@@ -12,6 +12,7 @@ from partialpi.groups import (
     cyclic,
     dicyclic,
     dihedral,
+    elementary_abelian,
     is_isomorphic,
     lift_subgroup,
     normalizer,
@@ -363,6 +364,19 @@ def test_quaternion_free(groups):
     assert is_quaternion_free(groups["D16"])
     assert is_quaternion_free(groups["V4"])
     assert is_quaternion_free(groups["C3^2"])  # odd order
+
+
+def test_quaternion_free_abelian_without_lattice():
+    c2_6 = elementary_abelian(2, 6)
+    assert is_quaternion_free(c2_6)
+    assert "lattice" not in c2_6._cache
+
+
+def test_quaternion_free_shortcut_matches_sections(corpus):
+    for name, P in corpus:
+        if _prime_factors(P.order) == [2]:
+            assert is_quaternion_free(P) == \
+                structure._quaternion_free_by_sections(P), name
 
 
 def test_two_maximal(groups):

@@ -1,15 +1,13 @@
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Time the hot kernels, the per-group builds and the subgroup lattice.
 
-Both implementations live in partialpi._kernels, so this script times them
-side by side on the workloads that dominate real runs: subgroup closures,
-normalizer scans, conjugacy classes, product sets and module spinning.
-A second section times the per-group builds that single-subgroup checks
-pay on every fresh group, the Cayley table and the normal subgroups, with
-the active backend. A third section times the subgroup lattice on fresh
-groups and counts the closures it takes.
+The first section times each kernel in partialpi._kernels on the workloads
+that dominate real runs: subgroup closures, normalizer scans, conjugacy
+classes, product sets and module spinning. A second section times the
+per-group builds that single-subgroup checks pay on every fresh group, the
+Cayley table and the normal subgroups. A third section times the subgroup
+lattice on fresh groups and counts the closures it takes.
 
 Run:  python benchmarks/bench_kernels.py
-(When PARTIALPI_NUMBA=0 the numba column is skipped.)
 """
 
 import time
@@ -41,10 +39,10 @@ def workloads():
     t294, i294 = g294.table, g294.inverses
     pair_seeds = [np.array([i, j], dtype=_DTYPE)
                   for i in range(1, 30, 3) for j in range(2, 60, 7)]
-    subs60 = [np.flatnonzero(_kernels.NUMPY_IMPL["closure_idx"](t60, s)).astype(_DTYPE)
+    subs60 = [np.flatnonzero(_kernels.closure_idx(t60, s)).astype(_DTYPE)
               for s in pair_seeds[:25]]
     sub294 = np.flatnonzero(
-        _kernels.NUMPY_IMPL["closure_idx"](t294, np.array([1, 5], dtype=_DTYPE))
+        _kernels.closure_idx(t294, np.array([1, 5], dtype=_DTYPE))
     ).astype(_DTYPE)
     r = np.array([[0, 6], [1, 6]], dtype=np.int64)
     s = np.array([[0, 1], [1, 0]], dtype=np.int64)
@@ -52,31 +50,31 @@ def workloads():
                      np.kron(np.eye(2, dtype=np.int64), s)])
     weights = 7 ** np.arange(3, -1, -1, dtype=np.int64)
 
-    def closure_storm(impl):
+    def closure_storm():
         for seed in pair_seeds:
-            impl["closure_idx"](t60, seed)
+            _kernels.closure_idx(t60, seed)
 
-    def normalizer_storm(impl):
+    def normalizer_storm():
         for sub in subs60:
-            impl["normalizer_mask"](t60, i60, sub)
-        impl["normalizer_mask"](t294, i294, sub294)
+            _kernels.normalizer_mask(t60, i60, sub)
+        _kernels.normalizer_mask(t294, i294, sub294)
 
-    def centralizer_storm(impl):
+    def centralizer_storm():
         for sub in subs60:
-            impl["centralizer_mask"](t60, sub)
+            _kernels.centralizer_mask(t60, sub)
 
-    def classes(impl):
-        impl["class_min_rep"](t60, i60)
-        impl["class_min_rep"](t294, i294)
+    def classes():
+        _kernels.class_min_rep(t60, i60)
+        _kernels.class_min_rep(t294, i294)
 
-    def products(impl):
+    def products():
         for sub in subs60:
-            impl["product_mask"](t60, sub, subs60[0])
+            _kernels.product_mask(t60, sub, subs60[0])
 
-    def spins(impl):
+    def spins():
         for code in range(1, 7 ** 4, 9):
             v = (code // weights) % 7
-            impl["spin_basis"](mats, v.astype(np.int64), 7)
+            _kernels.spin_basis(mats, v.astype(np.int64), 7)
 
     return [("closure x61 (|G|=60)", closure_storm),
             ("normalizer x26", normalizer_storm),
@@ -108,7 +106,7 @@ def group_builds():
     makers = [("C2^5", lambda: elementary_abelian(2, 5)),
               ("C3^4", lambda: elementary_abelian(3, 4)),
               ("C3^4:C4", lambda: builtin_corpus().group("C3^4:C4"))]
-    print(f"\nper-group builds, fresh group each ({_kernels.BACKEND}):")
+    print("\nper-group builds, fresh group each:")
     print(f"{'group':<10}{'Group.table':>14}{'normal_subgroups':>18}")
     for name, make in makers:
         table = timed_fresh(make, cayley_table)
@@ -147,7 +145,7 @@ def lattice_builds():
               ("C3^4:C2", index_2_of_c3_4_c4),
               ("GL(3,2)", lambda: builtin_corpus().group("GL(3,2)")),
               ("C2^5", lambda: elementary_abelian(2, 5))]
-    print(f"\nsubgroup lattice, fresh group each ({_kernels.BACKEND}):")
+    print("\nsubgroup lattice, fresh group each:")
     print(f"{'group':<10}{'order':>6}{'subgroups':>11}{'closures':>10}"
           f"{'_lattice':>12}")
     for name, make in makers:
@@ -159,32 +157,11 @@ def lattice_builds():
 
 
 def main():
-    impls = [("numpy", _kernels.NUMPY_IMPL)]
-    if _kernels.NUMBA_IMPL is not None:
-        impls.append(("numba", _kernels.NUMBA_IMPL))
-        for name, fn in workloads():  # warm the JIT outside the timings
-            fn(_kernels.NUMBA_IMPL)
-            break
-    rows = []
-    for name, fn in workloads():
-        times = {}
-        for backend, impl in impls:
-            if backend == "numba":
-                fn(impl)  # warmup for this kernel
-            times[backend] = timed(lambda: fn(impl))
-        rows.append((name, times))
-    width = max(len(n) for n, _ in rows)
-    header = f"{'workload':<{width}}  " + "".join(f"{b:>12}" for b, _ in impls)
-    if len(impls) == 2:
-        header += f"{'speedup':>10}"
-    print(f"active backend: {_kernels.BACKEND}")
-    print(header)
-    for name, times in rows:
-        line = f"{name:<{width}}  " + "".join(
-            f"{times[b] * 1000:>10.2f}ms" for b, _ in impls)
-        if len(impls) == 2 and times["numba"] > 0:
-            line += f"{times['numpy'] / times['numba']:>9.1f}x"
-        print(line)
+    rows = [(name, timed(fn)) for name, fn in workloads()]
+    width = max(len(name) for name, _ in rows)
+    print(f"{'workload':<{width}}  {'time':>10}")
+    for name, seconds in rows:
+        print(f"{name:<{width}}  {seconds * 1000:>8.2f}ms")
     group_builds()
     lattice_builds()
 

@@ -89,13 +89,8 @@ def normal_subgroups(G: Group) -> list:
 
 
 def minimal_normal_subgroups(G: Group) -> list:
-    normals = normal_subgroups(G)
-    nontrivial = [N for N in normals if N.order > 1]
-    out = []
-    for N in nontrivial:
-        if not any(M.order < N.order and N.contains(M) for M in nontrivial):
-            out.append(N)
-    return out
+    """The chief children of 1: a shared, memoised list."""
+    return _chief_children(G, G.trivial_subgroup())
 
 
 class ChiefFactor:

@@ -57,9 +57,7 @@ def _pi_part(n: int, pi) -> int:
 class SubgroupLattice:
     """Every subgroup of the ambient group, conjugation-closed.
 
-    ``all`` is canonically ordered; ``normal`` is the normal sublist;
-    ``maximal_of`` maps each subgroup to its minimal proper overgroups
-    (computed lazily).
+    ``all`` is canonically ordered; ``normal`` is the normal sublist.
     """
 
     def __init__(self, ambient: Group, all_subs, normal_flags):
@@ -67,7 +65,6 @@ class SubgroupLattice:
         self.all = all_subs
         self._normal_flags = normal_flags
         self.normal = [s for s, f in zip(all_subs, normal_flags) if f]
-        self._maximal_of = None
         self._by_order: dict = {}
         for s in all_subs:
             self._by_order.setdefault(s.order, []).append(s)
@@ -77,23 +74,6 @@ class SubgroupLattice:
 
     def is_normal_flag(self, i: int) -> bool:
         return self._normal_flags[i]
-
-    @property
-    def maximal_of(self) -> dict:
-        if self._maximal_of is None:
-            ints = [int.from_bytes(np.packbits(s.mask).tobytes(), "big")
-                    for s in self.all]
-            adj = {}
-            for i, s in enumerate(self.all):
-                overs = [j for j, t in enumerate(self.all)
-                         if t.order > s.order and ints[i] & ~ints[j] == 0]
-                covers = [j for j in overs
-                          if not any(self.all[k].order < self.all[j].order
-                                     and ints[k] & ~ints[j] == 0
-                                     for k in overs if k != j)]
-                adj[s] = [self.all[j] for j in covers]
-            self._maximal_of = adj
-        return self._maximal_of
 
     def maximal_subgroups(self) -> list:
         """Maximal proper subgroups of the ambient group."""

@@ -186,7 +186,7 @@ def test_caps_flags_and_config(tmp_path, capsys):
 
 
 def test_env_cap_override(groupdir):
-    env = dict(os.environ, PARTIALPI_CAP_LATTICE="4", PARTIALPI_NUMBA="0")
+    env = dict(os.environ, PARTIALPI_CAP_LATTICE="4")
     proc = subprocess.run(
         [sys.executable, "-m", "partialpi.cli", "verify", str(groupdir),
          "--theorem", "A", "--p", "2"],

@@ -1,6 +1,9 @@
-"""Backend equivalence: the numba kernels and the numpy fallbacks must be
-interchangeable on identical inputs. Without numba the loop kernels are
-checked as plain Python instead."""
+"""The numpy kernels against an independent plain-Python loop reference.
+
+Each ``_kernels.<name>`` must return exactly what its ``_<name>_loop``
+below returns on identical inputs. The loops are written element by
+element, with no vectorisation, so they share no indexing tricks with the
+kernels they check."""
 
 import numpy as np
 import pytest
@@ -9,72 +12,260 @@ from partialpi import _kernels
 from partialpi.groups import symmetric, dicyclic
 from partialpi.perms import _DTYPE
 
-BACKENDS = [("numpy", _kernels.NUMPY_IMPL)]
-if _kernels.NUMBA_IMPL is not None:
-    BACKENDS.append(("numba", _kernels.NUMBA_IMPL))
-else:
-    BACKENDS.append(("loop", _kernels.LOOP_IMPL))
 
+# -- loop reference ----------------------------------------------------------
+
+def _closure_idx_loop(table, gens):
+    n = table.shape[0]
+    member = np.zeros(n, np.bool_)
+    stack = np.empty(n, np.int32)
+    member[0] = True
+    stack[0] = 0
+    top = 1
+    for g in gens:
+        if not member[g]:
+            member[g] = True
+            stack[top] = g
+            top += 1
+    head = 0
+    while head < top:
+        x = stack[head]
+        head += 1
+        for g in gens:
+            y = table[x, g]
+            if not member[y]:
+                member[y] = True
+                stack[top] = y
+                top += 1
+    return member
+
+
+def _normalizer_mask_loop(table, inv, sub_idx):
+    n = table.shape[0]
+    member = np.zeros(n, np.bool_)
+    for s in sub_idx:
+        member[s] = True
+    out = np.zeros(n, np.bool_)
+    for g in range(n):
+        gi = inv[g]
+        ok = True
+        for s in sub_idx:
+            if not member[table[table[gi, s], g]]:
+                ok = False
+                break
+        out[g] = ok
+    return out
+
+
+def _centralizer_mask_loop(table, sub_idx):
+    n = table.shape[0]
+    out = np.zeros(n, np.bool_)
+    for g in range(n):
+        ok = True
+        for s in sub_idx:
+            if table[g, s] != table[s, g]:
+                ok = False
+                break
+        out[g] = ok
+    return out
+
+
+def _class_min_rep_loop(table, inv):
+    n = table.shape[0]
+    rep = np.empty(n, np.int32)
+    for x in range(n):
+        m = x
+        for g in range(n):
+            c = table[table[inv[g], x], g]
+            if c < m:
+                m = c
+        rep[x] = m
+    return rep
+
+
+def _product_mask_loop(table, a_idx, b_idx):
+    n = table.shape[0]
+    out = np.zeros(n, np.bool_)
+    for a in a_idx:
+        for b in b_idx:
+            out[table[a, b]] = True
+    return out
+
+
+def _modinv(a, p):
+    # Fermat: a^(p-2) mod p
+    result = 1
+    base = a % p
+    e = p - 2
+    while e:
+        if e & 1:
+            result = result * base % p
+        base = base * base % p
+        e >>= 1
+    return result
+
+
+def _spin_basis_loop(mats, v, p):
+    """Smallest invariant subspace containing v, as a reduced echelon basis.
+
+    Returns (basis, pivots, nrows); rows basis[:nrows] are in RREF ordered
+    by pivot column, which is the canonical form used for deduplication.
+    """
+    g = mats.shape[0]
+    k = v.shape[0]
+    basis = np.zeros((k, k), np.int64)
+    pivots = np.full(k, -1, np.int64)
+    nrows = 0
+    work = np.zeros((k * g + 1, k), np.int64)
+    work[0] = v % p
+    wp = 1
+    head = 0
+    while head < wp and nrows < k:
+        w = work[head].copy()
+        head += 1
+        for r in range(nrows):
+            c = w[pivots[r]]
+            if c:
+                for j in range(k):
+                    w[j] = (w[j] - c * basis[r, j]) % p
+        piv = -1
+        for j in range(k):
+            if w[j] != 0:
+                piv = j
+                break
+        if piv == -1:
+            continue
+        c = _modinv(w[piv], p)
+        for j in range(k):
+            w[j] = w[j] * c % p
+        basis[nrows] = w
+        pivots[nrows] = piv
+        nrows += 1
+        if nrows == k:
+            break
+        for t in range(g):
+            row = work[wp]
+            for i in range(k):
+                s = 0
+                for j in range(k):
+                    s += mats[t, i, j] * w[j]
+                row[i] = s % p
+            wp += 1
+    # sort rows by pivot column, then back-substitute to full RREF
+    order = np.argsort(pivots[:nrows])
+    basis[:nrows] = basis[order]
+    sp = pivots[order].copy()
+    pivots[:nrows] = sp
+    for r in range(nrows):
+        for r2 in range(nrows):
+            if r2 != r:
+                c = basis[r2, pivots[r]]
+                if c:
+                    for j in range(k):
+                        basis[r2, j] = (basis[r2, j] - c * basis[r, j]) % p
+    return basis, pivots, nrows
+
+
+REFERENCE = {
+    "closure_idx": _closure_idx_loop,
+    "normalizer_mask": _normalizer_mask_loop,
+    "centralizer_mask": _centralizer_mask_loop,
+    "class_min_rep": _class_min_rep_loop,
+    "product_mask": _product_mask_loop,
+    "spin_basis": _spin_basis_loop,
+}
+
+
+# -- tests -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def s4():
     return symmetric(4)
 
 
-def _pairs():
-    assert len(BACKENDS) >= 1
-    return BACKENDS
+@pytest.fixture(scope="module")
+def f294(corpus):
+    return corpus.group("F7^2:S3")
+
+
+def _impls():
+    """The kernels as called in the package, then their loop references."""
+    return [{name: getattr(_kernels, name) for name in REFERENCE}, REFERENCE]
+
+
+def _random_generator_sets(order, count=30, seed=294):
+    rng = np.random.default_rng(seed)
+    return [rng.choice(order, size=rng.integers(0, 3), replace=False
+                       ).astype(_DTYPE) for _ in range(count)]
 
 
 def test_backends_available():
-    # the active backend matches the env selection
-    assert _kernels.BACKEND in ("numba", "numpy")
+    assert _kernels.BACKEND == "numpy"
 
 
 @pytest.mark.parametrize("name", ["closure_idx", "normalizer_mask",
                                   "centralizer_mask", "product_mask"])
-def test_subgroup_kernels_agree(s4, name):
-    table, inv = s4.table, s4.inverses
-    seeds = [np.array([], dtype=_DTYPE),
-             np.array([1], dtype=_DTYPE),
-             np.array([5, 9], dtype=_DTYPE),
-             np.arange(0, 24, 3, dtype=_DTYPE)]
-    for seed in seeds:
-        results = []
-        for _, impl in _pairs():
-            if name == "closure_idx":
-                results.append(impl[name](table, seed))
-            elif name == "product_mask":
-                results.append(impl[name](table, seed, np.array([0, 2], dtype=_DTYPE)))
-            else:
-                sub = np.flatnonzero(impl["closure_idx"](table, seed)).astype(_DTYPE)
-                results.append(impl[name](table, inv, sub) if name == "normalizer_mask"
-                               else impl[name](table, sub))
-        for r in results[1:]:
-            assert np.array_equal(results[0], r)
+def test_subgroup_kernels_agree(s4, f294, name):
+    s4_seeds = [np.array([], dtype=_DTYPE),
+                np.array([1], dtype=_DTYPE),
+                np.array([5, 9], dtype=_DTYPE),
+                np.arange(0, 24, 3, dtype=_DTYPE)]
+    for G, seeds in [(s4, s4_seeds),
+                     (f294, _random_generator_sets(f294.order))]:
+        table, inv = G.table, G.inverses
+        for seed in seeds:
+            results = []
+            for impl in _impls():
+                if name == "closure_idx":
+                    results.append(impl[name](table, seed))
+                elif name == "product_mask":
+                    results.append(impl[name](table, seed, np.array([0, 2], dtype=_DTYPE)))
+                else:
+                    sub = np.flatnonzero(impl["closure_idx"](table, seed)).astype(_DTYPE)
+                    results.append(impl[name](table, inv, sub) if name == "normalizer_mask"
+                                   else impl[name](table, sub))
+            kernel, reference = results
+            assert kernel.dtype == reference.dtype
+            assert np.array_equal(kernel, reference)
 
 
-def test_class_reps_agree(s4):
-    outs = [impl["class_min_rep"](s4.table, s4.inverses)
-            for _, impl in _pairs()]
-    for r in outs[1:]:
-        assert np.array_equal(outs[0], r)
-    # S4 has 5 conjugacy classes
-    assert len(np.unique(outs[0])) == 5
+def test_random_generator_sets_reach_every_kind(f294):
+    """The seeded F7^2:S3 sets above give 1, G and proper subgroups."""
+    orders = {int(_kernels.closure_idx(f294.table, seed).sum())
+              for seed in _random_generator_sets(f294.order)}
+    assert {1, 294} <= orders and len(orders) > 3
+
+
+def test_class_reps_agree(s4, f294):
+    # S4 has 5 conjugacy classes; F7^2:S3 has 20 (counted by Perm conjugation)
+    for G, classes in [(s4, 5), (f294, 20)]:
+        kernel, reference = (impl["class_min_rep"](G.table, G.inverses)
+                             for impl in _impls())
+        assert kernel.dtype == reference.dtype
+        assert np.array_equal(kernel, reference)
+        assert len(np.unique(kernel)) == classes
 
 
 def test_closure_matches_brute_force(s4):
     table = s4.table
     gens = np.array([s4.index_of(p) for p in s4.generators], dtype=_DTYPE)
-    for _, impl in _pairs():
+    for impl in _impls():
         mask = impl["closure_idx"](table, gens)
         assert int(mask.sum()) == 24
     # subgroup generated by a transposition and a 3-cycle fixing a point: S3
     from partialpi.perms import parse_cycles
     sub_gens = np.array([s4.index_of(parse_cycles("(1 2)", 4)),
                          s4.index_of(parse_cycles("(1 2 3)", 4))], dtype=_DTYPE)
-    for _, impl in _pairs():
+    for impl in _impls():
         assert int(impl["closure_idx"](table, sub_gens).sum()) == 6
+
+
+def _spin_outputs(mats, v, p):
+    outs = []
+    for impl in _impls():
+        basis, pivots, nrows = impl["spin_basis"](mats, v, p)
+        outs.append((basis[:nrows].copy(), pivots[:nrows].copy(), nrows))
+    return outs
 
 
 def test_spin_basis_agree():
@@ -92,10 +283,7 @@ def test_spin_basis_agree():
             v = rng.integers(0, p, size=k).astype(np.int64)
             if not v.any():
                 v[0] = 1
-            outs = []
-            for _, impl in _pairs():
-                basis, pivots, nrows = impl["spin_basis"](mats, v, p)
-                outs.append(basis[:nrows].copy())
+            outs = [basis for basis, _, _ in _spin_outputs(mats, v, p)]
             for r in outs[1:]:
                 assert np.array_equal(outs[0], r)
             # invariance re-check: every basis image stays inside the span
@@ -106,3 +294,18 @@ def test_spin_basis_agree():
                     aug = np.vstack((span, img))
                     from partialpi.modrep import rref
                     assert rref(aug, p)[0].shape[0] == span.shape[0]
+
+
+@pytest.mark.parametrize("p, v", [(5, [0, 3, 4]), (2, [1, 0, 1, 1]),
+                                  (7, [0, 0])])
+def test_spin_basis_no_generators(p, v):
+    """With no matrices the spun subspace is the line through v (or 0)."""
+    v = np.array(v, dtype=np.int64)
+    k = v.shape[0]
+    mats = np.zeros((0, k, k), dtype=np.int64)
+    (kb, kp, kn), (rb, rp, rn) = _spin_outputs(mats, v, p)
+    assert kn == rn == int(v.any())
+    assert np.array_equal(kb, rb) and np.array_equal(kp, rp)
+    if kn:
+        assert kb[0, kp[0]] == 1
+        assert not ((kb[0] * v[kp[0]] - v) % p).any()

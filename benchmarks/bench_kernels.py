@@ -5,7 +5,9 @@ that dominate real runs: subgroup closures, normalizer scans, conjugacy
 classes, product sets and module spinning. A second section times the
 per-group builds that single-subgroup checks pay on every fresh group, the
 Cayley table and the normal subgroups. A third section times the subgroup
-lattice on fresh groups and counts the closures it takes.
+lattice on fresh groups and counts the closures it takes. A fourth times
+the soluble routes of ``frattini``, ``hall`` and ``is_complemented``, which
+build no lattice of the group, on the two groups whose lattices cost most.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -17,9 +19,16 @@ import numpy as np
 from partialpi import _kernels
 from partialpi.chiefs import normal_subgroups
 from partialpi.corpus import builtin_corpus
+from partialpi.embedding import is_complemented
 from partialpi.groups import elementary_abelian
 from partialpi.perms import _DTYPE
-from partialpi.structure import _lattice
+from partialpi.structure import (
+    _lattice,
+    frattini,
+    hall,
+    subgroups_of_order_in,
+    sylow,
+)
 
 
 def timed(fn, repeat=3):
@@ -156,6 +165,30 @@ def lattice_builds():
               f"{seconds * 1000:>10.1f}ms")
 
 
+def soluble_routes():
+    """frattini, hall {2} and is_complemented (H of order 3 in the normal
+    Sylow 3-subgroup P, whose own lattice is built first, as a sweep that
+    picks H from it has it) on fresh groups with their tables built."""
+    def order_3_in_sylow(G):
+        return subgroups_of_order_in(G, sylow(G, 3), 3)[0]
+
+    def prepare(G):
+        cayley_table(G)
+        order_3_in_sylow(G)
+
+    calls = [("frattini", frattini),
+             ("hall {2}", lambda G: hall(G, {2})),
+             ("is_complemented",
+              lambda G: is_complemented(G, order_3_in_sylow(G)))]
+    print("\nsoluble routes, fresh group each:")
+    print(f"{'group':<10}{'order':>6}"
+          + "".join(f"{name:>17}" for name, _ in calls))
+    for name, make in [("C3^4:C4", c3_4_c4), ("C3^4:C2", index_2_of_c3_4_c4)]:
+        row = [timed_fresh(make, call, before=prepare) for _, call in calls]
+        print(f"{name:<10}{make().order:>6}"
+              + "".join(f"{t * 1000:>15.1f}ms" for t in row))
+
+
 def main():
     rows = [(name, timed(fn)) for name, fn in workloads()]
     width = max(len(name) for name, _ in rows)
@@ -164,6 +197,7 @@ def main():
         print(f"{name:<{width}}  {seconds * 1000:>8.2f}ms")
     group_builds()
     lattice_builds()
+    soluble_routes()
 
 
 if __name__ == "__main__":

@@ -24,12 +24,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .chiefs import ChiefSeries, _prime_factors, all_chief_series, search_chains
+from .chiefs import (
+    ChiefSeries,
+    _prime_factors,
+    _prime_power,
+    all_chief_series,
+    search_chains,
+)
 from .config import Caps, DEFAULT_CAPS
 from .errors import HypothesisViolated
 from .groups import Group, Subgroup, memo, normalizer, quotient
 from .perms import _DTYPE
-from .structure import all_subgroups, _p_part
+from .structure import (
+    _maximal_pi_subgroup,
+    _p_part,
+    all_subgroups,
+    subgroup_as_group,
+    sylow,
+)
 
 
 class PiFactorRecord:
@@ -183,12 +195,59 @@ def satisfies_partial_cap(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
 
 
 def is_complemented(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
-    """(verdict, complement): first K in canonical lattice order with
-    |K| = |G|/|H| and trivial intersection (then G = HK by counting)."""
+    """(verdict, complement): is there K with G = HK and H cap K = 1?
+
+    When H lies in a normal Sylow p-subgroup P, the search needs only P's
+    subgroups, not the lattice of G (``_complemented_in_normal_sylow``),
+    and the complement it returns, though deterministic, need not be the
+    first in canonical lattice order. Otherwise the complement is the first
+    K in canonical lattice order with |K| = |G|/|H| and trivial
+    intersection (then G = HK by counting).
+    """
+    if H.order == 1:
+        return True, G.as_subgroup()
+    p = _prime_power(H.order)
+    if p is not None:
+        P = sylow(G, p)
+        if (P.contains(H)
+                and _normalizer_order(G, P.idx.tobytes()) == G.order):
+            return _complemented_in_normal_sylow(G, H, P, caps)
+    return _complemented_by_lattice(G, H, caps)
+
+
+def _complemented_by_lattice(G: Group, H: Subgroup, caps: Caps):
     target = G.order // H.order
     for K in all_subgroups(G, caps).of_order(target):
         if int((K.mask & H.mask).sum()) == 1:
             return True, K
+    return False, None
+
+
+def _complemented_in_normal_sylow(G: Group, H: Subgroup, P: Subgroup,
+                                  caps: Caps):
+    """is_complemented for H inside the normal Sylow p-subgroup P.
+
+    H has a complement in G iff some complement T of H in P has
+    |N_G(T)|_{p'} = |G|_{p'}. If K complements H, then T = K cap P
+    complements H in P and K <= N_G(T). Conversely a Hall p'-subgroup R of
+    N_G(T), which exists by Schur-Zassenhaus, gives the complement TR. The
+    T are taken in P's canonical lattice order. R is grown as a maximal
+    p'-subgroup of N_G(T), which is a Hall one since N_G(T) has a normal
+    Sylow p-subgroup, so that its p'-subgroups are all conjugate into R.
+    """
+    p_prime = G.order // P.order
+    h_in_p = H.mask[P.idx]  # row i of P's group is element P.idx[i] of G
+    lattice = all_subgroups(subgroup_as_group(G, P), caps)
+    for T in lattice.of_order(P.order // H.order):
+        if h_in_p[T.idx[1:]].any():
+            continue
+        t_idx = P.idx[T.idx]
+        if _normalizer_order(G, t_idx.tobytes()) % p_prime:
+            continue
+        norm = _kernels.normalizer_mask(G.table, G.inverses, t_idx)
+        R = _maximal_pi_subgroup(G, _prime_factors(p_prime), norm)
+        return True, G.subgroup_from_mask(_kernels.product_mask(
+            G.table, t_idx, np.flatnonzero(R).astype(_DTYPE)))
     return False, None
 
 

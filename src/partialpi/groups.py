@@ -199,8 +199,18 @@ class Group:
     @property
     @memo("element_orders")
     def element_orders(self) -> np.ndarray:
-        orders = np.array(
-            [Perm._from_array(r).order() for r in self._elts], dtype=_DTYPE)
+        """orders[x] = least k >= 1 with x^k = 1, by powering every element
+        at once through the table."""
+        n = self.order
+        orders = np.zeros(n, dtype=_DTYPE)
+        power = np.arange(n, dtype=_DTYPE)  # x^k for every x
+        k = 1
+        while True:
+            orders[(power == 0) & (orders == 0)] = k
+            if orders.all():
+                break
+            power = self.table[power, np.arange(n)]
+            k += 1
         orders.setflags(write=False)
         return orders
 

@@ -1,8 +1,15 @@
 """Enumerative structure theory: lattices, Sylow/Hall subgroups, solubility.
 
 Everything here is deterministic: subgroup lattices are kept in canonical
-order (by order, then element-index tuple), and all "choose one" operations
-(sylow, hall, complements) pick the canonically least candidate.
+order (by order, then the bytes of the element-index array), and ``sylow``
+and ``hall`` pick the canonically least candidate.
+
+The subgroup lattice of G is the general route. A soluble G (every chief
+factor of prime-power order) never needs it for Phi(G) or a Hall subgroup:
+``frattini`` intersects the cores of the maximal subgroups, read off the
+chief factors, and ``hall`` grows a maximal pi-subgroup element by element
+(P. Hall). A p-group takes Phi(P) = P'P^p. Other groups keep the lattice
+route, which the oracle tests use as reference.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ import numpy as np
 from . import _kernels
 from .chiefs import (
     ChiefSeries,
+    _chief_children,
     _prime_factors,
+    _prime_power,
     all_chief_series,
     minimal_normal_subgroups,
     normal_subgroups,
@@ -27,6 +36,7 @@ from .errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
 from .groups import (
     Group,
     Subgroup,
+    derived_subgroup,
     dicyclic,
     is_isomorphic,
     lift_subgroup,
@@ -221,21 +231,61 @@ def two_maximal_subgroups(G: Group, P: Subgroup,
 # -- Sylow and Hall subgroups ------------------------------------------------
 
 
+def _least_conjugate(G: Group, idx: np.ndarray) -> Subgroup:
+    """The conjugate of the subgroup ``idx`` that the lattice lists first:
+    least ``idx.tobytes()`` among the sorted index arrays of its conjugates."""
+    table, inv = G.table, G.inverses
+    conj = table[table[inv][:, idx], np.arange(G.order, dtype=_DTYPE)[:, None]]
+    conj.sort(axis=1)
+    return G.subgroup(min(conj, key=lambda row: row.tobytes()))
+
+
+def _pi_elements(G: Group, pi) -> np.ndarray:
+    """Mask of the non-identity elements whose order is a pi-number, that
+    is, divides |G|_pi."""
+    orders = G.element_orders
+    return (orders > 1) & (_pi_part(G.order, pi) % orders == 0)
+
+
+def _maximal_pi_subgroup(G: Group, pi, within: np.ndarray) -> np.ndarray:
+    """Mask of a pi-subgroup of the subgroup ``within`` (a mask) that no
+    pi-element of ``within`` extends to a larger pi-subgroup.
+
+    The pi-elements are added in index order while the closure stays a
+    pi-group. One pass suffices: if <S, x> is not a pi-group, neither is
+    <S', x> for any S' containing S. The pass stops at the pi-part of
+    |within|, which no pi-subgroup exceeds.
+    """
+    limit = _pi_part(int(within.sum()), pi)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    gens: list = []
+    for x in np.flatnonzero(_pi_elements(G, pi) & within):
+        if int(mask.sum()) == limit:
+            break
+        if mask[x]:
+            continue
+        trial = _kernels.closure_idx(G.table, np.array(gens + [x], dtype=_DTYPE))
+        size = int(trial.sum())
+        if _pi_part(size, pi) == size:
+            gens.append(x)
+            mask = trial
+    return mask
+
+
 @memo("sylow")
 def sylow(G: Group, p: int) -> Subgroup:
-    """The canonical Sylow p-subgroup (lex-least among all of them).
+    """The canonical Sylow p-subgroup (the lattice's first of its order).
 
-    Normalizer ascent builds one Sylow subgroup; the lex-least member of its
-    conjugate orbit is the least Sylow in canonical lattice order, because
-    Sylow subgroups are all conjugate.
+    Normalizer ascent builds one Sylow subgroup; its least conjugate is the
+    least Sylow in canonical lattice order, because Sylow subgroups are all
+    conjugate.
     """
     pk = _p_part(G.order, p)
     if pk == 1:
         return G.trivial_subgroup()
     table, inv = G.table, G.inverses
-    orders = G.element_orders
-    is_p_elt = np.array([o > 1 and _p_part(int(o), p) == int(o)
-                         for o in orders])
+    is_p_elt = _pi_elements(G, {p})
     gens = [int(np.flatnonzero(is_p_elt)[0])]
     mask = _kernels.closure_idx(table, np.array(gens, dtype=_DTYPE))
     while int(mask.sum()) < pk:
@@ -244,20 +294,40 @@ def sylow(G: Group, p: int) -> Subgroup:
         cand = np.flatnonzero(norm & is_p_elt & ~mask)
         gens.append(int(cand[0]))
         mask = _kernels.closure_idx(table, np.array(gens, dtype=_DTYPE))
-    idx = np.flatnonzero(mask).astype(_DTYPE)
-    conj = table[table[inv][:, idx], np.arange(G.order, dtype=_DTYPE)[:, None]]
-    conj.sort(axis=1)
-    orbit = np.unique(conj, axis=0)
-    return G.subgroup(orbit[0])
+    return _least_conjugate(G, np.flatnonzero(mask).astype(_DTYPE))
 
 
 def hall(G: Group, pi, caps: Caps = DEFAULT_CAPS) -> Subgroup:
-    """A Hall pi-subgroup from the lattice, or NoHallSubgroup if none exists."""
-    target = _pi_part(G.order, set(pi))
+    """The Hall pi-subgroup the lattice lists first, or NoHallSubgroup if
+    none exists."""
+    return _hall(G, frozenset(pi), caps)
+
+
+@memo("hall")
+def _hall(G: Group, pi: frozenset, caps: Caps) -> Subgroup:
+    target = _pi_part(G.order, pi)
     if target == 1:
         return G.trivial_subgroup()
     if target == G.order:
         return G.as_subgroup()
+    if _is_soluble(G):
+        return _hall_soluble(G, pi)
+    return _hall_by_lattice(G, target, caps)
+
+
+def _hall_soluble(G: Group, pi) -> Subgroup:
+    """Hall pi-subgroup of a soluble G without its lattice.
+
+    In a soluble group every pi-subgroup lies in a Hall pi-subgroup, and
+    the Hall pi-subgroups are all conjugate (P. Hall, 1928). So a maximal
+    pi-subgroup is a Hall one, and its least conjugate is the lattice's
+    first subgroup of that order.
+    """
+    mask = _maximal_pi_subgroup(G, pi, np.ones(G.order, dtype=bool))
+    return _least_conjugate(G, np.flatnonzero(mask).astype(_DTYPE))
+
+
+def _hall_by_lattice(G: Group, target: int, caps: Caps) -> Subgroup:
     for s in all_subgroups(G, caps).of_order(target):
         return s
     raise NoHallSubgroup(f"no subgroup of order {target} in group of order {G.order}")
@@ -280,10 +350,62 @@ def frattini(G: Group, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """Intersection of all maximal subgroups (G itself when G is trivial)."""
     if G.order == 1:
         return G.as_subgroup()
+    p = _prime_power(G.order)
+    if p is not None:
+        return _frattini_p_group(G, p)
+    if _is_soluble(G):
+        return _frattini_soluble(G)
+    return _frattini_by_lattice(G, caps)
+
+
+def _frattini_by_lattice(G: Group, caps: Caps) -> Subgroup:
     mask = np.ones(G.order, dtype=bool)
     for M in all_subgroups(G, caps).maximal_subgroups():
         mask &= M.mask
     return G.subgroup_from_mask(mask)
+
+
+def _frattini_p_group(P: Group, p: int) -> Subgroup:
+    """Phi(P) = P'P^p for a p-group P (Burnside's basis theorem)."""
+    n = P.order
+    power = np.arange(n, dtype=_DTYPE)
+    for _ in range(p - 1):
+        power = P.table[power, np.arange(n)]
+    seeds = np.union1d(derived_subgroup(P).idx, power).astype(_DTYPE)
+    return P.subgroup_from_mask(_kernels.closure_idx(P.table, seeds))
+
+
+def _frattini_soluble(G: Group) -> Subgroup:
+    """Phi(G) of a soluble G as the intersection of the cores of its
+    maximal subgroups.
+
+    A normal K is such a core iff G/K is primitive, and a soluble G/K is
+    primitive iff it has a single minimal normal subgroup H/K and
+    C_G(H/K) = H (Baer; Doerk and Hawkes, *Finite Soluble Groups*, 1992,
+    ch. A). The complement that makes G/K primitive need not be sought:
+    there F(G/K) = H/K, so Phi(G/K) = 1 and a maximal subgroup missing H/K
+    complements it. Normal subgroups are taken largest first, and one that
+    already contains the running intersection is skipped, as it cannot
+    shrink it.
+    """
+    mask = np.ones(G.order, dtype=bool)
+    for K in reversed(normal_subgroups(G)):
+        if not (mask & ~K.mask).any():
+            continue
+        children = _chief_children(G, K)
+        if len(children) == 1 and _self_centralising(G, K, children[0]):
+            mask &= K.mask
+    return G.subgroup_from_mask(mask)
+
+
+def _self_centralising(G: Group, K: Subgroup, H: Subgroup) -> bool:
+    """C_G(H/K) = H for an abelian chief factor H/K."""
+    table, inv = G.table, G.inverses
+    cent = np.ones(G.order, dtype=bool)
+    for h in (G.index_of(x) for x in H.generators):
+        # [h, g] = h^-1 g^-1 h g for every g
+        cent &= K.mask[table[table[inv[h], inv], table[h]]]
+    return int(cent.sum()) == H.order
 
 
 def socle_and_minimal_normals(G: Group):
@@ -321,6 +443,11 @@ def o_p_prime(G: Group, p: int) -> Subgroup:
 @memo("first_series")
 def _first_series(G: Group) -> ChiefSeries:
     return next(all_chief_series(G))
+
+
+def _is_soluble(G: Group) -> bool:
+    """Every chief factor has prime-power order (read from one series)."""
+    return all(_prime_power(o) for o in _first_series(G).factor_orders())
 
 
 @memo("p_solubility")
@@ -478,7 +605,7 @@ class StructureFacts:
 
 
 def structure_facts(G: Group, p: int, caps: Caps = DEFAULT_CAPS) -> StructureFacts:
-    from .groups import center as center_of, derived_subgroup
+    from .groups import center as center_of
     soluble, length = p_solubility(G, p)
     return StructureFacts(
         group=G,

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -164,6 +165,21 @@ def test_structured_stability_across_processes(groupdir):
     assert outs[0] == outs[1]
 
 
+REFERENCE_REPORT = (pathlib.Path(__file__).resolve().parents[1]
+                    / "perfbench" / "reference" / "builtin-structured.txt")
+
+
+def test_builtin_report_matches_reference(capsys, monkeypatch):
+    """The whole structured report of the builtin sweep, byte for byte,
+    at the default caps."""
+    for var in [v for v in os.environ if v.startswith("PARTIALPI_CAP_")]:
+        monkeypatch.delenv(var)
+    rc = main(["verify", "builtin", "--format", "structured"])
+    assert rc == 0
+    assert capsys.readouterr().out == REFERENCE_REPORT.read_text(
+        encoding="utf-8")
+
+
 def test_verify_unknown_theorem(capsys):
     rc = main(["verify", "builtin", "--theorem", "Z"])
     assert rc == 1
@@ -186,7 +202,8 @@ def test_caps_flags_and_config(tmp_path, capsys):
 
 
 def test_env_cap_override(groupdir):
-    env = dict(os.environ, PARTIALPI_CAP_LATTICE="4")
+    # theorem A at p = 2 on A4 needs the lattice of its order-4 Sylow subgroup
+    env = dict(os.environ, PARTIALPI_CAP_LATTICE="2")
     proc = subprocess.run(
         [sys.executable, "-m", "partialpi.cli", "verify", str(groupdir),
          "--theorem", "A", "--p", "2"],

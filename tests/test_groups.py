@@ -326,3 +326,11 @@ def test_table_matches_perm_arithmetic(corpus):
         for x in xs:
             least = min(G.index_of(elements[x].conjugate(g)) for g in elements)
             assert G.class_reps[x] == least, (G, x)
+
+
+def test_element_orders_match_perm_order(corpus):
+    for name, G in corpus:
+        if G.order > 120:
+            continue
+        expected = [x.order() for x in G.elements]
+        assert G.element_orders.tolist() == expected, name

@@ -3,19 +3,41 @@
 These oracles share nothing with the production paths: closures are taken
 over raw Perm arithmetic and subsets, so they catch errors in the kernels,
 the cyclic-extension strategy and the extension of normal subgroups by class
-closures.
+closures. The soluble routes to Phi(G), Hall subgroups and complements are
+checked against the subgroup lattice.
 """
 
 import itertools
 
+from partialpi import _kernels
 from partialpi.chiefs import normal_subgroups
-from partialpi.groups import elementary_abelian, normalizer
+from partialpi.config import DEFAULT_CAPS
+from partialpi.embedding import _complemented_by_lattice, is_complemented
+from partialpi.groups import (
+    alternating,
+    dihedral,
+    elementary_abelian,
+    general_linear_3_2,
+    normalizer,
+    vector_action_group,
+)
 from partialpi.structure import (
+    _frattini_by_lattice,
+    _frattini_soluble,
+    _hall_by_lattice,
+    _hall_soluble,
+    _is_soluble,
+    _pi_part,
     all_subgroups,
+    frattini,
+    hall,
     hypercenter_u,
     hypercenter_up,
     p_supersoluble,
+    subgroup_as_group,
+    subgroups_of_order_in,
     supersoluble,
+    sylow,
 )
 from partialpi.chiefs import _prime_factors
 
@@ -97,3 +119,74 @@ def test_hypercenter_characterizes_supersolubility(corpus):
         for p in _prime_factors(G.order):
             assert (hypercenter_up(G, p).order == G.order) == \
                 p_supersoluble(G, p), (name, p)
+
+
+def soluble_cases(corpus):
+    """Every soluble corpus group, its proper non-trivial normal subgroups
+    and its Sylow subgroups, each as a standalone group. Two groups join the
+    corpus: the Heisenberg group mod 3, where P^3 = 1 < P' = Phi(P), and
+    D262, whose index bytes order Hall 2-subgroups unlike their indices."""
+    extra = [("3^(1+2)", vector_action_group(3, 2, [[[1, 1], [0, 1]]])),
+             ("D262", dihedral(262))]
+    for name, G in itertools.chain(corpus, extra):
+        if not _is_soluble(G):
+            continue
+        yield name, G
+        for N in normal_subgroups(G)[1:-1]:
+            yield f"{name} normal {N.order}", subgroup_as_group(G, N)
+        for p in _prime_factors(G.order):
+            P = sylow(G, p)
+            if P.order < G.order:
+                yield f"{name} sylow {p}", subgroup_as_group(G, P)
+
+
+def test_soluble_frattini_matches_lattice(corpus):
+    for name, G in soluble_cases(corpus):
+        if G.order == 1:
+            continue
+        expected = _frattini_by_lattice(G, DEFAULT_CAPS).idx.tobytes()
+        assert frattini(G).idx.tobytes() == expected, name
+        # the soluble route also on p-groups, which frattini answers as P'P^p
+        assert _frattini_soluble(G).idx.tobytes() == expected, name
+
+
+def test_soluble_hall_matches_lattice(corpus):
+    for name, G in soluble_cases(corpus):
+        primes = _prime_factors(G.order)
+        for pi in [{p} for p in primes] + [set(primes) - {p} for p in primes]:
+            target = _pi_part(G.order, pi)
+            if target in (1, G.order):
+                continue
+            expected = _hall_by_lattice(G, target, DEFAULT_CAPS)
+            assert _hall_soluble(G, pi).idx.tobytes() == \
+                expected.idx.tobytes(), (name, pi)
+            assert hall(G, pi).idx.tobytes() == expected.idx.tobytes()
+
+
+def test_complemented_in_normal_sylow_matches_lattice(corpus):
+    for name, G in soluble_cases(corpus):
+        for p in _prime_factors(G.order):
+            P = sylow(G, p)
+            if not P.is_normal():
+                continue
+            orders = [d for d in range(1, P.order + 1) if P.order % d == 0]
+            for H in itertools.chain.from_iterable(
+                    subgroups_of_order_in(G, P, d) for d in orders):
+                ok, K = is_complemented(G, H)
+                assert ok == _complemented_by_lattice(G, H, DEFAULT_CAPS)[0], \
+                    (name, p, H.order)
+                if ok:  # K is a subgroup of order |G:H| meeting H trivially
+                    closed = _kernels.closure_idx(G.table, K.idx)
+                    assert int(closed.sum()) == K.order == G.order // H.order
+                    assert int((K.mask & H.mask).sum()) == 1, (name, p)
+
+
+def test_non_soluble_groups_take_the_lattice_route():
+    calls = [frattini, lambda G: hall(G, {2, 3}),
+             lambda G: is_complemented(G, sylow(G, 2))]
+    for build in (general_linear_3_2, lambda: alternating(5)):
+        assert not _is_soluble(build())
+        for call in calls:
+            G = build()
+            call(G)
+            assert "lattice" in G._cache, G

@@ -7,12 +7,17 @@ from partialpi import _kernels, chiefs, embedding, structure, theorems
 from partialpi import groups as groups_module
 from partialpi.chiefs import _prime_factors, normal_subgroups
 from partialpi.config import Caps, DEFAULT_CAPS
+from partialpi.corpus import builtin_corpus
+from partialpi.embedding import is_complemented
 from partialpi.errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
 from partialpi.groups import (
+    alternating,
     cyclic,
     dicyclic,
     dihedral,
+    direct_product,
     elementary_abelian,
+    general_linear_3_2,
     is_isomorphic,
     lift_subgroup,
     normalizer,
@@ -63,7 +68,8 @@ def test_lattice_cap():
 
 @pytest.mark.parametrize("build, call, lattice", [
     pytest.param(lambda: symmetric(4), all_subgroups, 10, id="all_subgroups"),
-    pytest.param(lambda: symmetric(4), frattini, 10, id="frattini"),
+    # A5 is not soluble, so its Frattini subgroup comes from the lattice
+    pytest.param(lambda: alternating(5), frattini, 10, id="frattini"),
     pytest.param(lambda: dihedral(16), is_quaternion_free, 4,
                  id="is_quaternion_free"),
     pytest.param(lambda: symmetric(4), lambda G, caps: all_of_order_satisfy_pi(
@@ -83,6 +89,16 @@ def test_lattice_cap_warm(build, call, lattice):
     call(G, DEFAULT_CAPS)
     with pytest.raises(LatticeCapExceeded):
         call(G, tight)
+
+
+def test_soluble_routes_build_no_lattice_of_g():
+    """Phi(G), Hall subgroups and complements in a normal Sylow subgroup of
+    a soluble G come without the subgroup lattice of G."""
+    G = builtin_corpus().group("C3^4:C4")
+    assert frattini(G).order == 1
+    assert hall(G, {2}).order == 4 and hall(G, {3}).order == 81
+    assert is_complemented(G, sylow(G, 3))[0]
+    assert "lattice" not in G._cache
 
 
 def test_memo_keys_read_by_tracer():
@@ -165,13 +181,14 @@ def test_sylow_count_congruence(corpus):
 def test_sylow_is_lattice_least(groups):
     # the chosen Sylow subgroup is the first of its order-class that is a
     # p-group in canonical lattice order
-    for name in ("S4", "A4", "SL(2,3)"):
-        G = groups[name]
-        for p in _prime_factors(G.order):
-            P = sylow(G, p)
-            lat = all_subgroups(G)
-            sylows = [s for s in lat.of_order(P.order)]
-            assert sylows and sylows[0].idx.tobytes() == P.idx.tobytes()
+    cases = [(groups[name], p) for name in ("S4", "A4", "SL(2,3)")
+             for p in _prime_factors(groups[name].order)]
+    # indices past 255: the least index bytes are not the least indices
+    cases.append((direct_product(general_linear_3_2(), cyclic(2)), 3))
+    for G, p in cases:
+        P = sylow(G, p)
+        sylows = all_subgroups(G).of_order(P.order)
+        assert sylows and sylows[0].idx.tobytes() == P.idx.tobytes(), (G, p)
 
 
 def test_hall(groups):

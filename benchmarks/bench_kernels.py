@@ -5,7 +5,8 @@ that dominate real runs: subgroup closures, normalizer scans, conjugacy
 classes, product sets and module spinning. A second section times the
 per-group builds that single-subgroup checks pay on every fresh group, the
 Cayley table and the normal subgroups. A third section times the subgroup
-lattice on fresh groups and counts the closures it takes. A fourth times
+lattice on fresh groups, with its route (the layer walk of a p-group or the
+cyclic extension of any other group) and the closures it takes. A fourth times
 the soluble routes of ``frattini``, ``hall`` and ``is_complemented``, which
 build no lattice of the group, on the two groups whose lattices cost most.
 
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from partialpi import _kernels
-from partialpi.chiefs import normal_subgroups
+from partialpi.chiefs import _prime_power, normal_subgroups
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import is_complemented
 from partialpi.groups import elementary_abelian
@@ -153,16 +154,19 @@ def lattice_builds():
     makers = [("C3^4:C4", c3_4_c4),
               ("C3^4:C2", index_2_of_c3_4_c4),
               ("GL(3,2)", lambda: builtin_corpus().group("GL(3,2)")),
-              ("C2^5", lambda: elementary_abelian(2, 5))]
+              ("C2^5", lambda: elementary_abelian(2, 5)),
+              ("C3^4", lambda: elementary_abelian(3, 4)),
+              ("C2^6", lambda: elementary_abelian(2, 6))]
     print("\nsubgroup lattice, fresh group each:")
-    print(f"{'group':<10}{'order':>6}{'subgroups':>11}{'closures':>10}"
-          f"{'_lattice':>12}")
+    print(f"{'group':<10}{'order':>6}{'subgroups':>11}{'route':>11}"
+          f"{'closures':>10}{'_lattice':>12}")
     for name, make in makers:
         seconds = timed_fresh(make, _lattice, before=cayley_table)
         G = make()
         calls = closure_calls(_lattice, G)
-        print(f"{name:<10}{G.order:>6}{len(_lattice(G)):>11}{calls:>10}"
-              f"{seconds * 1000:>10.1f}ms")
+        route = "walk" if _prime_power(G.order) else "extension"
+        print(f"{name:<10}{G.order:>6}{len(_lattice(G)):>11}{route:>11}"
+              f"{calls:>10}{seconds * 1000:>10.1f}ms")
 
 
 def soluble_routes():

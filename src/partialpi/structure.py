@@ -4,12 +4,18 @@ Everything here is deterministic: subgroup lattices are kept in canonical
 order (by order, then the bytes of the element-index array), and ``sylow``
 and ``hall`` pick the canonically least candidate.
 
-The subgroup lattice of G is the general route. A soluble G (every chief
-factor of prime-power order) never needs it for Phi(G) or a Hall subgroup:
-``frattini`` intersects the cores of the maximal subgroups, read off the
-chief factors, and ``hall`` grows a maximal pi-subgroup element by element
-(P. Hall). A p-group takes Phi(P) = P'P^p. Other groups keep the lattice
-route, which the oracle tests use as reference.
+The subgroup lattice has two routes. A p-group's lattice is walked up one
+order at a time: each subgroup of order p^(j+1) is a union of p cosets of
+a normal subgroup of order p^j, so the walk takes no closure. Any other
+group's lattice comes from cyclic extension of one subgroup per conjugacy
+class; the oracle tests compare the two routes on p-groups.
+
+The subgroup lattice of G is the general route to Phi(G) and Hall
+subgroups. A soluble G (every chief factor of prime-power order) never
+needs it: ``frattini`` intersects the cores of the maximal subgroups, read
+off the chief factors, and ``hall`` grows a maximal pi-subgroup element by
+element (P. Hall). A p-group takes Phi(P) = P'P^p. Other groups keep the
+lattice route, which the oracle tests use as reference.
 """
 
 from __future__ import annotations
@@ -138,6 +144,64 @@ def _zuppos(G: Group) -> tuple:
 
 @memo("lattice")
 def _lattice(G: Group) -> SubgroupLattice:
+    """The full subgroup lattice of G, in canonical order.
+
+    A group of prime-power order p^k > 1 is walked up layer by layer
+    (``_lattice_by_layers``); every other group is enumerated by cyclic
+    extension of one subgroup per conjugacy class
+    (``_lattice_by_extension``). Both routes are complete, and both list
+    the subgroups by (order, index bytes), so they give the same lattice.
+    """
+    if G.order > 1 and _prime_power(G.order) is not None:
+        return _lattice_by_layers(G)
+    return _lattice_by_extension(G)
+
+
+def _lattice_by_layers(P: Group) -> SubgroupLattice:
+    """The subgroup lattice of a p-group P, one order at a time.
+
+    Layer j holds the subgroups of order p^j. Every subgroup T of order
+    p^(j+1) has a maximal subgroup S, which has index p and so is normal
+    in T; T = S<x> for any x in T outside S, and such an x normalises S
+    with x^p in S. Conversely, for S in layer j and x in N_P(S) outside S
+    with x^p in S, the union S, Sx, ..., Sx^(p-1) is a subgroup of order
+    p^(j+1). So layer j+1 is the set of these unions over layer j, and the
+    walk is complete (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005, ch. 4). An x that lies in a cover of S found
+    already gives that cover again and is skipped. The normaliser mask of
+    S also gives its normal flag; S's generators plus x generate a cover.
+    No closure is taken: a cover is the products of S with x's powers.
+    """
+    table, inv = P.table, P.inverses
+    n = P.order
+    p = _prime_power(n)
+    power = [np.zeros(n, dtype=_DTYPE), np.arange(n, dtype=_DTYPE)]
+    while len(power) <= p:
+        power.append(table[power[-1], power[1]])
+    power = np.stack(power)  # power[i, x] = x^i for 0 <= i <= p
+
+    subs, flags = [], []
+    layer = [(np.zeros(1, dtype=_DTYPE), ())]
+    while layer:  # P itself, with no cover, ends the walk
+        covers: dict = {}
+        for idx, gens_idx in layer:
+            norm = _kernels.normalizer_mask(table, inv, idx)
+            subs.append(P.subgroup(idx, generator_idx=gens_idx))
+            flags.append(bool(norm.all()))
+            covered = np.zeros(n, dtype=bool)
+            covered[idx] = True
+            for x in np.flatnonzero(norm & ~covered & covered[power[p]]):
+                if covered[x]:
+                    continue
+                cover = np.sort(table[idx[:, None], power[:p, x]], axis=None)
+                covered[cover] = True
+                covers.setdefault(cover.tobytes(),
+                                  (cover, gens_idx + (int(x),)))
+        layer = [covers[key] for key in sorted(covers)]
+    return SubgroupLattice(P, subs, flags)
+
+
+def _lattice_by_extension(G: Group) -> SubgroupLattice:
     """Enumerate the full subgroup lattice by cyclic extension.
 
     One subgroup per conjugacy class is extended (Neubüser, *Numer. Math.*

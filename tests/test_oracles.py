@@ -2,12 +2,16 @@
 
 These oracles share nothing with the production paths: closures are taken
 over raw Perm arithmetic and subsets, so they catch errors in the kernels,
-the cyclic-extension strategy and the extension of normal subgroups by class
-closures. The soluble routes to Phi(G), Hall subgroups and complements are
-checked against the subgroup lattice.
+the two lattice routes (the layer walk of p-groups and the cyclic extension
+of other groups) and the extension of normal subgroups by class closures.
+The layer walk is also compared with the cyclic extension on p-groups, and
+the soluble routes to Phi(G), Hall subgroups and complements are checked
+against the subgroup lattice.
 """
 
 import itertools
+
+import numpy as np
 
 from partialpi import _kernels
 from partialpi.chiefs import normal_subgroups
@@ -15,10 +19,13 @@ from partialpi.config import DEFAULT_CAPS
 from partialpi.embedding import _complemented_by_lattice, is_complemented
 from partialpi.groups import (
     alternating,
+    dicyclic,
     dihedral,
+    direct_product,
     elementary_abelian,
     general_linear_3_2,
     normalizer,
+    semidihedral,
     vector_action_group,
 )
 from partialpi.structure import (
@@ -27,6 +34,8 @@ from partialpi.structure import (
     _hall_by_lattice,
     _hall_soluble,
     _is_soluble,
+    _lattice_by_extension,
+    _lattice_by_layers,
     _pi_part,
     all_subgroups,
     frattini,
@@ -40,6 +49,12 @@ from partialpi.structure import (
     sylow,
 )
 from partialpi.chiefs import _prime_factors
+from partialpi.perms import _DTYPE
+
+
+def heisenberg_mod_3():
+    """The Heisenberg group mod 3 (order 27, exponent 3)."""
+    return vector_action_group(3, 2, [[[1, 1], [0, 1]]])
 
 
 def brute_subgroups(G, max_gens):
@@ -69,12 +84,42 @@ def brute_subgroups(G, max_gens):
 def test_lattice_matches_brute_force(groups):
     # max_gens = 3 suffices: every subgroup of these groups is 3-generated
     # from S4 on, a class representative's normaliser is a proper overgroup
-    for name in ("S3", "D8", "Q8", "C2^3", "A4", "SD16", "S4", "A4xC2"):
-        G = groups[name]
-        brute = brute_subgroups(G, 3)
+    cases = [(name, groups[name], 3) for name in (
+        "S3", "D8", "Q8", "C2^3", "A4", "SD16", "S4", "A4xC2")]
+    # every subgroup of these p-groups is 2-generated
+    cases += [("D16", groups["D16"], 2), ("Q16", groups["Q16"], 2),
+              ("3^(1+2)", heisenberg_mod_3(), 2)]
+    for name, G, max_gens in cases:
+        brute = brute_subgroups(G, max_gens)
         lattice = {frozenset(p.images for p in s.members)
                    for s in all_subgroups(G).all}
         assert lattice == brute, name
+
+
+def test_layer_walk_matches_extension(corpus):
+    """On p-groups the layer walk lists the same subgroups in the same
+    order, with the same normal flags, as the cyclic extension, and each
+    subgroup's generator indices generate it."""
+    cases = [("C2^5", elementary_abelian(2, 5)),
+             ("C3^4", elementary_abelian(3, 4)),
+             ("D16", dihedral(16)), ("Q16", dicyclic(16)),
+             ("SD16", semidihedral(16)),
+             ("Q8xQ8", direct_product(dicyclic(8), dicyclic(8))),
+             ("D8xD8", direct_product(dihedral(8), dihedral(8)))]
+    for name, G in corpus:
+        for p in _prime_factors(G.order):
+            P = sylow(G, p)
+            if P.order > p:
+                cases.append((f"{name} sylow {p}", subgroup_as_group(G, P)))
+    for name, P in cases:
+        walk, extension = _lattice_by_layers(P), _lattice_by_extension(P)
+        assert [s.idx.tobytes() for s in walk.all] == \
+            [s.idx.tobytes() for s in extension.all], name
+        assert walk._normal_flags == extension._normal_flags, name
+        for s in walk.all:
+            gens = np.array(s._gens_idx, dtype=_DTYPE)
+            closed = _kernels.closure_idx(P.table, gens)
+            assert np.array_equal(np.flatnonzero(closed), s.idx), name
 
 
 def test_lattice_class_counts(groups):
@@ -126,7 +171,7 @@ def soluble_cases(corpus):
     and its Sylow subgroups, each as a standalone group. Two groups join the
     corpus: the Heisenberg group mod 3, where P^3 = 1 < P' = Phi(P), and
     D262, whose index bytes order Hall 2-subgroups unlike their indices."""
-    extra = [("3^(1+2)", vector_action_group(3, 2, [[[1, 1], [0, 1]]])),
+    extra = [("3^(1+2)", heisenberg_mod_3()),
              ("D262", dihedral(262))]
     for name, G in itertools.chain(corpus, extra):
         if not _is_soluble(G):

@@ -61,6 +61,23 @@ def test_lattice_counts(groups):
     assert len(all_subgroups(groups["Q8"])) == 6
 
 
+def test_p_group_lattice_takes_no_closure(monkeypatch):
+    """The lattice of a p-group is walked up by cosets of normal
+    subgroups, so C2^6 (2 825 subgroups, all normal) needs no closure."""
+    calls = 0
+    kernel = _kernels.closure_idx
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+    c2_6 = elementary_abelian(2, 6)
+    monkeypatch.setattr(_kernels, "closure_idx", counted)
+    lattice = all_subgroups(c2_6)
+    assert (len(lattice), len(lattice.normal)) == (2825, 2825)
+    assert calls == 0
+
+
 def test_lattice_cap():
     with pytest.raises(LatticeCapExceeded):
         all_subgroups(symmetric(4), Caps(lattice=10))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +28,7 @@ from .chiefs import all_chief_series
 from .groupfile import parse_group_file
 from .groups import subgroup_generated
 from .perms import parse_cycles
-from .theorems import LEMMA_IDS, run_corpus
+from .theorems import CHECKS, LEMMA_IDS, run_corpus
 
 
 def _gens_str(term) -> str:
@@ -35,22 +36,20 @@ def _gens_str(term) -> str:
     return ", ".join(g.cycle_string() for g in gens) if gens else "()"
 
 
-
 def _build_caps(args) -> Caps:
-    caps = caps_from_env()
-    values = {f: getattr(caps, f)
-              for f in ("closure", "iso", "lattice", "series", "module_dim")}
+    names = [f.name for f in fields(Caps)]
+    values = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             for key, val in json.load(fh).items():
-                if key not in values:
+                if key not in names:
                     raise BadParameter(f"unknown config key {key!r}")
                 values[key] = int(val)
-    for field in values:
-        flag = getattr(args, f"cap_{field}", None)
+    for name in names:
+        flag = getattr(args, f"cap_{name}", None)
         if flag is not None:
-            values[field] = flag
-    return Caps(**values)
+            values[name] = flag
+    return replace(caps_from_env(), **values)
 
 
 def _cmd_check_pi(args) -> int:
@@ -97,7 +96,7 @@ def _load_corpus(target: str, caps: Caps) -> Corpus:
         spec = parse_group_file(path)
         specs[spec.name] = spec
         entries.append((spec.name, spec.directive or ""))
-    corpus = Corpus(tuple(entries), caps) if entries else Corpus((), caps)
+    corpus = Corpus(tuple(entries), caps)
     for name, spec in specs.items():  # prebuild gen-line groups directly
         corpus._built[name] = spec.build(caps)
     return corpus
@@ -106,16 +105,13 @@ def _load_corpus(target: str, caps: Caps) -> Corpus:
 def _theorem_filter(values):
     if not values:
         return None
-    out = set()
     for v in values:
-        if v in ("A", "B", "C") or (v.startswith("lemma:")
-                                    and v[6:] in LEMMA_IDS):
-            out.add(v)
-        else:
+        if v not in CHECKS:
+            theorems = ", ".join(c for c in CHECKS if not c.startswith("lemma:"))
             raise BadParameter(
-                f"unknown theorem {v!r}; use A, B, C or lemma:<id> with id in "
-                + ", ".join(LEMMA_IDS))
-    return out
+                f"unknown theorem {v!r}; use {theorems} or lemma:<id> with id "
+                "in " + ", ".join(LEMMA_IDS))
+    return set(values)
 
 
 def _cmd_verify(args) -> int:
@@ -166,11 +162,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_caps(p):
         p.add_argument("--config", help="JSON config file with cap overrides")
-        p.add_argument("--cap-closure", type=int, dest="cap_closure")
-        p.add_argument("--cap-iso", type=int, dest="cap_iso")
-        p.add_argument("--cap-lattice", type=int, dest="cap_lattice")
-        p.add_argument("--cap-series", type=int, dest="cap_series")
-        p.add_argument("--cap-module-dim", type=int, dest="cap_module_dim")
+        for f in fields(Caps):
+            p.add_argument(f"--cap-{f.name.replace('_', '-')}", type=int,
+                           dest=f"cap_{f.name}")
 
     p_check = sub.add_parser("check-pi", help="evaluate the property for one subgroup")
     p_check.add_argument("groupfile")

@@ -13,7 +13,7 @@ operation), via CLI flags, or via environment variables:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 DEFAULT_CLOSURE_CAP = 5000
 DEFAULT_ISO_CAP = 512
@@ -35,28 +35,14 @@ class Caps:
                 f"series={self.series} iso={self.iso} module_dim={self.module_dim}")
 
 
-_ENV_FIELDS = {
-    "PARTIALPI_CAP_CLOSURE": "closure",
-    "PARTIALPI_CAP_ISO": "iso",
-    "PARTIALPI_CAP_LATTICE": "lattice",
-    "PARTIALPI_CAP_SERIES": "series",
-    "PARTIALPI_CAP_MODULE_DIM": "module_dim",
-}
-
-
 def caps_from_env(base: Caps | None = None) -> Caps:
-    """Return ``base`` with any environment overrides applied."""
+    """Return ``base`` with any PARTIALPI_CAP_<FIELD> overrides applied."""
     values = {}
-    base = base or Caps()
-    for var, field in _ENV_FIELDS.items():
-        raw = os.environ.get(var)
+    for f in fields(Caps):
+        raw = os.environ.get(f"PARTIALPI_CAP_{f.name.upper()}")
         if raw is not None:
-            values[field] = int(raw)
-    if not values:
-        return base
-    merged = {f: getattr(base, f) for f in ("closure", "iso", "lattice", "series", "module_dim")}
-    merged.update(values)
-    return Caps(**merged)
+            values[f.name] = int(raw)
+    return replace(base or Caps(), **values)
 
 
 DEFAULT_CAPS = Caps()

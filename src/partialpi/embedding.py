@@ -83,13 +83,6 @@ class CapWitness:
         self.per_factor = list(per_factor)  # (factor_index, "covers"|"avoids")
 
 
-def _hn_mask(G: Group, H: Subgroup, below: Subgroup, cache: dict) -> np.ndarray:
-    key = below.idx.tobytes()
-    if key not in cache:
-        cache[key] = _kernels.product_mask(G.table, H.idx, below.idx)
-    return cache[key]
-
-
 @memo("normalizer_order")
 def _normalizer_order(G: Group, d_key: bytes) -> int:
     """|N_G(D)| for D given by the bytes of its index array."""
@@ -97,19 +90,18 @@ def _normalizer_order(G: Group, d_key: bytes) -> int:
     return int(_kernels.normalizer_mask(G.table, G.inverses, d_idx).sum())
 
 
-def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
-           hn_cache: dict) -> tuple:
+def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup) -> tuple:
     """(|D/below|, |G : N_G(D)|) for the trace D = (H below) cap above."""
-    d_mask = _hn_mask(G, H, below, hn_cache) & above.mask
+    d_mask = _kernels.product_mask(G.table, H.idx, below.idx) & above.mask
     d_idx = np.flatnonzero(d_mask).astype(_DTYPE)
     return (len(d_idx) // below.order,
             G.order // _normalizer_order(G, d_idx.tobytes()))
 
 
 def _pi_step(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
-             factor_index: int, hn_cache: dict) -> PiFactorRecord:
+             factor_index: int) -> PiFactorRecord:
     """Factor condition via subgroup arithmetic inside G."""
-    image_order, index = _trace(G, H, below, above, hn_cache)
+    image_order, index = _trace(G, H, below, above)
     primes = _prime_factors(image_order)
     passed = all(q in primes for q in _prime_factors(index))
     return PiFactorRecord(factor_index, image_order, index, primes, passed)
@@ -122,10 +114,8 @@ def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     The first witness in canonical DFS order is returned; chains explored
     are counted against caps.series.
     """
-    hn_cache: dict = {}
-
     def step(below, above, i):
-        rec = _pi_step(G, H, below, above, i, hn_cache)
+        rec = _pi_step(G, H, below, above, i)
         return rec if rec.passed else None
 
     found = next(search_chains(G, step, caps=caps), None)
@@ -134,8 +124,7 @@ def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
 
 def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:
     """Unpruned per-factor records along one given series (fast route)."""
-    hn_cache: dict = {}
-    return [_pi_step(G, H, series.terms[i], series.terms[i + 1], i, hn_cache)
+    return [_pi_step(G, H, series.terms[i], series.terms[i + 1], i)
             for i in range(len(series))]
 
 
@@ -178,10 +167,9 @@ def satisfies_partial_cap(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     Covers at a factor: G_i <= H G_{i-1}; avoids: H cap G_i <= G_{i-1}.
     When both hold "covers" is recorded (determinism only).
     """
-    hn_cache: dict = {}
-
     def step(below, above, i):
-        if not (above.mask & ~_hn_mask(G, H, below, hn_cache)).any():
+        hn = _kernels.product_mask(G.table, H.idx, below.idx)
+        if not (above.mask & ~hn).any():
             return (i, "covers")
         if not (H.mask & above.mask & ~below.mask).any():
             return (i, "avoids")
@@ -268,10 +256,8 @@ def pi_series_through(G: Group, H: Subgroup, N: Subgroup, p: int,
         raise HypothesisViolated("H is not contained in N")
     if not satisfies_partial_pi(G, H, caps)[0]:
         raise HypothesisViolated("H does not satisfy the partial pi-property")
-    hn_cache: dict = {}
-
     def step(below, above, i):
-        image_order, index = _trace(G, H, below, above, hn_cache)
+        image_order, index = _trace(G, H, below, above)
         if _p_part(index, p) != index:
             return None
         return PiFactorRecord(i, image_order, index, (p,), True)

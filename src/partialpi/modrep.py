@@ -339,15 +339,7 @@ def module_hom_space_dim(V: FpModule, W: FpModule) -> int:
         raise ActingGroupMismatch("modules over different acting groups")
     if V.dim == 0 or W.dim == 0:
         return 0
-    p = V.p
-    blocks = []
-    eye_v = np.eye(V.dim, dtype=np.int64)
-    eye_w = np.eye(W.dim, dtype=np.int64)
-    for a, b in zip(V.acting_gens, W.acting_gens):
-        blocks.append((np.kron(a.T, eye_w) - np.kron(eye_v, b)) % p)
-    if not blocks:
-        return V.dim * W.dim
-    return nullspace(np.vstack(blocks), p).shape[0]
+    return len(_hom_basis(V, W))
 
 
 def _hom_basis(V: FpModule, W: FpModule) -> list:
@@ -362,6 +354,22 @@ def _hom_basis(V: FpModule, W: FpModule) -> list:
     else:
         vecs = nullspace(np.vstack(blocks), p)
     return [v.reshape(V.dim, W.dim).T % p for v in vecs]
+
+
+def _some_invertible(basis: list, p: int, coefficients) -> bool:
+    """Is some combination of ``basis`` with the given coefficient rows an
+    invertible matrix?"""
+    dim = basis[0].shape[0]
+    for coeffs in coefficients:
+        x = sum(int(c) * b for c, b in zip(coeffs, basis)) % p
+        if rref(x, p)[0].shape[0] == dim:
+            return True
+    return False
+
+
+def _nonzero_coefficients(p: int, e: int):
+    """Every nonzero coefficient row of length e over F_p."""
+    return itertools.islice(itertools.product(range(p), repeat=e), 1, None)
 
 
 def are_isomorphic_modules(V: FpModule, W: FpModule,
@@ -386,19 +394,11 @@ def are_isomorphic_modules(V: FpModule, W: FpModule,
     if is_irreducible(V) and is_irreducible(W):
         return True  # Schur: a nonzero hom between irreducibles is invertible
     if p ** e <= 4096:
-        for coeffs in itertools.product(range(p), repeat=e):
-            if not any(coeffs):
-                continue
-            x = sum(c * b for c, b in zip(coeffs, basis)) % p
-            if rref(x, p)[0].shape[0] == V.dim:
-                return True
-        return False
+        return _some_invertible(basis, p, _nonzero_coefficients(p, e))
     rng = np.random.default_rng(20240801)
-    for _ in range(500):
-        coeffs = rng.integers(0, p, size=e)
-        x = sum(int(c) * b for c, b in zip(coeffs, basis)) % p
-        if rref(x, p)[0].shape[0] == V.dim:
-            return True
+    if _some_invertible(basis, p,
+                        (rng.integers(0, p, size=e) for _ in range(500))):
+        return True
     # complete fallback: compare constituent multisets (semisimple case)
     mins_v = minimal_submodules(V, caps)
     mins_w = minimal_submodules(W, caps)
@@ -416,13 +416,7 @@ def are_isomorphic_modules(V: FpModule, W: FpModule,
             unmatched.remove(hit)
         return not unmatched
     # last resort: exhaustive (only reachable for large non-semisimple spaces)
-    for coeffs in itertools.product(range(p), repeat=e):
-        if not any(coeffs):
-            continue
-        x = sum(c * b for c, b in zip(coeffs, basis)) % p
-        if rref(x, p)[0].shape[0] == V.dim:
-            return True
-    return False
+    return _some_invertible(basis, p, _nonzero_coefficients(p, e))
 
 
 def is_absolutely_irreducible(V: FpModule) -> bool:

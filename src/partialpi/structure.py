@@ -35,7 +35,6 @@ from .chiefs import (
     all_chief_series,
     minimal_normal_subgroups,
     normal_subgroups,
-    search_chains,
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
@@ -483,22 +482,27 @@ def socle_and_minimal_normals(G: Group):
     return G.subgroup_from_mask(mask), mins
 
 
-def o_p(G: Group, p: int) -> Subgroup:
-    """Largest normal p-subgroup."""
-    best = G.trivial_subgroup()
+def _largest_normal_over(G: Group, below: Subgroup, accept) -> Subgroup:
+    """The largest normal N of G containing the normal ``below`` with
+    accept(|N : below|). For a p-number or p'-number test it is unique:
+    the product of two such N is again one."""
+    best = below
     for N in normal_subgroups(G):
-        if N.order > best.order and _p_part(N.order, p) == N.order:
+        if (N.order > best.order and N.contains(below)
+                and accept(N.order // below.order)):
             best = N
     return best
+
+
+def o_p(G: Group, p: int) -> Subgroup:
+    """Largest normal p-subgroup."""
+    return _largest_normal_over(G, G.trivial_subgroup(),
+                                lambda n: _p_part(n, p) == n)
 
 
 def o_p_prime(G: Group, p: int) -> Subgroup:
     """Largest normal subgroup of order coprime to p."""
-    best = G.trivial_subgroup()
-    for N in normal_subgroups(G):
-        if N.order > best.order and N.order % p != 0:
-            best = N
-    return best
+    return _largest_normal_over(G, G.trivial_subgroup(), lambda n: n % p != 0)
 
 
 # -- solubility hierarchy ------------------------------------------------------
@@ -521,7 +525,10 @@ def p_solubility(G: Group, p: int):
     p-soluble iff every chief factor is a p-group or p'-group (checked on one
     series; Jordan-Hoelder makes it series-independent). p_length counts the
     p-terms of the upper p-series 1 <= O_{p'} <= O_{p',p} <= ...; the value
-    is only meaningful when the group is p-soluble.
+    is only meaningful when the group is p-soluble. Each term is read off
+    G's own normal subgroups: the preimage of O_{p'}(G/cur) is the largest
+    normal N containing cur with |N : cur| a p'-number, and likewise for
+    O_p.
     """
     soluble = True
     for o in _first_series(G).factor_orders():
@@ -532,10 +539,8 @@ def p_solubility(G: Group, p: int):
     if soluble:
         cur = G.trivial_subgroup()
         while cur.order < G.order:
-            q = quotient(G, cur)
-            cur = q.preimage(o_p_prime(q.target, p))
-            q = quotient(G, cur)
-            step = q.preimage(o_p(q.target, p))
+            cur = _largest_normal_over(G, cur, lambda n: n % p != 0)
+            step = _largest_normal_over(G, cur, lambda n: _p_part(n, p) == n)
             if step.order == cur.order:
                 break
             length += 1
@@ -569,20 +574,23 @@ def p_rank(G: Group, p: int):
 # -- hypercenters --------------------------------------------------------------
 
 
-def _chain_orders_below(G: Group, N: Subgroup) -> tuple:
-    """Factor orders of one maximal chain of G-normal subgroups from 1 to N."""
-    series, _ = next(search_chains(G, through=N))
-    return series.factor_orders()[:series.terms.index(N)]
-
-
 def _hypercenter(G: Group, accept) -> Subgroup:
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
-    for N in normal_subgroups(G):
-        if N.order > 1 and all(accept(o) for o in _chain_orders_below(G, N)):
-            mask = _kernels.product_mask(
-                G.table, np.flatnonzero(mask).astype(_DTYPE), N.idx)
-    return G.subgroup_from_mask(mask)
+    """The largest normal subgroup of G all of whose G-chief factors have
+    an accepted order.
+
+    The climb starts at 1 and steps to any chief child whose factor order
+    is accepted, until none is. Every step stays inside the hypercentre Z,
+    and below Z some chief child of the current term lies in Z, whose
+    factor is accepted by Jordan-Hoelder; so the climb ends at Z whatever
+    child it takes.
+    """
+    cur = G.trivial_subgroup()
+    while True:
+        step = next((M for M in _chief_children(G, cur)
+                     if accept(M.order // cur.order)), None)
+        if step is None:
+            return cur
+        cur = step
 
 
 @memo("z_u")

@@ -11,6 +11,10 @@ Universally quantified lemma statements ("for every subgroup of order d...")
 expand to exhaustive checks over the relevant subgroup lists; the expensive
 quantifier sweeps are cached per group so theorem and lemma verifiers share
 work.
+
+``CHECKS`` is the one list of checks: check id -> (verifier, parameter
+grid), in report order. It drives ``run_check``, ``default_checks`` and the
+command line's ``--theorem`` validation.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .chiefs import _prime_factors, minimal_normal_subgroups, normal_subgroups
 from .config import Caps, DEFAULT_CAPS
 from .embedding import (
@@ -36,6 +41,7 @@ from .groups import (
     centralizer,
     dicyclic,
     is_isomorphic,
+    lift_subgroup,
     memo,
     quotient,
 )
@@ -50,6 +56,7 @@ from .modrep import (
 )
 from .structure import (
     _p_part,
+    all_subgroups,
     frattini,
     hall_complement,
     hypercenter_u,
@@ -140,16 +147,22 @@ def all_of_order_complemented(G: Group, P: Subgroup, order: int,
                for H in subgroups_of_order_in(G, P, order, caps))
 
 
-def _order_d_hypotheses(G: Group, P: Subgroup, p: int, d: int,
-                        caps: Caps) -> dict:
+def _order_d_hypotheses(G: Group, P: Subgroup, d: int, caps: Caps,
+                        name: str = "order_d_subgroups_pi") -> dict:
     """The shared hypothesis pair: order-d subgroups, plus the order-4
-    cyclic proviso when d = 2 and P is not quaternion-free."""
-    hyp = {"order_d_subgroups_pi": all_of_order_satisfy_pi(G, P, d, caps)}
-    if d == 2 and not is_quaternion_free(subgroup_as_group(G, P), caps):
-        hyp["cyclic_4_subgroups_pi"] = cyclic_order4_satisfy_pi(G, P, caps)
-    else:
-        hyp["cyclic_4_subgroups_pi"] = True
-    return hyp
+    cyclic proviso when d = 2 and P is not quaternion-free. Both hold
+    trivially when P is trivial."""
+    return {
+        name: P.order == 1 or all_of_order_satisfy_pi(G, P, d, caps),
+        "cyclic_4_subgroups_pi": (
+            d != 2 or P.order == 1
+            or is_quaternion_free(subgroup_as_group(G, P), caps)
+            or cyclic_order4_satisfy_pi(G, P, caps)),
+    }
+
+
+def _p_rank_above_1(G: Group, p: int) -> bool:
+    return p_solubility(G, p)[0] and (p_rank(G, p) or 0) > 1
 
 
 def _is_cyclic(H: Subgroup) -> bool:
@@ -165,6 +178,11 @@ def _is_elementary_abelian(G: Group, P: Subgroup, p: int) -> bool:
     return centralizer(G, P).contains(P)
 
 
+def _is_p_group(N: Subgroup, p: int) -> bool:
+    """N is a nontrivial p-group."""
+    return N.order > 1 and _p_part(N.order, p) == N.order
+
+
 def _splits(G: Group, p: int, caps: Caps):
     """(P = O_p(G) and a Hall p'-complement exists, the complement)."""
     P = sylow(G, p)
@@ -174,8 +192,15 @@ def _splits(G: Group, p: int, caps: Caps):
     return (H is not None), H
 
 
-def _minimal_normal_mask_set(G: Group) -> set:
-    return {N.idx.tobytes() for N in minimal_normal_subgroups(G)}
+def _frattini_in(G: Group, P: Subgroup, caps: Caps) -> Subgroup:
+    """Phi(P) for a subgroup P of G, as a subgroup of G."""
+    return lift_subgroup(frattini(subgroup_as_group(G, P), caps), G)
+
+
+def _subgroups_in(G: Group, P: Subgroup, caps: Caps) -> list:
+    """Every subgroup of G inside P, in P's lattice order (by order)."""
+    return [lift_subgroup(s, G)
+            for s in all_subgroups(subgroup_as_group(G, P), caps).all]
 
 
 def _valuation(n: int, p: int) -> int:
@@ -206,16 +231,37 @@ def _homogeneous_with_dims(module, caps):
     return homog, k, not_absirr
 
 
+def _tally(rep: VerdictReport, detail: str, case: str, batches) -> None:
+    """Record an exhaustive check of a universally quantified statement.
+
+    ``batches`` yields iterables with one bool per instance that meets the
+    statement's premise: does the conclusion hold there. The count goes to
+    the detail ``detail``, the hypothesis ``applicable`` says whether any
+    instance met the premise, and the conclusion case is ``case`` when
+    every instance held. The batch that holds the first failure is counted
+    to its end, and no later batch is evaluated.
+    """
+    checked = 0
+    ok = True
+    for batch in batches:
+        for held in batch:
+            checked += 1
+            ok = ok and bool(held)
+        if not ok:
+            break
+    rep.hypotheses["applicable"] = checked > 0
+    rep.details[detail] = checked
+    if checked and ok:
+        rep.conclusion_cases = (case,)
+
+
 # -- Theorems A, B, C ------------------------------------------------------------
 
 
-def check_theorem_A(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
-                    group_name=None) -> VerdictReport:
+def _theorem_A(G, p, d, caps, rep):
     """Order-p^2 subgroup hypothesis: conclusion P = O_p(G) split over a Hall
     complement, and p-supersoluble / minimal-normal-p^2 / homogeneous
     2-dimensional module cases."""
-    t0 = time.perf_counter()
-    rep = VerdictReport(group_name or G.name or "?", "A", p=p)
     P = sylow(G, p)
     rep.hypotheses["o_p_prime_trivial"] = o_p_prime(G, p).order == 1
     rep.hypotheses["sylow_at_least_p2"] = P.order >= p * p
@@ -228,8 +274,7 @@ def check_theorem_A(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
             cases = []
             if p_supersoluble(G, p):
                 cases.append("1")
-            if (P.order == p * p
-                    and P.idx.tobytes() in _minimal_normal_mask_set(G)):
+            if P.order == p * p and P in minimal_normal_subgroups(G):
                 cases.append("2")
             if P.order >= p ** 4 and _is_cyclic(H):
                 module = _section_module(G, P, G.trivial_subgroup(), H, p)
@@ -239,15 +284,11 @@ def check_theorem_A(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
                     rep.details["constituent_dim"] = k
             rep.details["hall_cyclic"] = _is_cyclic(H)
             rep.conclusion_cases = tuple(cases)
-    return rep.finalize(t0)
 
 
-def check_theorem_B(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
-                    group_name=None) -> VerdictReport:
+def _theorem_B(G, p, d, caps, rep):
     """2-maximal subgroup hypothesis; five conclusion cases (all matching
     cases are reported, the disjunction being inclusive)."""
-    t0 = time.perf_counter()
-    rep = VerdictReport(group_name or G.name or "?", "B", p=p)
     P = sylow(G, p)
     rep.hypotheses["o_p_prime_trivial"] = o_p_prime(G, p).order == 1
     rep.hypotheses["sylow_at_least_p2"] = P.order >= p * p
@@ -261,7 +302,7 @@ def check_theorem_B(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
         if p_supersoluble(G, p):
             cases.append("1")
         if (P.order == p * p and o_p(G, p).order == P.order
-                and P.idx.tobytes() in _minimal_normal_mask_set(G)):
+                and P in minimal_normal_subgroups(G)):
             cases.append("2")
         if P.order == p * p and not soluble:
             cases.append("3")
@@ -271,8 +312,7 @@ def check_theorem_B(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
         if P.order >= p ** 3:
             splits, H = _splits(G, p, caps)
             if splits and _is_cyclic(H):
-                p_grp = subgroup_as_group(G, P)
-                phi = G.subgroup(P.idx[frattini(p_grp, caps).idx])
+                phi = _frattini_in(G, P, caps)
                 two_max = two_maximal_subgroups(G, P, caps)
                 inter = np.ones(G.order, dtype=bool) if not two_max else \
                     np.logical_and.reduce([g.mask for g in two_max])
@@ -284,29 +324,22 @@ def check_theorem_B(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
                 if phi_is_meet and homog and k == 2:
                     cases.append("5")
         rep.conclusion_cases = tuple(cases)
-    return rep.finalize(t0)
 
 
-def check_theorem_C(G: Group, p: int, d: int, caps: Caps = DEFAULT_CAPS,
-                    group_name=None) -> VerdictReport:
+def _theorem_C(G, p, d, caps, rep):
     """Order-d hypothesis with p-rank > 1: split plus the conjunction of
     homogeneity (no absolutely irreducible constituent), the dimension
     divisibility k | gcd(m, n) with n >= k >= 2, and a cyclic complement."""
-    t0 = time.perf_counter()
-    rep = VerdictReport(group_name or G.name or "?", "C", p=p, d=d)
     P = sylow(G, p)
     if d <= 1 or d >= P.order or _p_part(d, p) != d:
         raise BadParameter(
             f"d = {d} is not a power of {p} with 1 < d < {P.order}")
-    rep.hypotheses.update(_order_d_hypotheses(G, P, p, d, caps))
+    rep.hypotheses.update(_order_d_hypotheses(G, P, d, caps))
     rep.hypotheses["o_p_prime_trivial"] = o_p_prime(G, p).order == 1
-    soluble, _ = p_solubility(G, p)
-    rank = p_rank(G, p) if soluble else None
-    rep.hypotheses["p_rank_above_1"] = soluble and rank is not None and rank > 1
+    rep.hypotheses["p_rank_above_1"] = _p_rank_above_1(G, p)
     if all(rep.hypotheses.values()):
         splits, H = _splits(G, p, caps)
-        p_grp = subgroup_as_group(G, P)
-        phi = G.subgroup(P.idx[frattini(p_grp, caps).idx])
+        phi = _frattini_in(G, P, caps)
         module = _section_module(G, P, phi, H, p) if splits else None
         homog, k, not_absirr = _homogeneous_with_dims(module, caps)
         n = _valuation(d, p) - _valuation(phi.order, p)
@@ -319,29 +352,20 @@ def check_theorem_C(G: Group, p: int, d: int, caps: Caps = DEFAULT_CAPS,
                             "dim_divisibility": c2, "hall_cyclic": c3})
         if splits and c1 and c2 and c3:
             rep.conclusion_cases = ("1+2+3",)
-    return rep.finalize(t0)
 
 
 # -- lemma verifiers --------------------------------------------------------------
 
 
 def _lemma_prime_order_supersoluble(G, p, d, caps, rep):
-    P = sylow(G, p)
-    rep.hypotheses["order_p_subgroups_pi"] = (
-        P.order == 1 or all_of_order_satisfy_pi(G, P, p, caps))
-    if p == 2 and P.order > 1 and not is_quaternion_free(
-            subgroup_as_group(G, P), caps):
-        rep.hypotheses["cyclic_4_subgroups_pi"] = \
-            cyclic_order4_satisfy_pi(G, P, caps)
-    else:
-        rep.hypotheses["cyclic_4_subgroups_pi"] = True
+    rep.hypotheses.update(_order_d_hypotheses(
+        G, sylow(G, p), p, caps, "order_p_subgroups_pi"))
     if all(rep.hypotheses.values()) and p_supersoluble(G, p):
         rep.conclusion_cases = ("p-supersoluble",)
 
 
 def _lemma_p_length_one(G, p, d, caps, rep):
-    P = sylow(G, p)
-    rep.hypotheses.update(_order_d_hypotheses(G, P, p, d, caps))
+    rep.hypotheses.update(_order_d_hypotheses(G, sylow(G, p), d, caps))
     if all(rep.hypotheses.values()):
         soluble, length = p_solubility(G, p)
         rep.details["p_length"] = length if soluble else None
@@ -353,56 +377,31 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
     """For H <= P and N normal with N <= H or gcd(|H|,|N|) = 1: the property
     passes to HN/N in G/N. H ranges over subgroups of the Sylow p-subgroup."""
     P = sylow(G, p)
-    pairs = 0
-    ok = True
-    for N in normal_subgroups(G):
-        if N.order in (1, G.order):
-            continue
-        for order in sorted({s for s in range(1, P.order + 1)
-                             if P.order % s == 0}):
-            for H in subgroups_of_order_in(G, P, order, caps):
-                if not (H.contains(N) or math.gcd(H.order, N.order) == 1):
-                    continue
-                if not satisfies_partial_pi(G, H, caps)[0]:
-                    continue
-                pairs += 1
+
+    def pairs(N):
+        for H in _subgroups_in(G, P, caps):
+            if ((H.contains(N) or math.gcd(H.order, N.order) == 1)
+                    and satisfies_partial_pi(G, H, caps)[0]):
                 q = quotient(G, N)
-                image = q.push_subgroup(H)
-                if not satisfies_partial_pi(q.target, image, caps)[0]:
-                    ok = False
-        if not ok:
-            break
-    rep.hypotheses["applicable"] = pairs > 0
-    rep.details["pairs_checked"] = pairs
-    if pairs and ok:
-        rep.conclusion_cases = ("inherited",)
+                yield satisfies_partial_pi(q.target, q.push_subgroup(H),
+                                           caps)[0]
+
+    _tally(rep, "pairs_checked", "inherited",
+           (pairs(N) for N in normal_subgroups(G)
+            if N.order not in (1, G.order)))
 
 
 def _lemma_series_through(G, p, d, caps, rep):
     """Every p-subgroup H of a normal N that has the property admits a chief
     series through N with p-number normalizer indices at every factor."""
-    pairs = 0
-    ok = True
-    for N in normal_subgroups(G):
-        if N.order % p:
-            continue
-        n_grp = subgroup_as_group(G, N)
-        syl_small = sylow(n_grp, p)
-        syl = G.subgroup(N.idx[syl_small.idx])
-        for order in sorted({s for s in range(1, syl.order + 1)
-                             if syl.order % s == 0}):
-            for H in subgroups_of_order_in(G, syl, order, caps):
-                if not satisfies_partial_pi(G, H, caps)[0]:
-                    continue
-                pairs += 1
-                if not pi_series_through(G, H, N, p, caps)[0]:
-                    ok = False
-        if not ok:
-            break
-    rep.hypotheses["applicable"] = pairs > 0
-    rep.details["pairs_checked"] = pairs
-    if pairs and ok:
-        rep.conclusion_cases = ("series-found",)
+    def pairs(N):
+        syl = lift_subgroup(sylow(subgroup_as_group(G, N), p), G)
+        for H in _subgroups_in(G, syl, caps):
+            if satisfies_partial_pi(G, H, caps)[0]:
+                yield pi_series_through(G, H, N, p, caps)[0]
+
+    _tally(rep, "pairs_checked", "series-found",
+           (pairs(N) for N in normal_subgroups(G) if N.order % p == 0))
 
 
 def _lemma_minimal_normal_order(G, p, d, caps, rep):
@@ -430,89 +429,53 @@ def _lemma_cyclic_in_hypercenter(G, p, d, caps, rep):
     """Normal p-subgroups all of whose order-p (and order-4, when not
     quaternion-free) cyclic subgroups lie in Z_U(G) lie in Z_U(G)."""
     z_u = hypercenter_u(G)
-    checked = 0
-    ok = True
-    for P0 in normal_subgroups(G):
-        if P0.order == 1 or _p_part(P0.order, p) != P0.order:
-            continue
+
+    def premise(P0):
         orders = G.element_orders[P0.idx]
-        premise = all(z_u.mask[int(i)] for i, o in zip(P0.idx, orders)
-                      if int(o) == p)
-        if premise and p == 2 and not is_quaternion_free(
-                subgroup_as_group(G, P0), caps):
-            premise = all(z_u.mask[int(i)] for i, o in zip(P0.idx, orders)
-                          if int(o) == 4)
-        if not premise:
-            continue
-        checked += 1
-        if not z_u.contains(P0):
-            ok = False
-    rep.hypotheses["applicable"] = checked > 0
-    rep.details["subgroups_checked"] = checked
-    if checked and ok:
-        rep.conclusion_cases = ("contained",)
+        return z_u.mask[P0.idx[orders == p]].all() and (
+            p != 2 or is_quaternion_free(subgroup_as_group(G, P0), caps)
+            or z_u.mask[P0.idx[orders == 4]].all())
+
+    _tally(rep, "subgroups_checked", "contained",
+           [(z_u.contains(P0) for P0 in normal_subgroups(G)
+             if _is_p_group(P0, p) and premise(P0))])
 
 
 def _lemma_frattini_quotient_hypercenter(G, p, d, caps, rep):
     """P/Phi(P) <= Z_U(G/Phi(P)) forces P <= Z_U(G) for normal p-subgroups."""
-    checked = 0
-    ok = True
-    for P0 in normal_subgroups(G):
-        if P0.order == 1 or _p_part(P0.order, p) != P0.order:
-            continue
-        phi = G.subgroup(P0.idx[frattini(subgroup_as_group(G, P0), caps).idx])
-        q = quotient(G, phi)
-        if not hypercenter_u(q.target).contains(q.push_subgroup(P0)):
-            continue
-        checked += 1
-        if not hypercenter_u(G).contains(P0):
-            ok = False
-    rep.hypotheses["applicable"] = checked > 0
-    rep.details["subgroups_checked"] = checked
-    if checked and ok:
-        rep.conclusion_cases = ("contained",)
+    def premise(P0):
+        q = quotient(G, _frattini_in(G, P0, caps))
+        return hypercenter_u(q.target).contains(q.push_subgroup(P0))
+
+    _tally(rep, "subgroups_checked", "contained",
+           [(hypercenter_u(G).contains(P0) for P0 in normal_subgroups(G)
+             if _is_p_group(P0, p) and premise(P0))])
 
 
 def _lemma_frattini_factor_hypercenter(G, p, d, caps, rep):
     """E <= Z_{U_p}(G) iff E/Phi(E) <= Z_{U_p}(G/Phi(E)), E normal, p | |E|."""
-    checked = 0
-    ok = True
-    for E in normal_subgroups(G):
-        if E.order % p:
-            continue
-        checked += 1
+    def equivalent(E):
         lhs = hypercenter_up(G, p).contains(E)
-        phi = G.subgroup(E.idx[frattini(subgroup_as_group(G, E), caps).idx])
-        q = quotient(G, phi)
-        rhs = hypercenter_up(q.target, p).contains(q.push_subgroup(E))
-        if lhs != rhs:
-            ok = False
-    rep.hypotheses["applicable"] = checked > 0
-    rep.details["subgroups_checked"] = checked
-    if checked and ok:
-        rep.conclusion_cases = ("equivalent",)
+        q = quotient(G, _frattini_in(G, E, caps))
+        return lhs == hypercenter_up(q.target, p).contains(q.push_subgroup(E))
+
+    _tally(rep, "subgroups_checked", "equivalent",
+           [(equivalent(E) for E in normal_subgroups(G) if E.order % p == 0)])
 
 
 def _lemma_product_transfer(G, p, d, caps, rep):
     """|N| = |K| = p, N minimal normal, NK has the property => K has it."""
     P = sylow(G, p)
-    mins = [N for N in minimal_normal_subgroups(G) if N.order == p]
-    checked = 0
-    ok = True
-    for N in mins:
-        for K in subgroups_of_order_in(G, P, p, caps):
-            prod_mask = np.zeros(G.order, dtype=bool)
-            prod_mask[G.table[np.ix_(N.idx, K.idx)].ravel()] = True
-            NK = G.subgroup_from_mask(prod_mask)
-            if not satisfies_partial_pi(G, NK, caps)[0]:
-                continue
-            checked += 1
-            if not satisfies_partial_pi(G, K, caps)[0]:
-                ok = False
-    rep.hypotheses["applicable"] = checked > 0
-    rep.details["pairs_checked"] = checked
-    if checked and ok:
-        rep.conclusion_cases = ("transferred",)
+
+    def product(N, K):
+        return G.subgroup_from_mask(
+            _kernels.product_mask(G.table, N.idx, K.idx))
+
+    _tally(rep, "pairs_checked", "transferred",
+           [(satisfies_partial_pi(G, K, caps)[0]
+             for N in minimal_normal_subgroups(G) if N.order == p
+             for K in subgroups_of_order_in(G, P, p, caps)
+             if satisfies_partial_pi(G, product(N, K), caps)[0])])
 
 
 def _lemma_minimal_normal_elementary(G, p, d, caps, rep):
@@ -531,20 +494,11 @@ def _lemma_cap_from_pi(G, p, d, caps, rep):
     """2-maximal subgroups of a normal Sylow subgroup: property => CAP."""
     P = sylow(G, p)
     rep.hypotheses["sylow_normal"] = o_p(G, p).order == P.order
-    if not rep.hypotheses["sylow_normal"]:
-        return
-    checked = 0
-    ok = True
-    for H in two_maximal_subgroups(G, P, caps):
-        if not satisfies_partial_pi(G, H, caps)[0]:
-            continue
-        checked += 1
-        if not satisfies_partial_cap(G, H, caps)[0]:
-            ok = False
-    rep.hypotheses["applicable"] = checked > 0
-    rep.details["subgroups_checked"] = checked
-    if checked and ok:
-        rep.conclusion_cases = ("partial-cap",)
+    if rep.hypotheses["sylow_normal"]:
+        _tally(rep, "subgroups_checked", "partial-cap",
+               [(satisfies_partial_cap(G, H, caps)[0]
+                 for H in two_maximal_subgroups(G, P, caps)
+                 if satisfies_partial_pi(G, H, caps)[0])])
 
 
 def _lemma_pi_iff_complemented(G, p, d, caps, rep):
@@ -555,17 +509,10 @@ def _lemma_pi_iff_complemented(G, p, d, caps, rep):
     rep.hypotheses["sylow_elementary_abelian"] = \
         P.order > 1 and _is_elementary_abelian(G, P, p)
     if all(rep.hypotheses.values()):
-        count = 0
-        ok = True
-        for order in sorted({s for s in range(1, P.order + 1)
-                             if P.order % s == 0}):
-            for H in subgroups_of_order_in(G, P, order, caps):
-                count += 1
-                if satisfies_partial_pi(G, H, caps)[0] != \
-                        is_complemented(G, H, caps)[0]:
-                    ok = False
-        rep.details["subgroups_checked"] = count
-        if ok:
+        subs = _subgroups_in(G, P, caps)
+        rep.details["subgroups_checked"] = len(subs)
+        if all([satisfies_partial_pi(G, H, caps)[0]
+                == is_complemented(G, H, caps)[0] for H in subs]):
             rep.conclusion_cases = ("equivalent",)
 
 
@@ -651,12 +598,10 @@ def _lemma_socle_homogeneous(G, p, d, caps, rep):
 
 def _lemma_order_bound(G, p, d, caps, rep):
     P = sylow(G, p)
-    rep.hypotheses.update(_order_d_hypotheses(G, P, p, d, caps))
-    soluble, _ = p_solubility(G, p)
-    rank = p_rank(G, p) if soluble else None
-    rep.hypotheses["p_rank_above_1"] = soluble and rank is not None and rank > 1
+    rep.hypotheses.update(_order_d_hypotheses(G, P, d, caps))
+    rep.hypotheses["p_rank_above_1"] = _p_rank_above_1(G, p)
     if all(rep.hypotheses.values()):
-        phi = frattini(subgroup_as_group(G, P), caps)
+        phi = _frattini_in(G, P, caps)
         rep.details["frattini_order"] = phi.order
         if d >= p * p * phi.order:
             rep.conclusion_cases = ("bound-holds",)
@@ -664,14 +609,12 @@ def _lemma_order_bound(G, p, d, caps, rep):
 
 def _lemma_module_dimension(G, p, d, caps, rep):
     P = sylow(G, p)
-    rep.hypotheses.update(_order_d_hypotheses(G, P, p, d, caps))
+    rep.hypotheses.update(_order_d_hypotheses(G, P, d, caps))
     splits, H = _splits(G, p, caps)
     rep.hypotheses["splits_over_hall"] = splits
     rep.hypotheses["sylow_elementary_abelian"] = \
         P.order > 1 and _is_elementary_abelian(G, P, p)
-    soluble, _ = p_solubility(G, p)
-    rank = p_rank(G, p) if soluble else None
-    rep.hypotheses["p_rank_above_1"] = soluble and rank is not None and rank > 1
+    rep.hypotheses["p_rank_above_1"] = _p_rank_above_1(G, p)
     if all(rep.hypotheses.values()):
         module = _section_module(G, P, G.trivial_subgroup(), H, p)
         homog, k, not_absirr = _homogeneous_with_dims(module, caps)
@@ -685,58 +628,88 @@ def _lemma_module_dimension(G, p, d, caps, rep):
 
 def _lemma_frattini_in_two_maximal(G, p, d, caps, rep):
     P = sylow(G, p)
-    soluble, _ = p_solubility(G, p)
-    rank = p_rank(G, p) if soluble else None
-    rep.hypotheses["p_soluble"] = soluble
-    rep.hypotheses["p_rank_above_1"] = soluble and rank is not None and rank > 1
+    rep.hypotheses["p_soluble"] = p_solubility(G, p)[0]
+    rep.hypotheses["p_rank_above_1"] = _p_rank_above_1(G, p)
     rep.hypotheses["sylow_at_least_p2"] = P.order >= p * p
     two_max = two_maximal_subgroups(G, P, caps) if P.order >= p * p else []
     rep.hypotheses["two_maximal_subgroups_pi"] = bool(two_max) and all(
         satisfies_partial_pi(G, H, caps)[0] for H in two_max)
     if all(rep.hypotheses.values()):
-        phi = G.subgroup(P.idx[frattini(subgroup_as_group(G, P), caps).idx])
+        phi = _frattini_in(G, P, caps)
         if all(Q.contains(phi) for Q in two_max):
             rep.conclusion_cases = ("contained",)
 
 
-_LEMMAS = {
-    "prime-order-supersoluble": (_lemma_prime_order_supersoluble, "p"),
-    "p-length-one": (_lemma_p_length_one, "pd"),
-    "quotient-inheritance": (_lemma_quotient_inheritance, "p"),
-    "series-through": (_lemma_series_through, "p"),
-    "minimal-normal-order": (_lemma_minimal_normal_order, "pd"),
-    "cyclic-in-hypercenter": (_lemma_cyclic_in_hypercenter, "p"),
-    "frattini-quotient-hypercenter": (_lemma_frattini_quotient_hypercenter, "p"),
-    "frattini-factor-hypercenter": (_lemma_frattini_factor_hypercenter, "p"),
-    "product-transfer": (_lemma_product_transfer, "p"),
-    "minimal-normal-elementary": (_lemma_minimal_normal_elementary, "pd_wide"),
-    "cap-from-pi": (_lemma_cap_from_pi, "p"),
-    "pi-iff-complemented": (_lemma_pi_iff_complemented, "p"),
-    "complement-classification": (_lemma_complement_classification, "pd"),
-    "cyclic-iff-not-absolutely-irreducible": (_lemma_cyclic_module, "p"),
-    "socle-homogeneous": (_lemma_socle_homogeneous, "pd_socle"),
-    "order-bound": (_lemma_order_bound, "pd"),
-    "module-dimension": (_lemma_module_dimension, "pd"),
-    "frattini-in-two-maximal": (_lemma_frattini_in_two_maximal, "p"),
+# -- the check table ----------------------------------------------------------------
+
+# Every check: id -> (verifier, parameter grid), in report order. Grid "p"
+# takes one instance per prime; the others range d over the powers of p
+# that ``_admissible_d`` admits.
+CHECKS = {
+    "A": (_theorem_A, "p"),
+    "B": (_theorem_B, "p"),
+    "C": (_theorem_C, "pd"),
+    "lemma:cap-from-pi": (_lemma_cap_from_pi, "p"),
+    "lemma:complement-classification": (_lemma_complement_classification, "pd"),
+    "lemma:cyclic-iff-not-absolutely-irreducible": (_lemma_cyclic_module, "p"),
+    "lemma:cyclic-in-hypercenter": (_lemma_cyclic_in_hypercenter, "p"),
+    "lemma:frattini-factor-hypercenter": (_lemma_frattini_factor_hypercenter, "p"),
+    "lemma:frattini-in-two-maximal": (_lemma_frattini_in_two_maximal, "p"),
+    "lemma:frattini-quotient-hypercenter": (_lemma_frattini_quotient_hypercenter, "p"),
+    "lemma:minimal-normal-elementary": (_lemma_minimal_normal_elementary, "pd_wide"),
+    "lemma:minimal-normal-order": (_lemma_minimal_normal_order, "pd"),
+    "lemma:module-dimension": (_lemma_module_dimension, "pd"),
+    "lemma:order-bound": (_lemma_order_bound, "pd"),
+    "lemma:p-length-one": (_lemma_p_length_one, "pd"),
+    "lemma:pi-iff-complemented": (_lemma_pi_iff_complemented, "p"),
+    "lemma:prime-order-supersoluble": (_lemma_prime_order_supersoluble, "p"),
+    "lemma:product-transfer": (_lemma_product_transfer, "p"),
+    "lemma:quotient-inheritance": (_lemma_quotient_inheritance, "p"),
+    "lemma:series-through": (_lemma_series_through, "p"),
+    "lemma:socle-homogeneous": (_lemma_socle_homogeneous, "pd_socle"),
 }
 
-LEMMA_IDS = tuple(sorted(_LEMMAS))
+LEMMA_IDS = tuple(c[len("lemma:"):] for c in CHECKS if c.startswith("lemma:"))
+
+
+def _check(G: Group, check_id: str, params, caps: Caps,
+           group_name) -> VerdictReport:
+    """Build, time and finalise the report of one check from the table."""
+    if check_id not in CHECKS:
+        raise UnknownLemma(f"unknown check {check_id!r}")
+    verifier, grid = CHECKS[check_id]
+    p, d = params.get("p"), params.get("d")
+    if p is None:
+        raise BadParameter(f"check {check_id} needs a prime p")
+    if d is None and grid != "p":
+        raise BadParameter(f"check {check_id} needs an order parameter d")
+    t0 = time.perf_counter()
+    rep = VerdictReport(group_name or G.name or "?", check_id, p=p, d=d)
+    verifier(G, p, d, caps, rep)
+    return rep.finalize(t0)
+
+
+def check_theorem_A(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
+                    group_name=None) -> VerdictReport:
+    """Theorem A (order-p^2 subgroups have the property) on G at p."""
+    return _check(G, "A", {"p": p}, caps, group_name)
+
+
+def check_theorem_B(G: Group, p: int, caps: Caps = DEFAULT_CAPS,
+                    group_name=None) -> VerdictReport:
+    """Theorem B (2-maximal subgroups have the property) on G at p."""
+    return _check(G, "B", {"p": p}, caps, group_name)
+
+
+def check_theorem_C(G: Group, p: int, d: int, caps: Caps = DEFAULT_CAPS,
+                    group_name=None) -> VerdictReport:
+    """Theorem C (order-d subgroups have the property) on G at p and d."""
+    return _check(G, "C", {"p": p, "d": d}, caps, group_name)
 
 
 def check_lemma(G: Group, lemma_id: str, params=None,
                 caps: Caps = DEFAULT_CAPS, group_name=None) -> VerdictReport:
-    if lemma_id not in _LEMMAS:
-        raise UnknownLemma(f"no lemma verifier named {lemma_id!r}")
-    params = params or {}
-    p = params.get("p")
-    d = params.get("d")
-    if p is None:
-        raise BadParameter("lemma checks need a prime p")
-    t0 = time.perf_counter()
-    rep = VerdictReport(group_name or G.name or "?", f"lemma:{lemma_id}",
-                        p=p, d=d)
-    _LEMMAS[lemma_id][0](G, p, d, caps, rep)
-    return rep.finalize(t0)
+    return _check(G, f"lemma:{lemma_id}", params or {}, caps, group_name)
 
 
 # -- corpus runner -----------------------------------------------------------------
@@ -758,33 +731,22 @@ def _admissible_d(P_order: int, p: int, mode: str) -> list:
 
 def default_checks(G: Group, p_filter=None, d_filter=None,
                    theorem_filter=None):
-    """Deterministic (check_id, params) instances for one group."""
-    primes = _prime_factors(G.order)
+    """Deterministic (check_id, params) instances for one group: for each
+    prime, every check of the table in table order, on its grid."""
     out = []
-    for p in primes:
+    for p in _prime_factors(G.order):
         if p_filter and p not in p_filter:
             continue
         P_order = _p_part(G.order, p)
-        if theorem_filter is None or "A" in theorem_filter:
-            out.append(("A", {"p": p}))
-        if theorem_filter is None or "B" in theorem_filter:
-            out.append(("B", {"p": p}))
-        if theorem_filter is None or "C" in theorem_filter:
-            for d in _admissible_d(P_order, p, "pd"):
-                if d_filter and d not in d_filter:
-                    continue
-                out.append(("C", {"p": p, "d": d}))
-        for lemma_id, (_, mode) in sorted(_LEMMAS.items()):
-            lid = f"lemma:{lemma_id}"
-            if theorem_filter is not None and lid not in theorem_filter:
+        for check_id, (_, grid) in CHECKS.items():
+            if theorem_filter is not None and check_id not in theorem_filter:
                 continue
-            if mode == "p":
-                out.append((lid, {"p": p}))
+            if grid == "p":
+                out.append((check_id, {"p": p}))
             else:
-                for d in _admissible_d(P_order, p, mode):
-                    if d_filter and d not in d_filter:
-                        continue
-                    out.append((lid, {"p": p, "d": d}))
+                out.extend((check_id, {"p": p, "d": d})
+                           for d in _admissible_d(P_order, p, grid)
+                           if not d_filter or d in d_filter)
     return out
 
 
@@ -792,17 +754,7 @@ def run_check(G: Group, check_id: str, params, caps: Caps = DEFAULT_CAPS,
               group_name=None) -> VerdictReport:
     t0 = time.perf_counter()
     try:
-        if check_id == "A":
-            return check_theorem_A(G, params["p"], caps, group_name)
-        if check_id == "B":
-            return check_theorem_B(G, params["p"], caps, group_name)
-        if check_id == "C":
-            return check_theorem_C(G, params["p"], params["d"], caps,
-                                   group_name)
-        if check_id.startswith("lemma:"):
-            return check_lemma(G, check_id[len("lemma:"):], params, caps,
-                               group_name)
-        raise UnknownLemma(f"unknown check {check_id!r}")
+        return _check(G, check_id, params, caps, group_name)
     except CapExceeded as exc:
         rep = VerdictReport(group_name or G.name or "?", check_id,
                             p=params.get("p"), d=params.get("d"))

@@ -255,3 +255,37 @@ def test_cyclicity_criterion(groups):
     with pytest.raises(HypothesisViolated):
         # reducible: identity action of the wrong shape
         cyclicity_criterion_check(c3, FpModule(2, 2, [np.eye(2)]))
+
+
+def _direct_sum(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=np.int64)
+    i = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[i:i + k, i:i + k] = b
+        i += k
+    return out
+
+
+I1, I2, I4, I6, I8 = (np.eye(k, dtype=np.int64) for k in (1, 2, 4, 6, 8))
+J2 = np.array([[1, 1], [0, 1]])  # order 5 over F_5, not semisimple
+
+
+@pytest.mark.parametrize("V, W, expected", [
+    # hom space of F_2-dimension 4: every nonzero intertwiner is tried
+    (FpModule(2, 2, [I2]), FpModule(2, 2, [I2]), True),
+    (FpModule(2, 4, [_direct_sum(A, A)]), FpModule(2, 4, [_direct_sum(A, I2)]),
+     False),
+    # dimension 64: seeded sampling finds an invertible intertwiner
+    (FpModule(2, 8, [I8]), FpModule(2, 8, [I8]), True),
+    # dimension 28, nothing invertible: semisimple, constituents differ
+    (FpModule(2, 8, [_direct_sum(I6, A)]),
+     FpModule(2, 8, [_direct_sum(I4, A, A)]), False),
+    # dimension 6 over F_5, not semisimple: the exhaustive last resort
+    (FpModule(5, 3, [_direct_sum(J2, I1)]), FpModule(5, 3, [np.eye(3)]),
+     False),
+], ids=["exhaustive-iso", "exhaustive-not-iso", "sampling",
+        "constituents", "last-resort"])
+def test_isomorphism_fallbacks(V, W, expected):
+    assert are_isomorphic_modules(V, W) is expected

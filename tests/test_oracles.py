@@ -6,7 +6,9 @@ the two lattice routes (the layer walk of p-groups and the cyclic extension
 of other groups) and the extension of normal subgroups by class closures.
 The layer walk is also compared with the cyclic extension on p-groups, and
 the soluble routes to Phi(G), Hall subgroups and complements are checked
-against the subgroup lattice.
+against the subgroup lattice. Hypercentres and the upper p-series, read off
+G's own normal subgroups, are checked against their former definitions
+through chief chains and materialised quotients.
 """
 
 import itertools
@@ -14,18 +16,21 @@ import itertools
 import numpy as np
 
 from partialpi import _kernels
-from partialpi.chiefs import normal_subgroups
+from partialpi.chiefs import normal_subgroups, search_chains
 from partialpi.config import DEFAULT_CAPS
 from partialpi.embedding import _complemented_by_lattice, is_complemented
 from partialpi.groups import (
     alternating,
+    cyclic,
     dicyclic,
     dihedral,
     direct_product,
     elementary_abelian,
     general_linear_3_2,
     normalizer,
+    quotient,
     semidihedral,
+    symmetric,
     vector_action_group,
 )
 from partialpi.structure import (
@@ -42,6 +47,9 @@ from partialpi.structure import (
     hall,
     hypercenter_u,
     hypercenter_up,
+    o_p,
+    o_p_prime,
+    p_solubility,
     p_supersoluble,
     subgroup_as_group,
     subgroups_of_order_in,
@@ -164,6 +172,65 @@ def test_hypercenter_characterizes_supersolubility(corpus):
         for p in _prime_factors(G.order):
             assert (hypercenter_up(G, p).order == G.order) == \
                 p_supersoluble(G, p), (name, p)
+
+
+def _hypercenter_by_chains(G, accept):
+    """The product of every normal N whose factors along one chief chain
+    from 1 to N all have an accepted order."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    for N in normal_subgroups(G)[1:]:
+        series, _ = next(search_chains(G, through=N))
+        orders = series.factor_orders()[:series.terms.index(N)]
+        if all(accept(o) for o in orders):
+            mask = _kernels.product_mask(
+                G.table, np.flatnonzero(mask).astype(_DTYPE), N.idx)
+    return G.subgroup_from_mask(mask)
+
+
+def _largest_normal(G, accept):
+    best = G.trivial_subgroup()
+    for N in normal_subgroups(G):
+        if N.order > best.order and accept(N.order):
+            best = N
+    return best
+
+
+def _p_length_by_quotients(G, p):
+    """The number of p-terms of the upper p-series of a p-soluble G, each
+    term the preimage of O_p' or O_p of a materialised quotient."""
+    length = 0
+    cur = G.trivial_subgroup()
+    while cur.order < G.order:
+        q = quotient(G, cur)
+        cur = q.preimage(_largest_normal(q.target, lambda n: n % p != 0))
+        q = quotient(G, cur)
+        step = q.preimage(
+            _largest_normal(q.target, lambda n: _pi_part(n, {p}) == n))
+        if step.order == cur.order:
+            break
+        length += 1
+        cur = step
+    return length
+
+
+def test_hypercenters_and_p_series_match_former_definitions(corpus):
+    """Every corpus group, and S4 x C3: there |S4| / |O_2'| is a power of
+    2, though S4 does not contain O_2' = C3."""
+    extra = [("S4xC3", direct_product(symmetric(4), cyclic(3)))]
+    for name, G in itertools.chain(corpus, extra):
+        expected = _hypercenter_by_chains(G, lambda o: _prime_factors(o) == [o])
+        assert hypercenter_u(G) == expected, name
+        for p in _prime_factors(G.order):
+            expected = _hypercenter_by_chains(G, lambda o: o % p or o == p)
+            assert hypercenter_up(G, p) == expected, (name, p)
+            assert o_p(G, p) == _largest_normal(
+                G, lambda n: _pi_part(n, {p}) == n), (name, p)
+            assert o_p_prime(G, p) == _largest_normal(
+                G, lambda n: n % p != 0), (name, p)
+            soluble, length = p_solubility(G, p)
+            if soluble:
+                assert length == _p_length_by_quotients(G, p), (name, p)
 
 
 def soluble_cases(corpus):

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 
+from partialpi import theorems
+from partialpi.config import DEFAULT_CAPS
+from partialpi.corpus import builtin_corpus
 from partialpi.errors import BadParameter, UnknownLemma
 from partialpi.structure import p_rank, p_supersoluble
 from partialpi.theorems import (
@@ -72,7 +76,14 @@ def test_lemma_dispatch_and_unknown(groups):
         check_lemma(groups["S3"], "no-such-lemma", {"p": 2})
     with pytest.raises(BadParameter):
         check_lemma(groups["S3"], "prime-order-supersoluble", {})
+    with pytest.raises(BadParameter):  # it read as a failure without d
+        check_lemma(groups["S4"], "p-length-one", {"p": 2})
+    with pytest.raises(UnknownLemma):
+        run_check(groups["S3"], "D", {"p": 2})
+    with pytest.raises(UnknownLemma):
+        run_check(groups["S3"], "lemma:no-such-lemma", {"p": 2})
     assert len(LEMMA_IDS) == 18
+    assert list(LEMMA_IDS) == sorted(LEMMA_IDS)  # reports list lemmas by id
 
 
 def test_lemma_instances(groups):
@@ -179,3 +190,89 @@ def test_default_checks_grid(groups):
           if cid == "C"]
     assert ds == [2, 4, 8]
     assert default_checks(groups["C1"]) == []
+    # a d filter keeps only that d, and every check that takes p alone
+    checks = default_checks(groups["C2^4:C3"], p_filter={2}, d_filter={4})
+    assert {params["d"] for _, params in checks if "d" in params} == {4}
+    assert {cid for cid, params in checks if "d" in params} == {
+        "C", "lemma:complement-classification",
+        "lemma:minimal-normal-elementary", "lemma:minimal-normal-order",
+        "lemma:module-dimension", "lemma:order-bound", "lemma:p-length-one",
+        "lemma:socle-homogeneous"}
+    assert ([c for c in checks if "d" not in c[1]]
+            == [c for c in default_checks(groups["C2^4:C3"], p_filter={2})
+                if "d" not in c[1]])
+
+
+# -- failure branches of the exhaustive lemma verifiers ---------------------------
+# Each case replaces one name the verifier looks up in ``partialpi.theorems``
+# so that its conclusion fails on every instance, on a fresh group (the
+# replacement must not reach a cache that other tests read). The count pins
+# how far the verifier gets: quotient-inheritance and series-through stop
+# after the first normal subgroup with a failing instance.
+
+
+class _Everything:
+    """Stands in for Z_U(G): every element is in it, no subgroup inside."""
+
+    def __init__(self, G):
+        self.mask = np.ones(G.order, dtype=bool)
+
+    def contains(self, H):
+        return False
+
+
+def _pi_false_in_quotients(G, real):
+    return lambda X, H, caps=DEFAULT_CAPS: (
+        real(X, H, caps) if X is G else (False, None))
+
+
+def _z_u_trivial_in_G(G, real):
+    return lambda X: X.trivial_subgroup() if X is G else real(X)
+
+
+def _z_up_all_in_G(G, real):
+    return lambda X, p: (X.as_subgroup() if X is G
+                         else X.trivial_subgroup())
+
+
+def _pi_only_above_order_2(G, real):
+    return lambda X, H, caps=DEFAULT_CAPS: (H.order != 2, None)
+
+
+def _never(G, real):
+    return lambda *args, **kwargs: (False, None)
+
+
+_FAILURES = (
+    # lemma, group, p, replaced name, replacement, detail, count at failure
+    ("quotient-inheritance", "D8", 2, "satisfies_partial_pi",
+     _pi_false_in_quotients, "pairs_checked", 6),
+    ("series-through", "D8", 2, "pi_series_through", _never,
+     "pairs_checked", 2),
+    ("cyclic-in-hypercenter", "D8", 2, "hypercenter_u",
+     lambda G, real: _Everything, "subgroups_checked", 5),
+    ("frattini-quotient-hypercenter", "D8", 2, "hypercenter_u",
+     _z_u_trivial_in_G, "subgroups_checked", 5),
+    ("frattini-factor-hypercenter", "D8", 2, "hypercenter_up",
+     _z_up_all_in_G, "subgroups_checked", 5),
+    ("product-transfer", "D8", 2, "satisfies_partial_pi",
+     _pi_only_above_order_2, "pairs_checked", 4),
+    ("cap-from-pi", "D8", 2, "satisfies_partial_cap", _never,
+     "subgroups_checked", 5),
+    ("pi-iff-complemented", "A4", 2, "is_complemented",
+     lambda G, real: lambda *args, **kwargs: (None, None),
+     "subgroups_checked", 5),
+)
+
+
+@pytest.mark.parametrize("lemma, name, p, attr, replacement, detail, count",
+                         _FAILURES, ids=[case[0] for case in _FAILURES])
+def test_exhaustive_lemma_failure_branch(monkeypatch, lemma, name, p, attr,
+                                         replacement, detail, count):
+    G = builtin_corpus().group(name)
+    monkeypatch.setattr(theorems, attr,
+                        replacement(G, getattr(theorems, attr)))
+    r = check_lemma(G, lemma, {"p": p})
+    assert r.status == "fail" and not r.passed
+    assert r.hypotheses_hold and r.conclusion_cases == ()
+    assert r.details[detail] == count

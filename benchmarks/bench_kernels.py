@@ -3,12 +3,14 @@
 The first section times each kernel in partialpi._kernels on the workloads
 that dominate real runs: subgroup closures, normalizer scans, conjugacy
 classes, product sets and module spinning. A second section times the
-per-group builds that single-subgroup checks pay on every fresh group, the
-Cayley table and the normal subgroups. A third section times the subgroup
-lattice on fresh groups, with its route (the layer walk of a p-group or the
-cyclic extension of any other group) and the closures it takes. A fourth times
-the soluble routes of ``frattini``, ``hall`` and ``is_complemented``, which
-build no lattice of the group, on the two groups whose lattices cost most.
+per-group builds that single-subgroup checks pay on every fresh group: the
+Cayley table, the normal subgroups, and the chief children of every normal
+subgroup, read off the normal-subgroup build. A third section times the
+subgroup lattice on fresh groups, with its route (the layer walk of a p-group
+or the cyclic extension of any other group) and the closures it takes. A
+fourth times the soluble routes of ``frattini``, ``hall`` and
+``is_complemented``, which build no lattice of the group, on the two groups
+whose lattices cost most.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -18,7 +20,7 @@ import time
 import numpy as np
 
 from partialpi import _kernels
-from partialpi.chiefs import _prime_power, normal_subgroups
+from partialpi.chiefs import _chief_children, _prime_power, normal_subgroups
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import is_complemented
 from partialpi.groups import elementary_abelian
@@ -98,6 +100,12 @@ def cayley_table(G):
     return G.table
 
 
+def chief_dag(G):
+    """The chief children of every normal subgroup."""
+    for N in normal_subgroups(G):
+        _chief_children(G, N)
+
+
 def timed_fresh(make, build, before=None, repeat=3):
     """Best time of ``build(G)`` over fresh groups ``G = make()``;
     ``before(G)`` runs first, outside the timing."""
@@ -117,11 +125,14 @@ def group_builds():
               ("C3^4", lambda: elementary_abelian(3, 4)),
               ("C3^4:C4", lambda: builtin_corpus().group("C3^4:C4"))]
     print("\nper-group builds, fresh group each:")
-    print(f"{'group':<10}{'Group.table':>14}{'normal_subgroups':>18}")
+    print(f"{'group':<10}{'Group.table':>14}{'normal_subgroups':>18}"
+          f"{'_chief_children':>17}")
     for name, make in makers:
         table = timed_fresh(make, cayley_table)
         normals = timed_fresh(make, normal_subgroups, before=cayley_table)
-        print(f"{name:<10}{table * 1000:>12.2f}ms{normals * 1000:>16.2f}ms")
+        dag = timed_fresh(make, chief_dag, before=normal_subgroups)
+        print(f"{name:<10}{table * 1000:>12.2f}ms{normals * 1000:>16.2f}ms"
+              f"{dag * 1000:>15.2f}ms")
 
 
 def c3_4_c4():

@@ -1,8 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from partialpi import _kernels
 from partialpi.chiefs import (
+    _class_closures,
     all_chief_series,
     chief_series_through,
     classify_factor,
@@ -103,6 +106,43 @@ def test_classify_factor(groups):
     assert f4.is_central
     with pytest.raises(NotChief):
         classify_factor(s4, s4.trivial_subgroup(), s4.as_subgroup())
+    with pytest.raises(NotChief):
+        classify_factor(s4, v4, s4.trivial_subgroup())
+    # <(1,2)(3,4)> < V4 is a factor of order 2, but not between normal
+    # subgroups of S4
+    c2 = subgroup_generated(s4, [parse_cycles("(1 2)(3 4)", 4)])
+    with pytest.raises(NotNormal):
+        classify_factor(s4, c2, v4)
+    c4 = subgroup_generated(s4, [parse_cycles("(1 2 3 4)", 4)])
+    with pytest.raises(NotNormal):
+        classify_factor(s4, v4, c4)
+
+
+def test_class_closures_one_per_rational_class(corpus, monkeypatch):
+    """The classes of g and of g^k, gcd(k, |g|) = 1, share a closure, so
+    one closure per rational class gives every distinct class closure."""
+    for name, G in corpus:
+        per_class = {np.flatnonzero(_kernels.closure_idx(
+            G.table, np.flatnonzero(G.class_reps == r).astype(np.int32)
+        )).tobytes() for r in np.unique(G.class_reps) if r}
+        closures = [c.tobytes() for c in _class_closures(G)]
+        assert len(closures) == len(set(closures)), name
+        assert set(closures) == per_class, name
+    calls = 0
+    kernel = _kernels.closure_idx
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+    monkeypatch.setattr(_kernels, "closure_idx", counted)
+    # C3^4: 80 classes of one element, in 40 rational classes {g, g^2};
+    # C2^5: each of its 31 classes is a rational class
+    for G, expected in ((elementary_abelian(3, 4), 40),
+                        (elementary_abelian(2, 5), 31)):
+        calls = 0
+        normal_subgroups(G)
+        assert calls == expected
 
 
 def test_frattini_flag(groups):

@@ -8,7 +8,9 @@ The layer walk is also compared with the cyclic extension on p-groups, and
 the soluble routes to Phi(G), Hall subgroups and complements are checked
 against the subgroup lattice. Hypercentres and the upper p-series, read off
 G's own normal subgroups, are checked against their former definitions
-through chief chains and materialised quotients.
+through chief chains and materialised quotients. The chief-factor DAG, read
+off the products recorded by the normal-subgroup build, is checked against
+a scan of every normal subgroup above each one.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import itertools
 import numpy as np
 
 from partialpi import _kernels
-from partialpi.chiefs import normal_subgroups, search_chains
+from partialpi.chiefs import _chief_children, normal_subgroups, search_chains
 from partialpi.config import DEFAULT_CAPS
 from partialpi.embedding import _complemented_by_lattice, is_complemented
 from partialpi.groups import (
@@ -31,6 +33,7 @@ from partialpi.groups import (
     quotient,
     semidihedral,
     symmetric,
+    trivial_group,
     vector_action_group,
 )
 from partialpi.structure import (
@@ -162,6 +165,37 @@ def test_normals_match_brute_force(groups):
     # subgroup counts of F_p^k: sums of Gaussian binomial coefficients
     assert len(normal_subgroups(elementary_abelian(2, 5))) == 374
     assert len(normal_subgroups(elementary_abelian(3, 4))) == 212
+
+
+def _chief_children_by_scan(G, top):
+    """Every normal M > top with no normal subgroup strictly between, by
+    testing each normal subgroup above top against every other."""
+    normals = normal_subgroups(G)
+    above = [M for M in normals if M.order > top.order and M.contains(top)]
+    out = []
+    for M in above:
+        if not any(K.order < M.order and M.contains(K) for K in above
+                   if K.order > top.order):
+            out.append(M)
+    return out
+
+
+def test_chief_dag_matches_scan(corpus):
+    """The DAG on every corpus group, on C2^5 and C3^4 (374 and 212 normal
+    subgroups), on a quotient's target, and on a fresh C1, which has no
+    class closures and so no recorded products."""
+    G = corpus.group("C3^4:C4")
+    N = next(N for N in normal_subgroups(G) if N.order == 9)
+    extra = [("C2^5", elementary_abelian(2, 5)),
+             ("C3^4", elementary_abelian(3, 4)),
+             ("C3^4:C4 / 9", quotient(G, N).target),
+             ("C1", trivial_group())]
+    for name, G in itertools.chain(corpus, extra):
+        for top in normal_subgroups(G):
+            children = _chief_children(G, top)
+            assert children == _chief_children_by_scan(G, top), (name, top)
+            keys = [(M.order, M.idx.tobytes()) for M in children]
+            assert keys == sorted(keys), (name, top)
 
 
 def test_hypercenter_characterizes_supersolubility(corpus):

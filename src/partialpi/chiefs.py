@@ -2,17 +2,17 @@
 
 A chief series is a maximal chain in the normal-subgroup lattice; every step
 is a chief factor (nothing normal strictly between). The chief-factor DAG
-joins each normal subgroup N to its chief children. ``normal_subgroups``
-records the DAG's covers as it builds: it forms every product N·C with a
-class closure C outside N, and the chief children of N are the minimal
-such products, so ``_chief_children`` only reads them off. ``search_chains``
-is the one enumeration: a DFS from the bottom in canonical order, streamed
-lazily, which prunes any prefix a per-factor step function rejects.
+joins each normal subgroup N to its chief children, and is built lazily:
+``_chief_children`` forms every product N·C with a class closure C outside
+N and keeps the minimal ones, from N and the closures alone, so a search
+pays only for the nodes it reaches. ``normal_subgroups`` is the set of
+nodes reached from 1. ``search_chains`` is the one enumeration: a DFS from
+the bottom in canonical order, streamed lazily, which prunes any prefix a
+per-factor step function rejects.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 from typing import Iterator
 
@@ -45,39 +45,14 @@ def _prime_power(n: int):
     return ps[0] if len(ps) == 1 else None
 
 
-class NormalSubgroups(list):
-    """The normal subgroups of G in canonical order, with the build's covers.
-
-    ``position`` maps each member to its index. The distinct products N·C
-    of each member N with the class closures C outside N are kept as
-    indices, all members' in one array; the chief children of N are the
-    minimal ones among them (see ``normal_subgroups``).
-    """
-
-    __slots__ = ("position", "_products", "_starts")
-
-    def __init__(self, members, pairs: np.ndarray):
-        """``members`` in canonical order; ``pairs`` holds, sorted, one
-        ``owner * len(members) + product`` per distinct product, both as
-        indices into ``members``."""
-        super().__init__(members)
-        m = len(self)
-        self.position = {N: k for k, N in enumerate(self)}
-        self._products = pairs % m
-        self._starts = np.searchsorted(pairs, np.arange(m + 1) * m)
-
-    def products(self, N: Subgroup) -> np.ndarray:
-        """Indices, ascending, of the distinct products N·C for a member N."""
-        k = self.position[N]
-        return self._products[self._starts[k]:self._starts[k + 1]]
-
-
+@memo("class_closures")
 def _class_closures(G: Group) -> list:
     """The distinct normal closures of G's conjugacy classes, as index arrays.
 
     One closure is taken per rational class: the classes of g and of g^k
     with gcd(k, |g|) = 1 have the same closure, since each of g and g^k is a
-    power of the other.
+    power of the other. The closure of a central class {g} is <g>, the
+    powers listed for that test, so it takes no closure kernel call.
     """
     table, reps = G.table, G.class_reps
     done = np.zeros(G.order, dtype=bool)
@@ -93,75 +68,91 @@ def _class_closures(G: Group) -> list:
         for k in range(1, order):
             if gcd(k, order) == 1:
                 done[reps[powers[k - 1]]] = True
-        cls = np.flatnonzero(reps == r).astype(_DTYPE)
-        mask = _kernels.closure_idx(table, cls)
-        closures.setdefault(mask.tobytes(), np.flatnonzero(mask))
+        cls = np.flatnonzero(reps == r)
+        if len(cls) == 1:
+            closure = np.sort(np.array(powers, dtype=np.intp))
+        else:
+            closure = np.flatnonzero(
+                _kernels.closure_idx(table, cls.astype(_DTYPE)))
+        closures.setdefault(closure.tobytes(), closure)
     return list(closures.values())
 
 
+@memo("closure_layout")
+def _closure_layout(G: Group) -> tuple:
+    """The class closures flattened for one gather: (elements, start of
+    each closure, closure of each element). G must be non-trivial."""
+    closures = _class_closures(G)
+    sizes = [len(c) for c in closures]
+    flat = np.concatenate(closures).astype(_DTYPE)
+    starts = np.cumsum([0] + sizes[:-1])
+    return flat, starts, np.repeat(np.arange(len(closures)), sizes)
+
+
+def _canonical(subgroups) -> list:
+    """Subgroups in canonical order: by (order, index bytes)."""
+    return sorted(subgroups, key=lambda S: (S.order, S.idx.tobytes()))
+
+
+def _is_normal(G: Group, N: Subgroup) -> bool:
+    """N is normal in G iff it is the union of the classes it meets: every
+    element whose class representative occurs in N lies in N."""
+    if N.ambient is not G:
+        return False
+    reps = G.class_reps
+    met = np.zeros(G.order, dtype=bool)
+    met[reps[N.idx]] = True
+    return bool(N.mask[met[reps]].all())
+
+
+@memo("chief_children")
+def _chief_children(G: Group, top: Subgroup) -> list:
+    """The chief children of the normal ``top``: the normal M > top with
+    nothing normal strictly between, in canonical order.
+
+    They are the minimal products top·C over the class closures C outside
+    top. If K is normal with top < K < top·C, then top·C' <= K for C' the
+    closure of any x in K outside top, so top·C is not minimal; and a child
+    K of top is top·C' itself, as top < top·C' <= K. All products come from
+    one gather over top × (the closures' elements), scattered into one
+    boolean row per closure. Row i is dropped when some row j lies inside
+    it (|P_i ∩ P_j| = |P_j|) and is smaller, or equal with j < i.
+    """
+    if top.order == G.order:
+        return []
+    flat, starts, row_of = _closure_layout(G)
+    outside = ~np.logical_and.reduceat(top.mask[flat], starts)
+    keep = outside[row_of]
+    prods = np.zeros((len(starts), G.order), dtype=bool)
+    prods[row_of[keep], G.table[top.idx[:, None], flat[keep]]] = True
+    prods = prods[outside]
+    k = len(prods)
+    f = prods.astype(np.float32)
+    sizes = prods.sum(axis=1)
+    rank = sizes * k + np.arange(k)               # by size, then by row
+    drop = (((f @ f.T) == sizes) & (rank < rank[:, None])).any(axis=1)
+    cols = np.nonzero(prods[~drop])[1].astype(_DTYPE)
+    ends = np.cumsum(sizes[~drop]).tolist()
+    return _canonical(Subgroup(G, cols[lo:hi])
+                      for lo, hi in zip([0] + ends, ends))
+
+
 @memo("normals")
-def normal_subgroups(G: Group) -> NormalSubgroups:
+def normal_subgroups(G: Group) -> list:
     """All normal subgroups of G, canonically ordered by (order, indices).
 
-    Computed by extension with class closures: starting from the trivial
-    subgroup, every normal subgroup N found so far is multiplied by each
-    distinct normal closure C of a conjugacy class that N does not contain
-    (N·C is a normal subgroup since both factors are). This is complete: a
-    normal subgroup M is a union of classes, so M is the product of the
-    closures of its classes, and that product is reached one closure at a
-    time. All products N·C for one N come from one gather over N × (the
-    closures' elements), scattered into one boolean row per closure.
-
-    The build also records each N's distinct products, by position in the
-    returned list (``NormalSubgroups.products``): they hold the covers of
-    the chief-factor DAG. The chief children of N are exactly the minimal
-    products. If K is normal with N < K < N·C, then N·C' <= K for C' the
-    closure of any x in K outside N, so N·C is not minimal; and a child K
-    of N is N·C' itself, as N < N·C' <= K.
+    They are the nodes of the chief-factor DAG reached from 1 over
+    ``_chief_children``: every normal subgroup lies on some chief series,
+    a maximal chain of normal subgroups from 1 to G.
     """
-    n = G.order
-    table = G.table
-    members = _class_closures(G)
-    triv = np.zeros(n, dtype=bool)
-    triv[0] = True
-    found = {triv.tobytes(): 0}   # mask bytes -> id, in order of discovery
-    keys = list(found)
-    products = [[]]               # id -> ids of its distinct products
-    if members:
-        sizes = [len(c) for c in members]
-        flat = np.concatenate(members).astype(_DTYPE)
-        starts = np.cumsum([0] + sizes[:-1])
-        row_of = np.repeat(np.arange(len(members)), sizes)
-        work = [0]
-        while work:
-            i = work.pop()
-            N = np.frombuffer(keys[i], dtype=bool)
-            outside = ~np.logical_and.reduceat(N[flat], starts)
-            keep = outside[row_of]
-            rows, cols = row_of[keep], flat[keep]
-            prods = np.zeros((len(members), n), dtype=bool)
-            prods[rows, table[np.flatnonzero(N)[:, None], cols]] = True
-            block = prods[outside].tobytes()
-            ids = products[i]
-            for key in {block[lo:lo + n] for lo in range(0, len(block), n)}:
-                j = found.setdefault(key, len(keys))
-                if j == len(keys):
-                    keys.append(key)
-                    products.append([])
-                    work.append(j)
-                ids.append(j)
-    subs = [G.subgroup_from_mask(np.frombuffer(key, dtype=bool))
-            for key in keys]
-    m = len(subs)
-    ranked = sorted(range(m),
-                    key=lambda i: (subs[i].order, subs[i].idx.tobytes()))
-    rank = np.empty(m, dtype=np.intp)
-    rank[ranked] = np.arange(m)
-    counts = [len(ids) for ids in products]
-    targets = np.fromiter(chain.from_iterable(products), dtype=np.intp,
-                          count=sum(counts))
-    pairs = np.sort(np.repeat(rank, counts) * m + rank[targets])
-    return NormalSubgroups([subs[i] for i in ranked], pairs)
+    seen = {G.trivial_subgroup()}
+    work = list(seen)
+    while work:
+        for M in _chief_children(G, work.pop()):
+            if M not in seen:
+                seen.add(M)
+                work.append(M)
+    return _canonical(seen)
 
 
 def minimal_normal_subgroups(G: Group) -> list:
@@ -237,8 +228,7 @@ def classify_factor(G: Group, below: Subgroup, above: Subgroup,
     flag (left None) when the subgroup lattice behind the Frattini subgroup
     is unwanted.
     """
-    position = normal_subgroups(G).position
-    if below not in position or above not in position:
+    if not (_is_normal(G, below) and _is_normal(G, above)):
         raise NotNormal("a chief factor lies between normal subgroups")
     if above not in _chief_children(G, below):
         raise NotChief("no chief factor: above is not a chief child of below")
@@ -251,23 +241,6 @@ def classify_factor(G: Group, below: Subgroup, above: Subgroup,
                        _is_central_factor(G, below, above), frattini_flag)
 
 
-@memo("chief_children")
-def _chief_children(G: Group, top: Subgroup) -> list:
-    """Normal subgroups M > top with nothing normal strictly between: the
-    minimal products recorded for the normal ``top``, in canonical order.
-
-    The products come in canonical order, so any product inside a later
-    one M leads down to a minimal product, already kept, that M contains.
-    """
-    normals = normal_subgroups(G)
-    out = []
-    for k in normals.products(top):
-        M = normals[k]
-        if not any(K.order < M.order and M.contains(K) for K in out):
-            out.append(M)
-    return out
-
-
 def search_chains(G: Group, step=None, through: Subgroup | None = None,
                   caps: Caps = DEFAULT_CAPS) -> Iterator[tuple]:
     """Stream (series, records) over chief series of G in canonical DFS order.
@@ -278,7 +251,7 @@ def search_chains(G: Group, step=None, through: Subgroup | None = None,
     pruned prefix counts against caps.series; children dropped by the
     through filter do not.
     """
-    if through is not None and through not in normal_subgroups(G).position:
+    if through is not None and not _is_normal(G, through):
         raise NotNormal("series can only pass through a normal subgroup")
     step = step or (lambda below, above, i: True)
     explored = 0

@@ -197,8 +197,10 @@ def _frattini_in(G: Group, P: Subgroup, caps: Caps) -> Subgroup:
     return lift_subgroup(frattini(subgroup_as_group(G, P), caps), G)
 
 
+@memo("subgroups_in")
 def _subgroups_in(G: Group, P: Subgroup, caps: Caps) -> list:
-    """Every subgroup of G inside P, in P's lattice order (by order)."""
+    """Every subgroup of G inside P, in P's lattice order (by order): a
+    shared list that callers must not mutate."""
     return [lift_subgroup(s, G)
             for s in all_subgroups(subgroup_as_group(G, P), caps).all]
 

@@ -120,7 +120,8 @@ def test_classify_factor(groups):
 
 def test_class_closures_one_per_rational_class(corpus, monkeypatch):
     """The classes of g and of g^k, gcd(k, |g|) = 1, share a closure, so
-    one closure per rational class gives every distinct class closure."""
+    one closure per rational class gives every distinct class closure; the
+    closure of a central class {g} is <g>, taken with no kernel call."""
     for name, G in corpus:
         per_class = {np.flatnonzero(_kernels.closure_idx(
             G.table, np.flatnonzero(G.class_reps == r).astype(np.int32)
@@ -136,10 +137,13 @@ def test_class_closures_one_per_rational_class(corpus, monkeypatch):
         calls += 1
         return kernel(*args)
     monkeypatch.setattr(_kernels, "closure_idx", counted)
-    # C3^4: 80 classes of one element, in 40 rational classes {g, g^2};
-    # C2^5: each of its 31 classes is a rational class
-    for G, expected in ((elementary_abelian(3, 4), 40),
-                        (elementary_abelian(2, 5), 31)):
+    # C3^4 and C2^5 are abelian: every class is central. D8xD8 has 24
+    # non-identity classes, each a rational class, and 3 of them central;
+    # C2^3xS3 has 23, 7 of them central.
+    for G, expected in ((elementary_abelian(3, 4), 0),
+                        (elementary_abelian(2, 5), 0),
+                        (build_directive("dp:dihedral:8xdihedral:8"), 21),
+                        (build_directive("dp:elemab:2:3xsym:3"), 16)):
         calls = 0
         normal_subgroups(G)
         assert calls == expected

@@ -8,9 +8,10 @@ The layer walk is also compared with the cyclic extension on p-groups, and
 the soluble routes to Phi(G), Hall subgroups and complements are checked
 against the subgroup lattice. Hypercentres and the upper p-series, read off
 G's own normal subgroups, are checked against their former definitions
-through chief chains and materialised quotients. The chief-factor DAG, read
-off the products recorded by the normal-subgroup build, is checked against
-a scan of every normal subgroup above each one.
+through chief chains and materialised quotients. The chief-factor DAG,
+built lazily from class closures, is checked against a scan of the normal
+subgroups the lattice filter finds, and the class-union normality test
+against the normaliser kernel.
 """
 
 import itertools
@@ -18,7 +19,12 @@ import itertools
 import numpy as np
 
 from partialpi import _kernels
-from partialpi.chiefs import _chief_children, normal_subgroups, search_chains
+from partialpi.chiefs import (
+    _chief_children,
+    _is_normal,
+    normal_subgroups,
+    search_chains,
+)
 from partialpi.config import DEFAULT_CAPS
 from partialpi.embedding import _complemented_by_lattice, is_complemented
 from partialpi.groups import (
@@ -167,10 +173,15 @@ def test_normals_match_brute_force(groups):
     assert len(normal_subgroups(elementary_abelian(3, 4))) == 212
 
 
-def _chief_children_by_scan(G, top):
+def _normals_by_filter(G):
+    """G's normal subgroups from its lattice, in canonical order."""
+    return sorted((s for s in all_subgroups(G).all if s.is_normal()),
+                  key=lambda s: (s.order, s.idx.tobytes()))
+
+
+def _chief_children_by_scan(normals, top):
     """Every normal M > top with no normal subgroup strictly between, by
     testing each normal subgroup above top against every other."""
-    normals = normal_subgroups(G)
     above = [M for M in normals if M.order > top.order and M.contains(top)]
     out = []
     for M in above:
@@ -183,19 +194,33 @@ def _chief_children_by_scan(G, top):
 def test_chief_dag_matches_scan(corpus):
     """The DAG on every corpus group, on C2^5 and C3^4 (374 and 212 normal
     subgroups), on a quotient's target, and on a fresh C1, which has no
-    class closures and so no recorded products."""
+    class closures. Every normal subgroup the lattice filter finds is a
+    node reached from 1, and its children are those of the scan."""
     G = corpus.group("C3^4:C4")
-    N = next(N for N in normal_subgroups(G) if N.order == 9)
+    N = next(N for N in _normals_by_filter(G) if N.order == 9)
     extra = [("C2^5", elementary_abelian(2, 5)),
              ("C3^4", elementary_abelian(3, 4)),
              ("C3^4:C4 / 9", quotient(G, N).target),
              ("C1", trivial_group())]
+    counts = {"C2^5": 374, "C3^4": 212, "C1": 1}
     for name, G in itertools.chain(corpus, extra):
-        for top in normal_subgroups(G):
+        normals = _normals_by_filter(G)
+        assert len(normals) == counts.get(name, len(normals)), name
+        assert normal_subgroups(G) == normals, name
+        for top in normals:
             children = _chief_children(G, top)
-            assert children == _chief_children_by_scan(G, top), (name, top)
+            assert children == _chief_children_by_scan(normals, top), \
+                (name, top)
             keys = [(M.order, M.idx.tobytes()) for M in children]
             assert keys == sorted(keys), (name, top)
+
+
+def test_class_union_normality_matches_normalizer(corpus):
+    """A subgroup is normal iff it is the union of the classes it meets,
+    on every lattice subgroup of every corpus group."""
+    for name, G in corpus:
+        for s in all_subgroups(G).all:
+            assert _is_normal(G, s) == s.is_normal(), (name, s)
 
 
 def test_hypercenter_characterizes_supersolubility(corpus):

@@ -175,6 +175,20 @@ def test_parallel_groups_match_serial():
         assert serial[n].record_fields() == parallel[n].record_fields()
 
 
+def test_c2_5_exhaustive_pairs():
+    """Every default check on C2^5 passes or is vacuous, and the exhaustive
+    lemmas over (N, H) pairs check every pair: H ranges over the subgroups
+    of P = G (374) and N over its normal subgroups."""
+    from partialpi.groups import elementary_abelian
+    G = elementary_abelian(2, 5)
+    reports = run_corpus([("C2^5", G)])
+    assert all(r.status in ("pass", "vacuous") for r in reports)
+    pairs = {r.check_id: r.details["pairs_checked"] for r in reports
+             if "pairs_checked" in r.details}
+    assert pairs["lemma:quotient-inheritance"] == 5766
+    assert pairs["lemma:series-through"] == 5768
+
+
 def test_empty_corpus_and_unique_names():
     from partialpi.corpus import Corpus
     assert run_corpus(Corpus(())) == []

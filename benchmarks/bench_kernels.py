@@ -3,10 +3,14 @@
 The first section times each kernel in partialpi._kernels on the workloads
 that dominate real runs: subgroup closures, normalizer scans, conjugacy
 classes, product sets and module spinning. A second section times the
-per-group builds on fresh groups: the Cayley table; all normal subgroups,
-which is the whole chief-factor DAG walked from 1; and the first chief
-series that ``search_chains`` finds, which is the part of the DAG one
-single-subgroup check pays for. A third section times the
+per-group builds on fresh groups: ``group_from_generators`` on the
+group's generators (the closure a group file's build takes); the Cayley
+table; all normal subgroups, which is the whole chief-factor DAG walked
+from 1; and the first chief series that ``search_chains`` finds, which is
+the part of the DAG one single-subgroup check pays for. It ends with one
+``QuotientMap`` per normal subgroup of a fresh ``C3^4:C4``, as the
+theorem verifiers and the quotient oracle of a single-subgroup check build
+them. A third section times the
 subgroup lattice on fresh groups, with its route (the layer walk of a p-group
 or the cyclic extension of any other group) and the closures it takes. A
 fourth times the soluble routes of ``frattini``, ``hall`` and
@@ -24,7 +28,11 @@ from partialpi import _kernels
 from partialpi.chiefs import _prime_power, normal_subgroups, search_chains
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import is_complemented
-from partialpi.groups import elementary_abelian
+from partialpi.groups import (
+    QuotientMap,
+    elementary_abelian,
+    group_from_generators,
+)
 from partialpi.perms import _DTYPE
 from partialpi.structure import (
     _lattice,
@@ -120,19 +128,35 @@ def timed_fresh(make, build, before=None, repeat=3):
     return best
 
 
+def closure(G):
+    """Close G's generators again, as a group file's build does."""
+    return group_from_generators(G.degree, G.generators)
+
+
+def quotient_maps(G):
+    return [QuotientMap(G, N) for N in normal_subgroups(G)]
+
+
 def group_builds():
     makers = [("C2^5", lambda: elementary_abelian(2, 5)),
               ("C3^4", lambda: elementary_abelian(3, 4)),
-              ("C3^4:C4", lambda: builtin_corpus().group("C3^4:C4"))]
+              ("GL(3,2)", lambda: builtin_corpus().group("GL(3,2)")),
+              ("F7^2:S3", lambda: builtin_corpus().group("F7^2:S3")),
+              ("C3^4:C4", c3_4_c4)]
     print("\nper-group builds, fresh group each:")
-    print(f"{'group':<10}{'Group.table':>14}{'normal_subgroups':>18}"
-          f"{'first series':>15}")
+    print(f"{'group':<10}{'closure':>11}{'Group.table':>14}"
+          f"{'normal_subgroups':>18}{'first series':>15}")
     for name, make in makers:
+        closed = timed_fresh(make, closure)
         table = timed_fresh(make, cayley_table)
         normals = timed_fresh(make, normal_subgroups, before=cayley_table)
         series = timed_fresh(make, first_chief_series, before=cayley_table)
-        print(f"{name:<10}{table * 1000:>12.2f}ms{normals * 1000:>16.2f}ms"
-              f"{series * 1000:>13.2f}ms")
+        print(f"{name:<10}{closed * 1000:>9.2f}ms{table * 1000:>12.2f}ms"
+              f"{normals * 1000:>16.2f}ms{series * 1000:>13.2f}ms")
+    G = c3_4_c4()
+    seconds = timed_fresh(c3_4_c4, quotient_maps, before=normal_subgroups)
+    print(f"QuotientMap over the {len(normal_subgroups(G))} normal subgroups"
+          f" of C3^4:C4: {seconds * 1000:.2f}ms")
 
 
 def c3_4_c4():

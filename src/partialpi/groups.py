@@ -156,34 +156,40 @@ class Group:
         chosen greedily, each kept when it separates more elements, until
         only the identity fixes them all. After each base point the key
         ``key * degree + image`` is replaced by its rank among the
-        elements' keys, so every key stays below order * degree. A
-        product's key takes the same ranked steps through searchsorted;
-        the final rank names its element. Rows are built in blocks of 64.
+        elements' keys, so every key stays below order * degree. Each step
+        is stored as a dense lookup array over all ``distinct * degree``
+        possible keys (``distinct`` counting the keys before the step), so a
+        product's key takes the same ranked steps by one gather each; the
+        final rank names its element. A lookup array has fewer than
+        order * degree entries, no more than the element table itself. Rows
+        are built in blocks of 64 from the element table's columns.
         """
         n, degree = self.order, self.degree
         elts = self._elts
         key = np.zeros(n, dtype=np.int64)
         distinct = 1
-        steps = []  # (base point, sorted distinct keys after it)
+        steps = []  # (base point, key after it -> its rank)
         for b in range(degree):
             if distinct == n:
                 break
             ranked, rank = np.unique(key * degree + elts[:, b],
                                      return_inverse=True)
             if len(ranked) > distinct:
-                steps.append((b, ranked))
+                lut = np.zeros(distinct * degree, dtype=np.int64)
+                lut[ranked] = np.arange(len(ranked))
+                steps.append((b, lut))
                 key, distinct = rank, len(ranked)
         element_of = np.empty(n, dtype=_DTYPE)
         element_of[key] = np.arange(n, dtype=_DTYPE)
         table = np.empty((n, n), dtype=_DTYPE)
+        columns = np.ascontiguousarray(elts.T)
         for lo in range(0, n, 64):
             rows = slice(lo, min(lo + 64, n))
-            prod = np.zeros((n, rows.stop - lo), dtype=np.int64)
-            for b, ranked in steps:
-                # column i, row j: image of b under element_i-then-element_j
-                prod = np.searchsorted(ranked,
-                                       prod * degree + elts[:, elts[rows, b]])
-            table[rows] = element_of[prod].T
+            prod = np.zeros((rows.stop - lo, n), dtype=np.int64)
+            for b, lut in steps:
+                # row i, column j: image of b under element_i-then-element_j
+                prod = lut[prod * degree + columns[elts[rows, b]]]
+            table[rows] = element_of[prod]
         table.setflags(write=False)
         return table
 
@@ -344,31 +350,41 @@ def lift_subgroup(sub_of_sub: Subgroup, parent: Group) -> Subgroup:
 
 def group_from_generators(degree: int, gens, caps: Caps = DEFAULT_CAPS,
                           name=None) -> Group:
-    """Close a generating set of Perms into a Group.
+    """Close a generating set of Perms into a Group, level by level.
 
-    Raises ClosureCapExceeded as soon as the closure grows past caps.closure.
+    Each level multiplies the whole frontier (the elements new at the last
+    level) by every generator in one gather; the products not seen before
+    are the next frontier. Raises ClosureCapExceeded on adding an element
+    while caps.closure elements are already known; the identity is known
+    from the start, so a nontrivial group builds iff its order is at most
+    caps.closure.
     """
     gens = tuple(gens)
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    ident = np.arange(degree, dtype=_DTYPE)
-    known = {ident.tobytes(): ident}
-    work = [ident]
-    gen_arrays = [g.array for g in gens]
-    while work:
-        x = work.pop()
-        for g_arr in gen_arrays:
-            y = g_arr[x]
-            key = y.tobytes()
+    frontier = np.arange(degree, dtype=_DTYPE)[None, :]
+    known = {frontier.tobytes()}
+    levels = [frontier]
+    gen_arrays = np.array([g.array for g in gens],
+                          dtype=_DTYPE).reshape(len(gens), degree)
+    while len(frontier):
+        products = gen_arrays[:, frontier].reshape(-1, degree)
+        width = products.itemsize * degree
+        flat = products.tobytes()
+        new = []
+        for i in range(len(products)):
+            key = flat[i * width:(i + 1) * width]
             if key not in known:
                 if len(known) >= caps.closure:
                     raise ClosureCapExceeded(
                         f"closure exceeds cap {caps.closure}")
-                known[key] = y
-                work.append(y)
-    elts = np.stack(list(known.values())) if known else ident[None, :]
-    return Group(degree, elts, generators=tuple(sorted(gens)), name=name)
+                known.add(key)
+                new.append(i)
+        frontier = products[new]
+        levels.append(frontier)
+    return Group(degree, np.concatenate(levels),
+                 generators=tuple(sorted(gens)), name=name)
 
 
 def subgroup_generated(G: Group, perms) -> Subgroup:
@@ -435,48 +451,32 @@ class QuotientMap:
 
     push is a surjective homomorphism with kernel N; pull is the section
     choosing the lexicographically least preimage of each target element.
+
+    Coset c is named by its least element reps[c], its lex-least preimage;
+    all of it induces c' -> coset(reps[c'] * reps[c]), so the target's rows
+    are one gather over the table.
     """
 
     def __init__(self, source: Group, kernel: Subgroup):
         self.source = source
         self.kernel = kernel
         table = source.table
-        n = source.order
-        coset_rep = table[kernel.idx, :].min(axis=0)  # rep of coset N*x
+        coset_rep = table[kernel.idx, :].min(axis=0)  # least element of N*x
         reps = np.unique(coset_rep)
-        m = len(reps)
-        rep_to_cid = {int(r): c for c, r in enumerate(reps)}
-        cid = np.array([rep_to_cid[int(r)] for r in coset_rep], dtype=_DTYPE)
-        # the permutation each g induces on cosets: c -> coset(rep_c * g)
-        rows = np.empty((n, m), dtype=_DTYPE)
-        for g in range(n):
-            rows[g] = cid[coset_rep[table[reps, g]]]
-        key_map: dict = {}
-        target_rows = []
-        push_idx = np.empty(n, dtype=_DTYPE)
-        for g in range(n):
-            key = rows[g].tobytes()
-            if key not in key_map:
-                key_map[key] = len(target_rows)
-                target_rows.append(rows[g])
-            push_idx[g] = key_map[key]
-        raw = np.stack(target_rows)
-        gen_perms = tuple(sorted({Perm._from_array(rows[source.index_of(p)])
-                                  for p in source.generators
-                                  if push_idx[source.index_of(p)] != 0}))
-        self.target = Group(m, raw, generators=gen_perms,
+        cid = np.searchsorted(reps, coset_rep).astype(_DTYPE)
+        raw = cid[coset_rep[table[np.ix_(reps, reps)]]].T
+        # position of each coset's row in the target's canonical order
+        position = np.empty(len(reps), dtype=_DTYPE)
+        position[np.lexsort(raw[:, ::-1].T)] = np.arange(len(reps))
+        gen_cosets = {int(cid[source.index_of(p)]) for p in source.generators}
+        gen_perms = tuple(sorted(Perm._from_array(raw[c])
+                                 for c in gen_cosets if c != 0))
+        self.target = Group(len(reps), raw, generators=gen_perms,
                             name=(f"{source.name}/N" if source.name else None))
-        # reindex push through the target's canonical (sorted) order
-        reorder = np.array([self.target.index_of(Perm._from_array(r))
-                            for r in raw], dtype=_DTYPE)
-        self.push_idx = reorder[push_idx]
+        self.push_idx = position[cid]
         self.push_idx.setflags(write=False)
-        pull = np.full(self.target.order, -1, dtype=_DTYPE)
-        for g in range(n):  # ascending g: first hit is the lex-least preimage
-            t = self.push_idx[g]
-            if pull[t] < 0:
-                pull[t] = g
-        self.pull_idx = pull
+        self.pull_idx = np.empty(len(reps), dtype=_DTYPE)
+        self.pull_idx[position] = reps
         self.pull_idx.setflags(write=False)
 
     @property

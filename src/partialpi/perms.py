@@ -148,7 +148,7 @@ class Perm:
         return isinstance(other, Perm) and self._key == other._key
 
     def __lt__(self, other):
-        return self.images < other.images
+        return self._arr.tolist() < other._arr.tolist()
 
     def __hash__(self):
         return self._hash

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from partialpi.errors import (
     IsoCapExceeded,
     NotNormal,
 )
+from partialpi.groupfile import build_directive
 from partialpi.groups import (
     alternating,
     center,
@@ -35,7 +38,7 @@ from partialpi.groups import (
     trivial_group,
     vector_action_group,
 )
-from partialpi.perms import parse_cycles
+from partialpi.perms import _DTYPE, parse_cycles
 
 
 def test_group_from_generators_examples():
@@ -52,6 +55,32 @@ def test_closure_cap():
         group_from_generators(5, [parse_cycles("(1 2 3 4 5)", 5),
                                   parse_cycles("(1 2)", 5)],
                               caps=Caps(closure=100))
+
+
+@pytest.mark.parametrize("degree, gens, order", [
+    (5, ["(1 2 3 4 5)", "(1 2)"], 120),  # S5
+    (12, ["(1 2 3 4 5 6 7 8 9 10 11 12)"], 12),  # C12: twelve levels
+])
+def test_closure_cap_boundary(degree, gens, order):
+    gens = [parse_cycles(text, degree) for text in gens]
+    G = group_from_generators(degree, gens, caps=Caps(closure=order))
+    assert G.order == order
+    assert np.array_equal(G.element_array,
+                          group_from_generators(degree, gens).element_array)
+    with pytest.raises(ClosureCapExceeded):
+        group_from_generators(degree, gens, caps=Caps(closure=order - 1))
+
+
+@pytest.mark.parametrize("degree", [1, 4])
+def test_closure_cap_boundary_trivial(degree):
+    """The cap counts the elements added to the identity, so the trivial
+    group builds at closure 1 and, adding nothing, at closure 0 too."""
+    for closure in (1, 0):
+        G = group_from_generators(degree, (), caps=Caps(closure=closure))
+        assert G.order == 1 and G.generators == ()
+        assert np.array_equal(G.element_array,
+                              np.arange(degree, dtype=_DTYPE)[None, :])
+        assert G.table.tolist() == [[0]]
 
 
 def test_elements_sorted_and_identity_first():
@@ -292,18 +321,22 @@ def test_center_and_derived():
     assert derived_subgroup(symmetric(4)).order == 12
 
 
+def _high_degree_cases():
+    # 7 disjoint transpositions on 700 points: 700**7 > 2**63
+    c2_7 = group_from_generators(700, [
+        parse_cycles(f"({100 * k + 1},{100 * k + 100})", 700)
+        for k in range(7)])
+    # C3^6 as 6 disjoint 3-cycles on 900 points
+    c3_6 = group_from_generators(900, [
+        parse_cycles(f"({150 * k + 1},{150 * k + 75},{150 * k + 150})", 900)
+        for k in range(6)])
+    return [("C2^7 on 700", c2_7), ("C3^6 on 900", c3_6)]
+
+
 def _table_cases(corpus):
     cases = [G for _, G in corpus if G.order <= 120]
     cases.append(trivial_group())
-    # 7 disjoint transpositions on 700 points: 700**7 > 2**63
-    cases.append(group_from_generators(700, [
-        parse_cycles(f"({100 * k + 1},{100 * k + 100})", 700)
-        for k in range(7)]))
-    # C3^6 as 6 disjoint 3-cycles on 900 points
-    cases.append(group_from_generators(900, [
-        parse_cycles(f"({150 * k + 1},{150 * k + 75},{150 * k + 150})", 900)
-        for k in range(6)]))
-    return cases
+    return cases + [G for _, G in _high_degree_cases()]
 
 
 def test_table_matches_perm_arithmetic(corpus):
@@ -326,6 +359,32 @@ def test_table_matches_perm_arithmetic(corpus):
         for x in xs:
             least = min(G.index_of(elements[x].conjugate(g)) for g in elements)
             assert G.class_reps[x] == least, (G, x)
+
+
+def _pool_groups():
+    """The groups of the check-pi benchmark pool, built from their
+    directives."""
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+            / "check-pi-pool.json")
+    pool = json.loads(path.read_text(encoding="utf-8"))["groups"]
+    return [(g["name"], build_directive(g["directive"])) for g in pool]
+
+
+def test_whole_table_matches_composed_rows():
+    """Every entry of the Cayley table against the composed image rows,
+    elts[j][elts[i]] for element i then element j, on every check-pi pool
+    group (orders up to 324) and the high-degree cases, in row blocks."""
+    cases = _pool_groups() + _high_degree_cases()
+    for name, G in cases:
+        elts, table, n = G.element_array, G.table, G.order
+        block = max(1, 2 ** 21 // (n * G.degree))
+        for lo in range(0, n, block):
+            rows = elts[lo:lo + block]
+            composed = elts[:, rows].transpose(1, 0, 2)  # [i, j] = j after i
+            assert np.array_equal(elts[table[lo:lo + block]], composed), \
+                (name, lo)
+    names = {name for name, _ in cases}
+    assert {"GL(3,2)", "A4xA4", "F7^2:S3", "C3^4:C4"} <= names
 
 
 def test_element_orders_match_perm_order(corpus):

@@ -11,7 +11,8 @@ G's own normal subgroups, are checked against their former definitions
 through chief chains and materialised quotients. The chief-factor DAG,
 built lazily from class closures, is checked against a scan of the normal
 subgroups the lattice filter finds, and the class-union normality test
-against the normaliser kernel.
+against the normaliser kernel. Quotient maps, built by gathers over the
+Cayley table, are checked against a loop over every element.
 """
 
 import itertools
@@ -28,6 +29,8 @@ from partialpi.chiefs import (
 from partialpi.config import DEFAULT_CAPS
 from partialpi.embedding import _complemented_by_lattice, is_complemented
 from partialpi.groups import (
+    Group,
+    QuotientMap,
     alternating,
     cyclic,
     dicyclic,
@@ -66,7 +69,7 @@ from partialpi.structure import (
     sylow,
 )
 from partialpi.chiefs import _prime_factors
-from partialpi.perms import _DTYPE
+from partialpi.perms import Perm, _DTYPE
 
 
 def heisenberg_mod_3():
@@ -361,3 +364,55 @@ def test_non_soluble_groups_take_the_lattice_route():
             G = build()
             call(G)
             assert "lattice" in G._cache, G
+
+
+def _quotient_by_loops(G, N):
+    """G/N by a loop over every element of G: the permutation each g
+    induces on the cosets, deduplicated by its bytes, then reindexed
+    through the target's sorted order; the first g to reach a target
+    element is its lex-least preimage. Returns (target element array,
+    target generators, push_idx, pull_idx)."""
+    table, n = G.table, G.order
+    coset_rep = table[N.idx, :].min(axis=0)
+    reps = np.unique(coset_rep)
+    rep_to_cid = {int(r): c for c, r in enumerate(reps)}
+    cid = np.array([rep_to_cid[int(r)] for r in coset_rep], dtype=_DTYPE)
+    rows = np.empty((n, len(reps)), dtype=_DTYPE)
+    for g in range(n):
+        rows[g] = cid[coset_rep[table[reps, g]]]
+    key_map, target_rows = {}, []
+    push = np.empty(n, dtype=_DTYPE)
+    for g in range(n):
+        key = rows[g].tobytes()
+        if key not in key_map:
+            key_map[key] = len(target_rows)
+            target_rows.append(rows[g])
+        push[g] = key_map[key]
+    gens = tuple(sorted({Perm._from_array(rows[G.index_of(p)])
+                         for p in G.generators
+                         if push[G.index_of(p)] != 0}))
+    target = Group(len(reps), np.stack(target_rows))
+    reorder = np.array([target.index_of(Perm._from_array(r))
+                        for r in target_rows], dtype=_DTYPE)
+    push = reorder[push]
+    pull = np.full(target.order, -1, dtype=_DTYPE)
+    for g in range(n):
+        if pull[push[g]] < 0:
+            pull[push[g]] = g
+    return target.element_array, gens, push, pull
+
+
+def test_quotient_map_matches_loops(corpus):
+    """QuotientMap's gathers against the element loop, over every normal
+    subgroup of every corpus group, N = 1 and N = G included."""
+    for name, G in corpus:
+        normals = normal_subgroups(G)
+        assert normals[0].order == 1 and normals[-1].order == G.order, name
+        for N in normals:
+            q = QuotientMap(G, N)
+            elements, gens, push, pull = _quotient_by_loops(G, N)
+            assert np.array_equal(q.target.element_array, elements), \
+                (name, N)
+            assert q.target.generators == gens, (name, N)
+            assert np.array_equal(q.push_idx, push), (name, N)
+            assert np.array_equal(q.pull_idx, pull), (name, N)

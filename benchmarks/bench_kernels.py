@@ -2,7 +2,12 @@
 
 The first section times each kernel in partialpi._kernels on the workloads
 that dominate real runs: subgroup closures, normalizer scans, conjugacy
-classes, product sets and module spinning. A second section times the
+classes, product sets and module spinning, as totals on ``A5``; then it
+times single calls, in microseconds, on small to large check-pi groups:
+``closure_idx`` from a whole conjugacy class (as a class closure starts)
+and from two elements (as generating H does), ``product_mask``, and
+``Perm._from_array`` at the largest degree of the check-pi pool. A second
+section times the
 per-group builds on fresh groups: ``group_from_generators`` on the
 group's generators (the closure a group file's build takes); the Cayley
 table; all normal subgroups, which is the whole chief-factor DAG walked
@@ -20,7 +25,9 @@ whose lattices cost most.
 Run:  python benchmarks/bench_kernels.py
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,12 +35,13 @@ from partialpi import _kernels
 from partialpi.chiefs import _prime_power, normal_subgroups, search_chains
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import is_complemented
+from partialpi.groupfile import build_directive
 from partialpi.groups import (
     QuotientMap,
     elementary_abelian,
     group_from_generators,
 )
-from partialpi.perms import _DTYPE
+from partialpi.perms import Perm, _DTYPE
 from partialpi.structure import (
     _lattice,
     frattini,
@@ -103,6 +111,53 @@ def workloads():
             ("class reps (60+294)", classes),
             ("product sets x25", products),
             ("spin_basis x267 (F_7^4)", spins)]
+
+
+POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+        / "check-pi-pool.json")
+
+
+def per_call_us(fn, number=2000, repeat=7):
+    """Best over ``repeat`` runs of the mean microseconds of one call."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best / number * 1e6
+
+
+def kernel_calls():
+    """Per-call times: the seed of ``closure_idx`` is G's largest conjugacy
+    class (least representative on ties) or the two elements 1 and n - 1;
+    ``product_mask`` multiplies the closure of that class by <element 1>."""
+    corpus = builtin_corpus()
+    cases = [("S3", corpus.group("S3")),
+             ("D8xD8", build_directive("dp:dihedral:8xdihedral:8")),
+             ("C3^4:C4", corpus.group("C3^4:C4"))]
+    print("\nsingle kernel calls:")
+    print(f"{'group':<10}{'order':>6}{'closure class':>15}"
+          f"{'closure 2 elts':>16}{'product_mask':>14}")
+    for name, G in cases:
+        table, reps, n = G.table, G.class_reps, G.order
+        sizes = np.bincount(reps, minlength=n)
+        cls = np.flatnonzero(reps == np.argmax(sizes)).astype(_DTYPE)
+        pair = np.array([1, n - 1], dtype=_DTYPE)
+        normal = np.flatnonzero(_kernels.closure_idx(table, cls)).astype(_DTYPE)
+        cyclic = np.flatnonzero(
+            _kernels.closure_idx(table, pair[:1])).astype(_DTYPE)
+        row = [per_call_us(lambda: _kernels.closure_idx(table, cls)),
+               per_call_us(lambda: _kernels.closure_idx(table, pair)),
+               per_call_us(lambda: _kernels.product_mask(table, normal, cyclic))]
+        print(f"{name:<10}{n:>6}"
+              + "".join(f"{t:>{w}.1f}us" for t, w in zip(row, (13, 14, 12))))
+    pool = json.loads(POOL.read_text(encoding="utf-8"))["groups"]
+    name, G = max(((g["name"], build_directive(g["directive"])) for g in pool),
+                  key=lambda case: case[1].degree)
+    image = G.element_array[G.order - 1]
+    print(f"Perm._from_array at degree {G.degree} ({name}): "
+          f"{per_call_us(lambda: Perm._from_array(image), 20000):.2f}us")
 
 
 def cayley_table(G):
@@ -234,6 +289,7 @@ def main():
     print(f"{'workload':<{width}}  {'time':>10}")
     for name, seconds in rows:
         print(f"{name:<{width}}  {seconds * 1000:>8.2f}ms")
+    kernel_calls()
     group_builds()
     lattice_builds()
     soluble_routes()

@@ -8,6 +8,12 @@ element i composed-then j, ``inv[i]`` = index of the inverse, and index 0 is
 always the identity (element lists are kept lexicographically sorted and the
 identity is the lex-least permutation).
 
+A kernel call is small, so numpy's fixed cost per call is most of its time.
+No kernel calls ``np.unique`` or ``np.ix_``: element indices lie in
+``range(n)``, so a set of them is deduped by scattering into a boolean row
+of length n (``row[idx] = True``), and a block ``table[a x b]`` is indexed
+by broadcasting (``table[a[:, None], b]``).
+
 Callers reach the kernels as module attributes (``_kernels.closure_idx(...)``),
 never through ``from ._kernels import ...``, so that a tracer or a counting
 benchmark can rebind an attribute here and see every call.
@@ -22,16 +28,17 @@ BACKEND = "numpy"
 
 def closure_idx(table, gens):
     n = table.shape[0]
+    gens = np.asarray(gens, np.int32)
     member = np.zeros(n, np.bool_)
     member[0] = True
-    frontier = np.unique(np.concatenate((np.zeros(1, np.int32), gens)))
-    member[frontier] = True
-    gens = np.asarray(gens, np.int32)
+    member[gens] = True
+    frontier = member.nonzero()[0]
     while frontier.size and gens.size:
-        prods = table[np.ix_(frontier, gens)].ravel()
-        fresh = np.unique(prods[~member[prods]])
-        member[fresh] = True
-        frontier = fresh
+        fresh = np.zeros(n, np.bool_)
+        fresh[table[frontier[:, None], gens]] = True
+        fresh &= ~member
+        member |= fresh
+        frontier = fresh.nonzero()[0]
     return member
 
 
@@ -62,7 +69,7 @@ def product_mask(table, a_idx, b_idx):
     n = table.shape[0]
     out = np.zeros(n, np.bool_)
     if len(a_idx) and len(b_idx):
-        out[table[np.ix_(a_idx, b_idx)].ravel()] = True
+        out[table[a_idx[:, None], b_idx]] = True
     return out
 
 

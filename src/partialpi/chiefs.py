@@ -58,7 +58,7 @@ def _class_closures(G: Group) -> list:
     done = np.zeros(G.order, dtype=bool)
     done[0] = True
     closures = {}
-    for r in np.unique(reps):
+    for r in np.flatnonzero(reps == np.arange(G.order)):  # least of each class
         if done[r]:
             continue
         powers = [int(r)]  # powers[k - 1] = r^k, ending at the identity

@@ -35,10 +35,23 @@ from .perms import Perm, _DTYPE
 
 
 def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order, as a new contiguous array.
+
+    Sorts on a prefix of the columns, doubling its width from 8 until
+    adjacent sorted rows differ within it (then the prefix alone fixes
+    the order) or the prefix is every column.
+    """
     if len(rows) == 0:
         return rows
-    order = np.lexsort(rows[:, ::-1].T)
-    return np.ascontiguousarray(rows[order])
+    degree = rows.shape[1]
+    width = 8
+    while True:
+        width = min(width, degree)
+        ordered = rows[np.lexsort(rows[:, width - 1::-1].T)]
+        if width == degree or (ordered[1:, :width]
+                               != ordered[:-1, :width]).any(axis=1).all():
+            return np.ascontiguousarray(ordered)
+        width *= 2
 
 
 _MISSING = object()
@@ -158,8 +171,11 @@ class Group:
         ``key * degree + image`` is replaced by its rank among the
         elements' keys, so every key stays below order * degree. Each step
         is stored as a dense lookup array over all ``distinct * degree``
-        possible keys (``distinct`` counting the keys before the step), so a
-        product's key takes the same ranked steps by one gather each; the
+        possible keys (``distinct`` counting the keys before the step): the
+        running count of a boolean row with the keys the elements take
+        scattered in, so each taken key maps to its rank. A product of two
+        elements is an element, so it only ever looks up taken keys, and
+        its key takes the same ranked steps by one gather each; the
         final rank names its element. A lookup array has fewer than
         order * degree entries, no more than the element table itself. Rows
         are built in blocks of 64 from the element table's columns.
@@ -172,13 +188,14 @@ class Group:
         for b in range(degree):
             if distinct == n:
                 break
-            ranked, rank = np.unique(key * degree + elts[:, b],
-                                     return_inverse=True)
-            if len(ranked) > distinct:
-                lut = np.zeros(distinct * degree, dtype=np.int64)
-                lut[ranked] = np.arange(len(ranked))
+            wide = key * degree + elts[:, b]
+            seen = np.zeros(distinct * degree, dtype=np.bool_)
+            seen[wide] = True
+            lut = np.cumsum(seen) - 1
+            count = int(lut[-1]) + 1
+            if count > distinct:
                 steps.append((b, lut))
-                key, distinct = rank, len(ranked)
+                key, distinct = lut[wide], count
         element_of = np.empty(n, dtype=_DTYPE)
         element_of[key] = np.arange(n, dtype=_DTYPE)
         table = np.empty((n, n), dtype=_DTYPE)
@@ -464,7 +481,7 @@ class QuotientMap:
         coset_rep = table[kernel.idx, :].min(axis=0)  # least element of N*x
         reps = np.unique(coset_rep)
         cid = np.searchsorted(reps, coset_rep).astype(_DTYPE)
-        raw = cid[coset_rep[table[np.ix_(reps, reps)]]].T
+        raw = cid[coset_rep[table[reps[:, None], reps]]].T
         # position of each coset's row in the target's canonical order
         position = np.empty(len(reps), dtype=_DTYPE)
         position[np.lexsort(raw[:, ::-1].T)] = np.arange(len(reps))

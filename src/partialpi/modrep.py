@@ -197,22 +197,33 @@ class SubmoduleLattice:
         return len(self.submodules)
 
 
+def _line_vectors(p: int, k: int):
+    """One nonzero vector of F_p^k per line, the one whose first nonzero
+    coordinate is 1; a vector and its nonzero multiples spin to the same
+    submodule. Read as base-p numbers, first coordinate most significant,
+    these vectors are the codes p^j .. 2 p^j - 1 for j < k, yielded in
+    increasing order."""
+    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for j in range(k):
+        for code in range(p ** j, 2 * p ** j):
+            yield (code // weights) % p
+
+
 def _all_spins(M: FpModule) -> dict:
     """Canonical basis per cyclic submodule, keyed by subspace key."""
     p, k = M.p, M.dim
     mats = M.gens_array()
     spins = {}
-    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for code in range(1, p ** k):
-        v = (code // weights) % p
-        basis, _, nrows = _kernels.spin_basis(mats, v.astype(np.int64), p)
+    for v in _line_vectors(p, k):
+        basis, _, nrows = _kernels.spin_basis(mats, v, p)
         sub = basis[:nrows].copy()
         spins.setdefault(_subspace_key(sub), sub)
     return spins
 
 
 def submodules(M: FpModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
-    """Every invariant subspace: spin all vectors, then close under sums."""
+    """Every invariant subspace: spin one vector per line, then close
+    under sums."""
     if M.dim > caps.module_dim:
         raise ModuleCapExceeded(f"dim {M.dim} exceeds cap {caps.module_dim}")
     p = M.p
@@ -262,10 +273,8 @@ def is_irreducible(M: FpModule) -> bool:
         return False
     p, k = M.p, M.dim
     mats = M.gens_array()
-    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for code in range(1, p ** k):
-        v = (code // weights) % p
-        _, _, nrows = _kernels.spin_basis(mats, v.astype(np.int64), p)
+    for v in _line_vectors(p, k):
+        _, _, nrows = _kernels.spin_basis(mats, v, p)
         if nrows < k:
             return False
     return True

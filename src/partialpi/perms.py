@@ -32,7 +32,8 @@ class Perm:
         if degree is not None and len(arr) != degree:
             raise ValueError(f"expected degree {degree}, got {len(arr)}")
         n = len(arr)
-        if n and (arr.min() < 0 or arr.max() >= n or len(np.unique(arr)) != n):
+        if n and (arr.min() < 0 or arr.max() >= n
+                  or np.count_nonzero(np.bincount(arr, minlength=n)) != n):
             raise ValueError("images are not a bijection on {1..degree}")
         arr = arr.astype(_DTYPE, copy=True)
         arr.setflags(write=False)

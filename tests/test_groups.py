@@ -16,6 +16,7 @@ from partialpi.errors import (
 )
 from partialpi.groupfile import build_directive
 from partialpi.groups import (
+    _lex_sorted,
     alternating,
     center,
     core,
@@ -368,6 +369,23 @@ def _pool_groups():
             / "check-pi-pool.json")
     pool = json.loads(path.read_text(encoding="utf-8"))["groups"]
     return [(g["name"], build_directive(g["directive"])) for g in pool]
+
+
+def test_lex_sorted_matches_full_lexsort():
+    """The prefix sort gives the order of a lexsort on every column: on
+    shuffled rows of every check-pi pool group, and on C2 on points 9-10 at
+    degrees 10 and 20, whose rows tie on their first 8 columns."""
+    rng = np.random.default_rng(10)
+    c2s = [group_from_generators(degree, [parse_cycles("(9 10)", degree)])
+           for degree in (10, 20)]
+    for G in c2s:
+        assert (G.element_array[:, :8] == np.arange(8)).all()
+    for G in [G for _, G in _pool_groups()] + c2s:
+        rows = G.element_array[rng.permutation(G.order)]
+        expected = rows[np.lexsort(rows[:, ::-1].T)]
+        got = _lex_sorted(rows)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected), G
 
 
 def test_whole_table_matches_composed_rows():

@@ -229,6 +229,34 @@ def test_subgroup_kernels_agree(s4, f294, name):
             assert np.array_equal(kernel, reference)
 
 
+@pytest.mark.parametrize("group", ["s4", "f294"])
+def test_closure_and_product_edge_cases(request, group):
+    """The identity and repeated indices among the closure's generators, and
+    empty or repeated index sets in a product, against the loop references."""
+    G = request.getfixturevalue(group)
+    table, last = G.table, G.order - 1
+
+    def idx(*values):
+        return np.array(values, dtype=_DTYPE)
+
+    for gens in [idx(0), idx(0, 0), idx(1, 1), idx(0, 5, 5, 0, last),
+                 idx(last, last, last)]:
+        kernel, reference = (impl["closure_idx"](table, gens)
+                             for impl in _impls())
+        assert kernel.dtype == reference.dtype
+        assert np.array_equal(kernel, reference), gens
+    sub = np.flatnonzero(_closure_idx_loop(table, idx(1, 5))).astype(_DTYPE)
+    index_sets = [idx(), idx(0), idx(3, 3, 3), idx(0, last, 0, last), sub,
+                  np.concatenate((sub, sub[::-1]))]
+    for a in index_sets:
+        for b in index_sets:
+            kernel, reference = (impl["product_mask"](table, a, b)
+                                 for impl in _impls())
+            assert kernel.dtype == reference.dtype
+            assert np.array_equal(kernel, reference), (a, b)
+            assert kernel.any() == bool(len(a) and len(b))
+
+
 def test_random_generator_sets_reach_every_kind(f294):
     """The seeded F7^2:S3 sets above give 1, G and proper subgroups."""
     orders = {int(_kernels.closure_idx(f294.table, seed).sum())

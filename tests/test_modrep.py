@@ -12,9 +12,12 @@ from partialpi.errors import (
     NotNormalized,
     NotSemisimpleContext,
 )
+from partialpi import _kernels, modrep
 from partialpi.groups import subgroup_generated
 from partialpi.modrep import (
     FpModule,
+    _all_spins,
+    _subspace_key,
     are_isomorphic_modules,
     cyclicity_criterion_check,
     is_absolutely_irreducible,
@@ -289,3 +292,58 @@ J2 = np.array([[1, 1], [0, 1]])  # order 5 over F_5, not semisimple
         "constituents", "last-resort"])
 def test_isomorphism_fallbacks(V, W, expected):
     assert are_isomorphic_modules(V, W) is expected
+
+
+def _all_spins_every_vector(M):
+    """Reference for ``modrep._all_spins``: spin every nonzero vector, not
+    one per line."""
+    mats = M.gens_array()
+    spins = {}
+    for v in itertools.product(range(M.p), repeat=M.dim):
+        if any(v):
+            basis, _, nrows = _kernels.spin_basis(
+                mats, np.array(v, dtype=np.int64), M.p)
+            sub = basis[:nrows].copy()
+            spins.setdefault(_subspace_key(sub), sub)
+    return spins
+
+
+def _random_modules(p, rng, count=12):
+    """Modules of dimension 1-3 with 0-2 invertible generators; half of them
+    block upper triangular, so reducible ones come up too."""
+    modules = []
+    while len(modules) < count:
+        k = int(rng.integers(1, 4))
+        split, count_gens = int(rng.integers(1, k + 1)), int(rng.integers(0, 3))
+        gens = []
+        while len(gens) < count_gens:
+            m = rng.integers(0, p, size=(k, k)).astype(np.int64)
+            if len(modules) % 2:
+                m[split:, :split] = 0
+            if rref(m, p)[0].shape[0] == k:
+                gens.append(m)
+        modules.append(FpModule(p, k, gens))
+    return modules
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_spins_of_one_vector_per_line_match_every_vector(p, monkeypatch):
+    """Submodules, minimal submodules and irreducibility from one spun vector
+    per line equal those from every nonzero vector."""
+    kinds = set()
+    for M in _random_modules(p, np.random.default_rng(p)):
+        reference = _all_spins_every_vector(M)
+        assert _all_spins(M).keys() == reference.keys()
+        got = (submodules(M), minimal_submodules(M), is_irreducible(M))
+        with monkeypatch.context() as patch:
+            patch.setattr(modrep, "_all_spins", _all_spins_every_vector)
+            expected = (submodules(M), minimal_submodules(M))
+        for a, b in [(got[0].submodules, expected[0].submodules),
+                     (got[1], expected[1])]:
+            assert len(a) == len(b)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert got[0].irreducible == expected[0].irreducible
+        irreducible = all(s.shape[0] == M.dim for s in reference.values())
+        assert got[2] == irreducible
+        kinds.add(irreducible)
+    assert kinds == {True, False}

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from partialpi.errors import DegreeMismatch, ParseError
-from partialpi.perms import Perm, parse_cycles
+from partialpi.perms import Perm, _DTYPE, parse_cycles
 
 
 def random_perm(draw_list):
@@ -34,6 +35,15 @@ def test_bijection_required():
         Perm([1, 1, 3])
     with pytest.raises(ValueError):
         Perm([1, 2, 4])
+
+
+@pytest.mark.parametrize("images", [[0, 2, 2], [1, -1, 0], [3, 0, 1],
+                                    [0, 1, 2, 3, 4, 4]])
+def test_from_array_bijection_required(images):
+    """A repeated image, a negative image or an image >= degree."""
+    with pytest.raises(ValueError):
+        Perm._from_array(np.array(images, dtype=_DTYPE))
+    assert Perm._from_array(np.arange(len(images), dtype=_DTYPE)).is_identity()
 
 
 @given(st.permutations(list(range(1, 7))))

@@ -10,7 +10,9 @@ and from two elements (as generating H does), ``product_mask``, and
 section times the
 per-group builds on fresh groups: ``group_from_generators`` on the
 group's generators (the closure a group file's build takes); the Cayley
-table; all normal subgroups, which is the whole chief-factor DAG walked
+table; the class representatives (``Group.conjugation`` and
+``class_min_rep``, table built); the class closures (class
+representatives built); all normal subgroups, which is the whole chief-factor DAG walked
 from 1; and the first chief series that ``search_chains`` finds, which is
 the part of the DAG one single-subgroup check pays for. It ends with one
 ``QuotientMap`` per normal subgroup of a fresh ``C3^4:C4``, as the
@@ -32,14 +34,21 @@ from pathlib import Path
 import numpy as np
 
 from partialpi import _kernels
-from partialpi.chiefs import _prime_power, normal_subgroups, search_chains
+from partialpi.chiefs import (
+    _class_closures,
+    _prime_power,
+    normal_subgroups,
+    search_chains,
+)
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import is_complemented
 from partialpi.groupfile import build_directive
 from partialpi.groups import (
     QuotientMap,
+    cyclic,
     elementary_abelian,
     group_from_generators,
+    symmetric,
 )
 from partialpi.perms import Perm, _DTYPE
 from partialpi.structure import (
@@ -92,9 +101,11 @@ def workloads():
         for sub in subs60:
             _kernels.centralizer_mask(t60, sub)
 
+    c60, c294 = a5.conjugation, g294.conjugation
+
     def classes():
-        _kernels.class_min_rep(t60, i60)
-        _kernels.class_min_rep(t294, i294)
+        _kernels.class_min_rep(c60)
+        _kernels.class_min_rep(c294)
 
     def products():
         for sub in subs60:
@@ -164,6 +175,11 @@ def cayley_table(G):
     return G.table
 
 
+def class_reps(G):
+    """The conjugation rows of G's generators and the orbits they give."""
+    return G.class_reps
+
+
 def first_chief_series(G):
     """The first chief series in canonical DFS order."""
     return next(search_chains(G))
@@ -193,21 +209,28 @@ def quotient_maps(G):
 
 
 def group_builds():
-    makers = [("C2^5", lambda: elementary_abelian(2, 5)),
+    makers = [("C12", lambda: cyclic(12)),
+              ("C2^5", lambda: elementary_abelian(2, 5)),
               ("C3^4", lambda: elementary_abelian(3, 4)),
+              ("D8xD8", lambda: build_directive("dp:dihedral:8xdihedral:8")),
               ("GL(3,2)", lambda: builtin_corpus().group("GL(3,2)")),
               ("F7^2:S3", lambda: builtin_corpus().group("F7^2:S3")),
-              ("C3^4:C4", c3_4_c4)]
+              ("C3^4:C4", c3_4_c4),
+              ("S6", lambda: symmetric(6))]
     print("\nper-group builds, fresh group each:")
-    print(f"{'group':<10}{'closure':>11}{'Group.table':>14}"
-          f"{'normal_subgroups':>18}{'first series':>15}")
+    print(f"{'group':<10}{'closure':>11}{'Group.table':>14}{'class reps':>13}"
+          f"{'class closures':>16}{'normal_subgroups':>18}"
+          f"{'first series':>15}")
     for name, make in makers:
-        closed = timed_fresh(make, closure)
-        table = timed_fresh(make, cayley_table)
-        normals = timed_fresh(make, normal_subgroups, before=cayley_table)
-        series = timed_fresh(make, first_chief_series, before=cayley_table)
-        print(f"{name:<10}{closed * 1000:>9.2f}ms{table * 1000:>12.2f}ms"
-              f"{normals * 1000:>16.2f}ms{series * 1000:>13.2f}ms")
+        row = [timed_fresh(make, closure),
+               timed_fresh(make, cayley_table),
+               timed_fresh(make, class_reps, before=cayley_table),
+               timed_fresh(make, _class_closures, before=class_reps),
+               timed_fresh(make, normal_subgroups, before=cayley_table),
+               timed_fresh(make, first_chief_series, before=cayley_table)]
+        print(f"{name:<10}" + "".join(
+            f"{t * 1000:>{w}.2f}ms" for t, w in zip(row, (9, 12, 11, 14, 16,
+                                                         13))))
     G = c3_4_c4()
     seconds = timed_fresh(c3_4_c4, quotient_maps, before=normal_subgroups)
     print(f"QuotientMap over the {len(normal_subgroups(G))} normal subgroups"

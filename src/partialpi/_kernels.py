@@ -6,7 +6,10 @@ checks every one against a plain-Python loop reference.
 Conventions: a group of order n is a Cayley table ``table[i, j]`` = index of
 element i composed-then j, ``inv[i]`` = index of the inverse, and index 0 is
 always the identity (element lists are kept lexicographically sorted and the
-identity is the lex-least permutation).
+identity is the lex-least permutation). ``class_min_rep`` takes neither:
+it reads the m x n conjugation rows of G's generators
+(``Group.conjugation``), so conjugacy classes cost m gathers of length n a
+step, not an n x n gather.
 
 A kernel call is small, so numpy's fixed cost per call is most of its time.
 No kernel calls ``np.unique`` or ``np.ix_``: element indices lie in
@@ -59,10 +62,27 @@ def centralizer_mask(table, sub_idx):
     return (table[:, sub_idx] == table[sub_idx, :].T).all(axis=1)
 
 
-def class_min_rep(table, inv):
-    n = table.shape[0]
-    conj = table[table[inv], np.arange(n, dtype=np.int32)[:, None]]
-    return conj.min(axis=0).astype(np.int32)
+def class_min_rep(conj):
+    """label[x] = the least element of x's orbit under the rows of conj.
+
+    Each row of ``conj`` (m x n) is a permutation of ``range(n)``; for the
+    conjugation rows of G's generators (``Group.conjugation``) the orbits
+    are the conjugacy classes. Labels start at x. Each step lowers x's
+    label to the least of its own and its images' labels, then to the
+    label of that label. A label always lies in x's orbit and never grows.
+    Once a step changes nothing, no label exceeds its images' labels, so
+    each orbit, which the rows permute, carries one label; its least
+    element has kept its own, so that is the label.
+    """
+    label = np.arange(conj.shape[1], dtype=np.int32)
+    if not len(conj):
+        return label
+    while True:
+        new = np.minimum(label, label[conj].min(axis=0))
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
 
 
 def product_mask(table, a_idx, b_idx):

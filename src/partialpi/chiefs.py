@@ -13,12 +13,10 @@ per-factor step function rejects.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterator
 
 import numpy as np
 
-from . import _kernels
 from .config import Caps, DEFAULT_CAPS
 from .errors import NotChief, NotNormal, SeriesCapExceeded
 from .groups import Group, Subgroup, memo
@@ -49,33 +47,39 @@ def _prime_power(n: int):
 def _class_closures(G: Group) -> list:
     """The distinct normal closures of G's conjugacy classes, as index arrays.
 
-    One closure is taken per rational class: the classes of g and of g^k
-    with gcd(k, |g|) = 1 have the same closure, since each of g and g^k is a
-    power of the other. The closure of a central class {g} is <g>, the
-    powers listed for that test, so it takes no closure kernel call.
+    All come from one batched search: a boolean row per class
+    representative r (the least of each non-identity class), grown from
+    {1, r} level by level. Each level scatters the frontier's images under
+    x -> x·r and under the conjugation rows of G's generators. The least
+    set holding 1 and r and closed under both is <r^G>: a product of k
+    conjugates of r is (v·r)^g with v a product of k - 1 of them. The rows
+    lie end to end in one flat array, so that an entry's flat index less
+    its element is its row's offset. They are deduped in representative
+    order.
     """
-    table, reps = G.table, G.class_reps
-    done = np.zeros(G.order, dtype=bool)
-    done[0] = True
+    n, conj = G.order, G.conjugation
+    reps = np.flatnonzero(G.class_reps == np.arange(n))[1:]
+    right = G.table[:, reps].T.ravel()  # right[i * n + x] = x·reps[i]
+    offsets = np.arange(len(reps)) * n
+    member = np.zeros(len(reps) * n, dtype=bool)
+    member[offsets] = True
+    member[offsets + reps] = True
+    frontier = member.copy()
+    while True:
+        flat = np.flatnonzero(frontier)
+        if not flat.size:
+            break
+        xs = flat % n
+        offset = flat - xs
+        fresh = np.zeros_like(member)
+        fresh[offset + right[flat]] = True
+        fresh[offset + conj[:, xs]] = True
+        frontier = fresh > member
+        member |= frontier
     closures = {}
-    for r in np.flatnonzero(reps == np.arange(G.order)):  # least of each class
-        if done[r]:
-            continue
-        powers = [int(r)]  # powers[k - 1] = r^k, ending at the identity
-        while powers[-1]:
-            powers.append(int(table[powers[-1], r]))
-        order = len(powers)
-        for k in range(1, order):
-            if gcd(k, order) == 1:
-                done[reps[powers[k - 1]]] = True
-        cls = np.flatnonzero(reps == r)
-        if len(cls) == 1:
-            closure = np.sort(np.array(powers, dtype=np.intp))
-        else:
-            closure = np.flatnonzero(
-                _kernels.closure_idx(table, cls.astype(_DTYPE)))
-        closures.setdefault(closure.tobytes(), closure)
-    return list(closures.values())
+    for row in member.reshape(len(reps), n):
+        closures.setdefault(row.tobytes(), row)
+    return [np.flatnonzero(row) for row in closures.values()]
 
 
 @memo("closure_layout")
@@ -95,14 +99,8 @@ def _canonical(subgroups) -> list:
 
 
 def _is_normal(G: Group, N: Subgroup) -> bool:
-    """N is normal in G iff it is the union of the classes it meets: every
-    element whose class representative occurs in N lies in N."""
-    if N.ambient is not G:
-        return False
-    reps = G.class_reps
-    met = np.zeros(G.order, dtype=bool)
-    met[reps[N.idx]] = True
-    return bool(N.mask[met[reps]].all())
+    """N is a subgroup of G and normal in it."""
+    return N.ambient is G and N.is_normal()
 
 
 @memo("chief_children")
@@ -205,18 +203,10 @@ class ChiefSeries:
 
 
 def _is_central_factor(G: Group, below: Subgroup, above: Subgroup) -> bool:
-    """True iff [G, above] <= below."""
-    table, inv = G.table, G.inverses
-    below_mask = below.mask
-    gen_idx = [G.index_of(g) for g in G.generators]
-    for g in gen_idx:
-        gi = int(inv[g])
-        for a in above.idx:
-            a = int(a)
-            comm = table[table[int(inv[a]), gi], table[a, g]]
-            if not below_mask[comm]:
-                return False
-    return True
+    """True iff [G, above] <= below: every commutator a^-1 a^g of an a in
+    above and a generator g of G lies in below."""
+    a = above.idx
+    return bool(below.mask[G.table[G.inverses[a], G.conjugation[:, a]]].all())
 
 
 def classify_factor(G: Group, below: Subgroup, above: Subgroup,

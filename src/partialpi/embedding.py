@@ -9,7 +9,10 @@ Two evaluation routes exist and must agree:
 
 * the fast route stays inside G (correspondence theorem): the image of D in
   G/G_{i-1} has order |D|/|G_{i-1}| and its quotient-normalizer index equals
-  |G : N_G(D)|, so no quotient group is ever materialized;
+  |G : N_G(D)|, so no quotient group is ever materialized. Since
+  G_{i-1} <= D <= G_i and G_i/G_{i-1} is a chief factor, D is normal
+  exactly when it is G_{i-1} or G_i; at those endpoints, told apart by
+  |D| alone, the index is 1 and no normaliser is built;
 * the oracle route builds each quotient G/G_{i-1} explicitly and evaluates
   the definition verbatim (used in tests and the acceptance suite).
 
@@ -91,9 +94,15 @@ def _normalizer_order(G: Group, d_key: bytes) -> int:
 
 
 def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup) -> tuple:
-    """(|D/below|, |G : N_G(D)|) for the trace D = (H below) cap above."""
+    """(|D/below|, |G : N_G(D)|) for the trace D = (H below) cap above.
+
+    below <= D <= above, so D of the order of either is that term, which
+    is normal, and its index is 1 with no normaliser built.
+    """
     d_mask = _kernels.product_mask(G.table, H.idx, below.idx) & above.mask
     d_idx = np.flatnonzero(d_mask).astype(_DTYPE)
+    if len(d_idx) in (below.order, above.order):
+        return len(d_idx) // below.order, 1
     return (len(d_idx) // below.order,
             G.order // _normalizer_order(G, d_idx.tobytes()))
 

@@ -147,6 +147,23 @@ class Group:
             raise ElementNotInGroup(f"{perm!r} not in group")
         return idx
 
+    def indices_of(self, perms) -> np.ndarray:
+        """Indices of a few Perms in the element table, by one compare of
+        their rows with every element's, so that no element index is
+        built; ElementNotInGroup if one is absent."""
+        perms = tuple(perms)
+        for perm in perms:
+            if perm.degree != self.degree:
+                raise ElementNotInGroup(
+                    f"degree {perm.degree} != {self.degree}")
+        rows = np.array([p.array for p in perms], dtype=_DTYPE)
+        rows = rows.reshape(len(perms), 1, self.degree)
+        found, idx = (self._elts == rows).all(axis=2).nonzero()
+        if len(idx) < len(perms):
+            missing = min(set(range(len(perms))) - set(found.tolist()))
+            raise ElementNotInGroup(f"{perms[missing]!r} not in group")
+        return idx
+
     def __contains__(self, perm: Perm) -> bool:
         return (perm.degree == self.degree
                 and perm.array.tobytes() in self._key_index)
@@ -238,10 +255,27 @@ class Group:
         return orders
 
     @property
+    @memo("conjugation")
+    def conjugation(self) -> np.ndarray:
+        """conjugation[t, x] = index of x^g = g^-1 x g, for g the t-th
+        generator: one row per generator, m x order in all.
+
+        The generators generate G, so the orbits of these rows are the
+        conjugacy classes, and a set closed under them is closed under
+        conjugation by all of G. The generators are found by ``indices_of``,
+        and the inverse of each is the one 0 in its table row.
+        """
+        gens = self.indices_of(self.generators)
+        inv = (self.table[gens] == 0).nonzero()[1]
+        conj = self.table[self.table[inv], gens[:, None]]
+        conj.setflags(write=False)
+        return conj
+
+    @property
     @memo("class_reps")
     def class_reps(self) -> np.ndarray:
         """class_reps[x] = least index in the conjugacy class of x."""
-        reps = _kernels.class_min_rep(self.table, self.inverses)
+        reps = _kernels.class_min_rep(self.conjugation)
         reps.setflags(write=False)
         return reps
 
@@ -327,9 +361,12 @@ class Subgroup:
         return G.subgroup(conj)
 
     def is_normal(self) -> bool:
-        G = self.ambient
-        norm = _kernels.normalizer_mask(G.table, G.inverses, self.idx)
-        return bool(norm.all())
+        """Normal iff the union of the classes it meets: every element
+        whose class representative occurs in it lies in it."""
+        reps = self.ambient.class_reps
+        met = np.zeros(self.ambient.order, dtype=bool)
+        met[reps[self.idx]] = True
+        return bool(self.mask[met[reps]].all())
 
     def as_group(self) -> Group:
         """Standalone Group on the same points with this subgroup's elements."""
@@ -407,8 +444,7 @@ def group_from_generators(degree: int, gens, caps: Caps = DEFAULT_CAPS,
 def subgroup_generated(G: Group, perms) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
     perms = tuple(perms)
-    gens_idx = np.array([G.index_of(p) for p in perms], dtype=_DTYPE)
-    member = _kernels.closure_idx(G.table, gens_idx)
+    member = _kernels.closure_idx(G.table, G.indices_of(perms))
     return G.subgroup_from_mask(member, generators=tuple(sorted(perms)))
 
 

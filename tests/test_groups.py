@@ -97,6 +97,11 @@ def test_generators_in_elements_and_lagrange():
         for gen in g.generators:
             assert gen in g
         assert math.factorial(g.degree) % g.order == 0
+        # the row compare finds every element where the element index does
+        assert g.indices_of(g.elements).tolist() == list(range(g.order))
+        assert g.indices_of(g.generators).tolist() == \
+            [g.index_of(gen) for gen in g.generators]
+        assert g.indices_of([]).tolist() == []
 
 
 def test_subgroup_generated():
@@ -109,6 +114,8 @@ def test_subgroup_generated():
     assert c4.order == 4
     with pytest.raises(ElementNotInGroup):
         subgroup_generated(alternating(4), [parse_cycles("(1 2)", 4)])
+    with pytest.raises(ElementNotInGroup):
+        subgroup_generated(s4, [parse_cycles("(1 2)", 5)])
     # Lagrange on every generated subgroup
     for gens in [["(1 2)"], ["(1 2 3)"], ["(1 2)", "(3 4)"]]:
         H = subgroup_generated(s4, [parse_cycles(t, 4) for t in gens])

@@ -1,16 +1,19 @@
 """The numpy kernels against an independent plain-Python loop reference.
 
 Each ``_kernels.<name>`` must return exactly what its ``_<name>_loop``
-below returns on identical inputs. The loops are written element by
-element, with no vectorisation, so they share no indexing tricks with the
-kernels they check."""
+below returns on identical inputs; ``class_min_rep`` reads the conjugation
+rows of G's generators, while its loop conjugates by every element through
+the Cayley table. The loops are written element by element, with no
+vectorisation, so they share no indexing tricks with the kernels they
+check."""
 
 import numpy as np
 import pytest
 
 from partialpi import _kernels
-from partialpi.groups import symmetric, dicyclic
+from partialpi.groups import cyclic, dicyclic, symmetric, trivial_group
 from partialpi.perms import _DTYPE
+from test_groups import _high_degree_cases
 
 
 # -- loop reference ----------------------------------------------------------
@@ -265,13 +268,18 @@ def test_random_generator_sets_reach_every_kind(f294):
 
 
 def test_class_reps_agree(s4, f294):
-    # S4 has 5 conjugacy classes; F7^2:S3 has 20 (counted by Perm conjugation)
-    for G, classes in [(s4, 5), (f294, 20)]:
-        kernel, reference = (impl["class_min_rep"](G.table, G.inverses)
-                             for impl in _impls())
+    """The orbits of G's generator-conjugation rows against conjugation by
+    every element, on S4 (5 classes), F7^2:S3 (20, counted by Perm
+    conjugation), the trivial group (no generators), C12 (abelian, every
+    class a point) and the 700- and 900-point cases (orders 128 and 729)."""
+    cases = [(s4, 5), (f294, 20), (trivial_group(), 1), (cyclic(12), 12)]
+    cases += [(G, G.order) for _, G in _high_degree_cases()]
+    for G, classes in cases:
+        kernel = _kernels.class_min_rep(G.conjugation)
+        reference = _class_min_rep_loop(G.table, G.inverses)
         assert kernel.dtype == reference.dtype
-        assert np.array_equal(kernel, reference)
-        assert len(np.unique(kernel)) == classes
+        assert np.array_equal(kernel, reference), G
+        assert len(np.unique(kernel)) == classes, G
 
 
 def test_closure_matches_brute_force(s4):

@@ -10,9 +10,13 @@ against the subgroup lattice. Hypercentres and the upper p-series, read off
 G's own normal subgroups, are checked against their former definitions
 through chief chains and materialised quotients. The chief-factor DAG,
 built lazily from class closures, is checked against a scan of the normal
-subgroups the lattice filter finds, and the class-union normality test
-against the normaliser kernel. Quotient maps, built by gathers over the
-Cayley table, are checked against a loop over every element.
+subgroups the lattice filter finds. The class-union normality test is
+checked against the normaliser kernel, and so is the trace index of the
+Π-property search, which skips that kernel at the ends of a chief factor.
+Central chief factors, judged from G's generators, are checked against
+every commutator.
+Quotient maps, built by gathers over the Cayley table, are checked against
+a loop over every element.
 """
 
 import itertools
@@ -23,11 +27,17 @@ from partialpi import _kernels
 from partialpi.chiefs import (
     _chief_children,
     _is_normal,
+    all_chief_series,
+    classify_factor,
     normal_subgroups,
     search_chains,
 )
 from partialpi.config import DEFAULT_CAPS
-from partialpi.embedding import _complemented_by_lattice, is_complemented
+from partialpi.embedding import (
+    _complemented_by_lattice,
+    _trace,
+    is_complemented,
+)
 from partialpi.groups import (
     Group,
     QuotientMap,
@@ -220,10 +230,55 @@ def test_chief_dag_matches_scan(corpus):
 
 def test_class_union_normality_matches_normalizer(corpus):
     """A subgroup is normal iff it is the union of the classes it meets,
-    on every lattice subgroup of every corpus group."""
+    on every lattice subgroup of every corpus group: both normality tests
+    against a normaliser that is all of G."""
     for name, G in corpus:
         for s in all_subgroups(G).all:
-            assert _is_normal(G, s) == s.is_normal(), (name, s)
+            normal = bool(
+                _kernels.normalizer_mask(G.table, G.inverses, s.idx).all())
+            assert s.is_normal() == normal, (name, s)
+            assert _is_normal(G, s) == normal, (name, s)
+
+
+def test_trace_matches_normalizer(corpus):
+    """``_trace`` against D and |G : N_G(D)| taken directly, with the
+    normaliser kernel at every factor, endpoints included: on each factor
+    of the first 5 chief series of every corpus group, C2^5 and C3^4, for
+    H each Sylow subgroup and, on groups of order <= 48, each lattice
+    subgroup."""
+    extra = [("C2^5", elementary_abelian(2, 5)),
+             ("C3^4", elementary_abelian(3, 4))]
+    for name, G in itertools.chain(corpus, extra):
+        table, inv = G.table, G.inverses
+        hs = [sylow(G, p) for p in _prime_factors(G.order)]
+        if G.order <= 48:
+            hs += all_subgroups(G).all
+        for series in itertools.islice(all_chief_series(G), 5):
+            for below, above in zip(series.terms, series.terms[1:]):
+                for H in hs:
+                    products = table[H.idx[:, None], below.idx].ravel()
+                    d_idx = np.unique(products[above.mask[products]])
+                    normaliser = _kernels.normalizer_mask(table, inv, d_idx)
+                    expected = (len(d_idx) // below.order,
+                                G.order // int(normaliser.sum()))
+                    assert _trace(G, H, below, above) == expected, \
+                        (name, series, H)
+
+
+def test_central_factor_matches_every_commutator(corpus):
+    """A chief factor is central iff [a, g] lies below it for every a above
+    and every g in G, not only for G's generators: on each factor of the
+    first 3 chief series of every corpus group."""
+    for name, G in corpus:
+        table, inv = G.table, G.inverses
+        every = np.arange(G.order)[:, None]
+        for series in itertools.islice(all_chief_series(G), 3):
+            for below, above in zip(series.terms, series.terms[1:]):
+                a = above.idx[None, :]
+                comm = table[table[inv[a], inv[every]], table[a, every]]
+                central = bool(below.mask[comm].all())
+                factor = classify_factor(G, below, above, with_frattini=False)
+                assert factor.is_central == central, (name, series)
 
 
 def test_hypercenter_characterizes_supersolubility(corpus):

@@ -22,7 +22,13 @@ subgroup lattice on fresh groups, with its route (the layer walk of a p-group
 or the cyclic extension of any other group) and the closures it takes. A
 fourth times the soluble routes of ``frattini``, ``hall`` and
 ``is_complemented``, which build no lattice of the group, on the two groups
-whose lattices cost most.
+whose lattices cost most. A fifth times the module layer on fresh groups:
+the memoised analysis of the section P/1 under a Hall p'-complement (the
+module, its homogeneity by Schur's lemma, its constituent dimension) with
+the spins it takes, on ``C2^4:C3`` and ``C3^4:C4``; then
+``is_quaternion_free``, which counts squares on one lattice, and the lemma
+``cyclic-in-hypercenter`` at p = 2, which calls it on every normal
+2-subgroup, on ``C2^5``, ``D8xD8`` and ``Q8xQ8xC2``.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -40,6 +46,7 @@ from partialpi.chiefs import (
     normal_subgroups,
     search_chains,
 )
+from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import is_complemented
 from partialpi.groupfile import build_directive
@@ -55,9 +62,12 @@ from partialpi.structure import (
     _lattice,
     frattini,
     hall,
+    hall_complement,
+    is_quaternion_free,
     subgroups_of_order_in,
     sylow,
 )
+from partialpi.theorems import _section_constituents, run_check
 
 
 def timed(fn, repeat=3):
@@ -247,19 +257,19 @@ def index_2_of_c3_4_c4():
     return next(N for N in normal_subgroups(G) if N.order == 162).as_group()
 
 
-def closure_calls(build, G) -> int:
-    """How many closure_idx calls ``build(G)`` makes."""
-    kernel, calls = _kernels.closure_idx, 0
+def calls_of(build, G, name) -> int:
+    """How many calls of the kernel ``name`` ``build(G)`` makes."""
+    kernel, calls = getattr(_kernels, name), 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return kernel(*args)
-    _kernels.closure_idx = counted
+    setattr(_kernels, name, counted)
     try:
         build(G)
     finally:
-        _kernels.closure_idx = kernel
+        setattr(_kernels, name, kernel)
     return calls
 
 
@@ -276,7 +286,7 @@ def lattice_builds():
     for name, make in makers:
         seconds = timed_fresh(make, _lattice, before=cayley_table)
         G = make()
-        calls = closure_calls(_lattice, G)
+        calls = calls_of(_lattice, G, "closure_idx")
         route = "walk" if _prime_power(G.order) else "extension"
         print(f"{name:<10}{G.order:>6}{len(_lattice(G)):>11}{route:>11}"
               f"{calls:>10}{seconds * 1000:>10.1f}ms")
@@ -306,6 +316,45 @@ def soluble_routes():
               + "".join(f"{t * 1000:>15.1f}ms" for t in row))
 
 
+def module_layer():
+    """The section P/1 under a Hall p'-complement, analysed on fresh groups
+    with P and the complement found; then the quaternion-free test and the
+    lemma that calls it, on fresh groups with their tables built."""
+    print("\nmodule layer, fresh group each:")
+    print(f"{'group':<10}{'p':>3}{'spins':>7}{'section analysis':>19}")
+    for name, p in [("C2^4:C3", 2), ("C3^4:C4", 3)]:
+        def make():
+            return builtin_corpus().group(name)
+
+        def prepare(G):
+            return sylow(G, p), hall_complement(G, p)
+
+        def analyse(G):
+            P, H = prepare(G)
+            return _section_constituents(G, P, G.trivial_subgroup(), H, p,
+                                         DEFAULT_CAPS)
+        seconds = timed_fresh(make, analyse, before=prepare)
+        G = make()
+        prepare(G)
+        spins = calls_of(analyse, G, "spin_basis")
+        print(f"{name:<10}{p:>3}{spins:>7}{seconds * 1000:>17.2f}ms")
+
+    def hypercenter_lemma(G):
+        return run_check(G, "lemma:cyclic-in-hypercenter", {"p": 2})
+
+    makers = [("C2^5", lambda: elementary_abelian(2, 5)),
+              ("D8xD8", lambda: build_directive("dp:dihedral:8xdihedral:8")),
+              ("Q8xQ8xC2", lambda: build_directive(
+                  "dp:quaternion:8xquaternion:8xcyclic:2"))]
+    print(f"{'group':<10}{'order':>6}{'is_quaternion_free':>20}"
+          f"{'cyclic-in-hypercenter':>23}")
+    for name, make in makers:
+        row = [timed_fresh(make, is_quaternion_free, before=cayley_table),
+               timed_fresh(make, hypercenter_lemma, before=cayley_table)]
+        print(f"{name:<10}{make().order:>6}{row[0] * 1000:>18.1f}ms"
+              f"{row[1] * 1000:>21.1f}ms")
+
+
 def main():
     rows = [(name, timed(fn)) for name, fn in workloads()]
     width = max(len(name) for name, _ in rows)
@@ -316,6 +365,7 @@ def main():
     group_builds()
     lattice_builds()
     soluble_routes()
+    module_layer()
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ operation), via CLI flags, or via environment variables:
     PARTIALPI_CAP_LATTICE     max group order for subgroup-lattice enumeration (default 512)
     PARTIALPI_CAP_SERIES      max number of chief series enumerated (default 100000)
     PARTIALPI_CAP_MODULE_DIM  max module dimension for submodule enumeration (default 8)
+
+The theorem verifiers run no isomorphism test, so the iso cap bounds only
+the library call ``groups.is_isomorphic``.
 """
 
 from __future__ import annotations

@@ -612,27 +612,10 @@ def _matrix_perm(p: int, mat: np.ndarray, extra_images=None) -> Perm:
     return Perm._from_array(images)
 
 
-def _det_mod(mat: np.ndarray, p: int) -> int:
-    m = np.array(mat, dtype=np.int64) % p
-    k = m.shape[0]
-    det = 1
-    for c in range(k):
-        piv = None
-        for r in range(c, k):
-            if m[r, c] % p:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[[c, piv]] = m[[piv, c]]
-            det = -det
-        det = det * m[c, c] % p
-        inv = pow(int(m[c, c]), -1, p)
-        for r in range(c + 1, k):
-            if m[r, c]:
-                m[r] = (m[r] - m[r, c] * inv * m[c]) % p
-    return det % p
+def _singular(mat: np.ndarray, p: int) -> bool:
+    """Is the square matrix singular over F_p (rank below its size)?"""
+    from .modrep import rref  # modrep imports this module
+    return rref(mat, p)[0].shape[0] < mat.shape[0]
 
 
 def semidirect_product(p: int, k: int, mat, m: int,
@@ -646,7 +629,7 @@ def semidirect_product(p: int, k: int, mat, m: int,
     mat = np.array(mat, dtype=np.int64).reshape(k, k) % p
     if math.gcd(m, p) != 1:
         raise BadAction(f"gcd({m}, {p}) != 1")
-    if _det_mod(mat, p) == 0:
+    if _singular(mat, p):
         raise BadAction("action matrix is singular mod p")
     power = np.eye(k, dtype=np.int64)
     for _ in range(m):
@@ -668,7 +651,7 @@ def vector_action_group(p: int, k: int, mats, caps: Caps = DEFAULT_CAPS,
     """
     mats = [np.array(a, dtype=np.int64).reshape(k, k) % p for a in mats]
     for a in mats:
-        if _det_mod(a, p) == 0:
+        if _singular(a, p):
             raise BadAction("action matrix is singular mod p")
     gens = _translation_perms(p, k)
     gens += [_matrix_perm(p, a) for a in mats]
@@ -683,7 +666,7 @@ def matrix_group_on_nonzero_vectors(p: int, k: int, mats,
     vecs, weights = _vector_points(p, k)
     gens = []
     for a in mats:
-        if _det_mod(a, p) == 0:
+        if _singular(a, p):
             raise BadAction("matrix is singular mod p")
         codes = ((vecs @ a.T) % p) @ weights
         gens.append(Perm._from_array((codes[1:] - 1).astype(_DTYPE)))

@@ -4,9 +4,10 @@ Vectors are columns over F_p; a module is one invertible matrix per acting
 generator. Subspaces are represented by reduced-row-echelon bases (rows),
 which is the canonical form used for deduplication everywhere.
 
-Submodule enumeration is exhaustive spinning (close every nonzero vector
-under the action and under sums); at the configured dimension cap this is
-cheaper and more transparent than meataxe-style factorization.
+Submodule enumeration spins one nonzero vector per line, then closes the
+spins under sums; at the configured dimension cap this is cheaper and more
+transparent than meataxe-style factorization. Minimal submodules, being
+irreducible, are compared by Schur's lemma.
 """
 
 from __future__ import annotations
@@ -223,13 +224,15 @@ def _all_spins(M: FpModule) -> dict:
 
 def submodules(M: FpModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
     """Every invariant subspace: spin one vector per line, then close
-    under sums."""
+    under sums. A minimal submodule is cyclic, so it is a spin: the
+    irreducible flags are read off the minimal spins."""
     if M.dim > caps.module_dim:
         raise ModuleCapExceeded(f"dim {M.dim} exceeds cap {caps.module_dim}")
     p = M.p
     zero = np.zeros((0, M.dim), dtype=np.int64)
+    spins = _all_spins(M)
     found = {_subspace_key(zero): zero}
-    found.update(_all_spins(M))
+    found.update(spins)
     work = list(found.values())
     while work:
         a = work.pop()
@@ -242,29 +245,23 @@ def submodules(M: FpModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
                 found[key] = s
                 work.append(s)
     subs = sorted(found.values(), key=lambda s: (s.shape[0], _subspace_key(s)))
-    flags = []
-    for s in subs:
-        if s.shape[0] == 0:
-            flags.append(False)
-            continue
-        minimal = not any(
-            0 < t.shape[0] < s.shape[0] and _contains_subspace(s, t, p)
-            for t in subs)
-        flags.append(minimal)
-    return SubmoduleLattice(M, subs, flags)
+    minimal = {_subspace_key(s) for s in _minimal(spins, p)}
+    return SubmoduleLattice(M, subs, [_subspace_key(s) in minimal for s in subs])
+
+
+def _minimal(spins: dict, p: int) -> list:
+    """The spins that contain no smaller nonzero spin, in key order."""
+    subs = [spins[key] for key in sorted(spins)]
+    return [s for s in subs if not any(
+        0 < t.shape[0] < s.shape[0] and _contains_subspace(s, t, p)
+        for t in subs)]
 
 
 def minimal_submodules(M: FpModule, caps: Caps = DEFAULT_CAPS) -> list:
     """Minimal nonzero invariant subspaces (every one is a spin)."""
     if M.dim > caps.module_dim:
         raise ModuleCapExceeded(f"dim {M.dim} exceeds cap {caps.module_dim}")
-    spins = list(_all_spins(M).values())
-    out = []
-    for s in spins:
-        if not any(0 < t.shape[0] < s.shape[0]
-                   and _contains_subspace(s, t, M.p) for t in spins):
-            out.append(s)
-    return sorted(out, key=_subspace_key)
+    return _minimal(_all_spins(M), M.p)
 
 
 def is_irreducible(M: FpModule) -> bool:
@@ -322,21 +319,24 @@ def is_homogeneous(M: FpModule, caps: Caps = DEFAULT_CAPS) -> bool:
     Requires the acting image to have order coprime to p (Maschke), else
     NotSemisimpleContext.
     """
+    return homogeneous_constituents(M, caps)[0]
+
+
+def homogeneous_constituents(M: FpModule, caps: Caps = DEFAULT_CAPS):
+    """(is_homogeneous(M), the minimal submodules of M as modules). These
+    are irreducible: by Schur, two are isomorphic iff a nonzero hom joins
+    them."""
     if M.dim == 0:
-        return True
+        return True, []
     order = matrix_group_order(M.acting_gens, M.p)
     if order % M.p == 0:
         raise NotSemisimpleContext(
             f"acting image order {order} is divisible by {M.p}")
     mins = minimal_submodules(M, caps)
-    stacked, _ = rref(np.vstack(mins), M.p)
-    if stacked.shape[0] != M.dim:
-        return False  # not semisimple (cannot happen under the precondition)
-    first = restrict_to_submodule(M, mins[0])
-    for other in mins[1:]:
-        if not are_isomorphic_modules(first, restrict_to_submodule(M, other)):
-            return False
-    return True
+    constituents = [restrict_to_submodule(M, b) for b in mins]
+    semisimple = rref(np.vstack(mins), M.p)[0].shape[0] == M.dim  # by Maschke
+    return semisimple and all(module_hom_space_dim(constituents[0], c) > 0
+                              for c in constituents[1:]), constituents
 
 
 # -- homomorphism spaces --------------------------------------------------------
@@ -457,4 +457,5 @@ def cyclicity_criterion_check(H: Subgroup, V: FpModule) -> bool:
         raise HypothesisViolated(f"dimension {V.dim} is not prime")
     orders = H.ambient.element_orders[H.idx]
     cyclic = int(orders.max()) == H.order
-    return cyclic == (not is_absolutely_irreducible(V))
+    # V is irreducible, so it is absolutely irreducible iff End(V) = F_p
+    return cyclic == (module_hom_space_dim(V, V) > 1)

@@ -42,11 +42,8 @@ from .groups import (
     Group,
     Subgroup,
     derived_subgroup,
-    dicyclic,
-    is_isomorphic,
     lift_subgroup,
     memo,
-    quotient,
 )
 from .perms import _DTYPE
 
@@ -640,17 +637,32 @@ def is_quaternion_free(P: Group, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 def _quaternion_free_by_sections(P: Group, caps: Caps = DEFAULT_CAPS) -> bool:
-    """is_quaternion_free by scanning the sections of P's lattice."""
-    q8 = dicyclic(8)
-    for S in sorted(all_subgroups(P, caps).all, key=lambda s: -s.order):
-        if S.order % 8:
-            continue
-        s_group = subgroup_as_group(P, S)
-        for T in all_subgroups(s_group, caps).of_order(S.order // 8):
-            if T.is_normal() and is_isomorphic(
-                    quotient(s_group, T).target, q8, caps):
+    """is_quaternion_free by scanning the sections of P's one lattice: for
+    each T, the S of order 8|T| that contain T and normalise it."""
+    lattice = all_subgroups(P, caps)
+    for T in lattice.all:
+        above = [S.mask for S in lattice.of_order(8 * T.order) if S.contains(T)]
+        if above:
+            masks = np.stack(above)
+            norm = _kernels.normalizer_mask(P.table, P.inverses, T.idx)
+            masks = masks[~(masks & ~norm).any(axis=1)]
+            if is_q8_section(P, masks, T.mask).any():
                 return False
     return True
+
+
+def is_q8_section(G: Group, above: np.ndarray, below: np.ndarray):
+    """Is S/T isomorphic to Q8, for S each row of the masks ``above``, all
+    of order 8|T| and normalising T, the mask ``below``?
+
+    An order-8 group with a single involution is C8 or Q8, and C8 has an
+    element whose 4th power is not 1. So S/T is Q8 exactly when 2|T|
+    elements x of S have x^2 in T, and every x^4 lies in T.
+    """
+    every = np.arange(G.order)
+    square = G.table[every, every]
+    return (((above & below[square]).sum(axis=-1) == 2 * below.sum())
+            & ~(above & ~below[square[square]]).any(axis=-1))
 
 
 # -- aggregate record -----------------------------------------------------------

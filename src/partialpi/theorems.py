@@ -39,19 +39,15 @@ from .groups import (
     Group,
     Subgroup,
     centralizer,
-    dicyclic,
-    is_isomorphic,
     lift_subgroup,
     memo,
     quotient,
 )
 from .modrep import (
     cyclicity_criterion_check,
-    is_absolutely_irreducible,
-    is_homogeneous,
+    homogeneous_constituents,
     is_irreducible,
-    minimal_submodules,
-    restrict_to_submodule,
+    module_hom_space_dim,
     section_as_module,
 )
 from .structure import (
@@ -61,6 +57,7 @@ from .structure import (
     hall_complement,
     hypercenter_u,
     hypercenter_up,
+    is_q8_section,
     is_quaternion_free,
     o_p,
     o_p_prime,
@@ -213,23 +210,26 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
+@memo("section_module")
 def _section_module(G, above, below, H, p):
+    """above/below as an F_p[H]-module; None if not elementary abelian."""
     try:
         return section_as_module(G, above, below, H, p)
     except NotElementaryAbelian:
         return None
 
 
-def _homogeneous_with_dims(module, caps):
-    """(is_homogeneous, constituent dim, constituents all not abs irr)."""
-    if module is None or module.dim == 0:
+@memo("section_constituents")
+def _section_constituents(G, above, below, H, p, caps):
+    """(is_homogeneous, constituent dim k, every constituent not absolutely
+    irreducible, that is, with End of dimension > 1) for _section_module."""
+    module = _section_module(G, above, below, H, p)
+    if module is None:
         return False, 0, False
-    mins = minimal_submodules(module, caps)
-    homog = is_homogeneous(module, caps)
-    k = mins[0].shape[0] if mins else 0
-    not_absirr = all(
-        not is_absolutely_irreducible(restrict_to_submodule(module, b))
-        for b in mins) if mins else False
+    homog, constituents = homogeneous_constituents(module, caps)
+    k = constituents[0].dim if constituents else 0
+    not_absirr = bool(constituents) and all(
+        module_hom_space_dim(c, c) > 1 for c in constituents)
     return homog, k, not_absirr
 
 
@@ -279,8 +279,8 @@ def _theorem_A(G, p, d, caps, rep):
             if P.order == p * p and P in minimal_normal_subgroups(G):
                 cases.append("2")
             if P.order >= p ** 4 and _is_cyclic(H):
-                module = _section_module(G, P, G.trivial_subgroup(), H, p)
-                homog, k, _ = _homogeneous_with_dims(module, caps)
+                homog, k, _ = _section_constituents(
+                    G, P, G.trivial_subgroup(), H, p, caps)
                 if homog and k == 2:
                     cases.append("3")
                     rep.details["constituent_dim"] = k
@@ -308,8 +308,8 @@ def _theorem_B(G, p, d, caps, rep):
             cases.append("2")
         if P.order == p * p and not soluble:
             cases.append("3")
-        if p == 2 and P.order == 8 and is_isomorphic(
-                subgroup_as_group(G, P), dicyclic(8), caps):
+        if p == 2 and P.order == 8 and is_q8_section(
+                G, P.mask, G.trivial_subgroup().mask):
             cases.append("4")
         if P.order >= p ** 3:
             splits, H = _splits(G, p, caps)
@@ -320,8 +320,7 @@ def _theorem_B(G, p, d, caps, rep):
                     np.logical_and.reduce([g.mask for g in two_max])
                 inter &= P.mask
                 phi_is_meet = np.array_equal(np.flatnonzero(inter), phi.idx)
-                module = _section_module(G, P, phi, H, p)
-                homog, k, _ = _homogeneous_with_dims(module, caps)
+                homog, k, _ = _section_constituents(G, P, phi, H, p, caps)
                 rep.details["frattini_is_two_maximal_meet"] = phi_is_meet
                 if phi_is_meet and homog and k == 2:
                     cases.append("5")
@@ -342,10 +341,10 @@ def _theorem_C(G, p, d, caps, rep):
     if all(rep.hypotheses.values()):
         splits, H = _splits(G, p, caps)
         phi = _frattini_in(G, P, caps)
-        module = _section_module(G, P, phi, H, p) if splits else None
-        homog, k, not_absirr = _homogeneous_with_dims(module, caps)
+        homog, k, not_absirr = _section_constituents(
+            G, P, phi, H, p, caps) if splits else (False, 0, False)
+        m = _section_module(G, P, phi, H, p).dim if splits else 0
         n = _valuation(d, p) - _valuation(phi.order, p)
-        m = module.dim if module is not None else 0
         c1 = homog and not_absirr
         c2 = n >= k >= 2 and k > 0 and math.gcd(m, n) % k == 0
         c3 = splits and _is_cyclic(H)
@@ -533,8 +532,7 @@ def _lemma_complement_classification(G, p, d, caps, rep):
     if not all(rep.hypotheses.values()):
         return
     lhs = all_of_order_complemented(G, P, d, caps)
-    module = _section_module(G, P, G.trivial_subgroup(), H, p)
-    homog, k, _ = _homogeneous_with_dims(module, caps)
+    homog, k, _ = _section_constituents(G, P, G.trivial_subgroup(), H, p, caps)
     branch2 = (_is_cyclic(H) and homog and k > 1
                and math.gcd(_valuation(d, p), _valuation(P.order, p)) % k == 0)
     rhs = supersoluble(G) or branch2
@@ -556,18 +554,12 @@ def _lemma_cyclic_module(G, p, d, caps, rep):
     rep.hypotheses["complement_exists"] = H is not None
     rep.hypotheses["action_faithful"] = (
         H is not None and int((centralizer(G, P).mask & H.mask).sum()) == 1)
-    module = None
-    if rep.hypotheses["action_faithful"]:
-        module = _section_module(G, P, G.trivial_subgroup(), H, p)
-        rep.hypotheses["module_irreducible"] = (
-            module is not None and is_irreducible(module))
-        primes = _prime_factors(module.dim) if module is not None else []
-        rep.hypotheses["dimension_prime"] = (
-            module is not None and len(primes) == 1
-            and module.dim == primes[0])
-    else:
-        rep.hypotheses["module_irreducible"] = False
-        rep.hypotheses["dimension_prime"] = False
+    module = _section_module(G, P, G.trivial_subgroup(), H, p) \
+        if rep.hypotheses["action_faithful"] else None
+    rep.hypotheses["module_irreducible"] = (
+        module is not None and is_irreducible(module))
+    rep.hypotheses["dimension_prime"] = (
+        module is not None and _prime_factors(module.dim) == [module.dim])
     if all(rep.hypotheses.values()):
         if cyclicity_criterion_check(H, module):
             rep.conclusion_cases = ("criterion-holds",)
@@ -588,9 +580,8 @@ def _lemma_socle_homogeneous(G, p, d, caps, rep):
         quotient_cyclic = _is_cyclic(q.target.as_subgroup())
         phi_trivial = frattini(G, caps).order == 1
         socle_is_sylow = soc.order == P.order and P.contains(soc)
-        module = _section_module(G, soc, G.trivial_subgroup(),
-                                 G.as_subgroup(), p)
-        homog = module is not None and is_homogeneous(module, caps)
+        homog, _, _ = _section_constituents(
+            G, soc, G.trivial_subgroup(), G.as_subgroup(), p, caps)
         rep.details.update({
             "quotient_cyclic": quotient_cyclic, "frattini_trivial": phi_trivial,
             "socle_is_sylow": socle_is_sylow, "homogeneous": homog})
@@ -618,8 +609,8 @@ def _lemma_module_dimension(G, p, d, caps, rep):
         P.order > 1 and _is_elementary_abelian(G, P, p)
     rep.hypotheses["p_rank_above_1"] = _p_rank_above_1(G, p)
     if all(rep.hypotheses.values()):
-        module = _section_module(G, P, G.trivial_subgroup(), H, p)
-        homog, k, not_absirr = _homogeneous_with_dims(module, caps)
+        homog, k, not_absirr = _section_constituents(
+            G, P, G.trivial_subgroup(), H, p, caps)
         div = math.gcd(_valuation(d, p), _valuation(P.order, p)) % max(k, 1) == 0
         rep.details.update({"homogeneous": homog, "k": k,
                             "not_absolutely_irreducible": not_absirr,

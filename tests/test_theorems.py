@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partialpi import theorems
+from partialpi import _kernels, theorems
 from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.errors import BadParameter, UnknownLemma
@@ -290,3 +290,18 @@ def test_exhaustive_lemma_failure_branch(monkeypatch, lemma, name, p, attr,
     assert r.status == "fail" and not r.passed
     assert r.hypotheses_hold and r.conclusion_cases == ()
     assert r.details[detail] == count
+
+
+@pytest.mark.parametrize("name, spins", [("C2^4:C3", 31), ("C3^4:C4", 81)])
+def test_section_modules_spun_once(monkeypatch, name, spins):
+    """A one-group sweep analyses each section module once and compares its
+    constituents by Schur's lemma, so it spins one vector per line of each
+    module and few more: pinned on fresh groups."""
+    kernel, calls = _kernels.spin_basis, []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+    monkeypatch.setattr(_kernels, "spin_basis", counted)
+    run_corpus([(name, builtin_corpus().group(name))])
+    assert len(calls) == spins

@@ -43,6 +43,10 @@ def _prime_power(n: int):
     return ps[0] if len(ps) == 1 else None
 
 
+def _is_prime(n: int) -> bool:
+    return _prime_power(n) == n
+
+
 @memo("class_closures")
 def _class_closures(G: Group) -> list:
     """The distinct normal closures of G's conjugacy classes, as index arrays.
@@ -101,6 +105,13 @@ def _canonical(subgroups) -> list:
 def _is_normal(G: Group, N: Subgroup) -> bool:
     """N is a subgroup of G and normal in it."""
     return N.ambient is G and N.is_normal()
+
+
+def _bottom(G: Group, bottom: Subgroup | None) -> Subgroup:
+    """The first term of a walk up the DAG: 1 when None, else normal."""
+    if bottom is not None and not _is_normal(G, bottom):
+        raise NotNormal("a chain of normal subgroups starts at a normal one")
+    return G.trivial_subgroup() if bottom is None else bottom
 
 
 @memo("chief_children")
@@ -179,7 +190,7 @@ class ChiefFactor:
 
 
 class ChiefSeries:
-    """Ascending chain of normal subgroups from trivial to the whole group."""
+    """Ascending chain of normal subgroups from its first term to G."""
 
     def __init__(self, ambient: Group, terms):
         self.ambient = ambient
@@ -232,14 +243,16 @@ def classify_factor(G: Group, below: Subgroup, above: Subgroup,
 
 
 def search_chains(G: Group, step=None, through: Subgroup | None = None,
-                  caps: Caps = DEFAULT_CAPS) -> Iterator[tuple]:
+                  caps: Caps = DEFAULT_CAPS,
+                  bottom: Subgroup | None = None) -> Iterator[tuple]:
     """Stream (series, records) over chief series of G in canonical DFS order.
 
     ``step(below, above, i)`` returns the record of factor i, or None to
     prune that prefix; with no step every record is True. ``through=N``
     keeps only the series having N as a term. Each complete chain and each
     pruned prefix counts against caps.series; children dropped by the
-    through filter do not.
+    through filter do not. Chains start at ``bottom`` (1 when None), and
+    from a normal K they are the chief series of G/K, read in G.
     """
     if through is not None and not _is_normal(G, through):
         raise NotNormal("series can only pass through a normal subgroup")
@@ -268,7 +281,7 @@ def search_chains(G: Group, step=None, through: Subgroup | None = None,
                 continue
             yield from dfs(terms + [M], records + [rec])
 
-    yield from dfs([G.trivial_subgroup()], [])
+    yield from dfs([_bottom(G, bottom)], [])
 
 
 def all_chief_series(G: Group, caps: Caps = DEFAULT_CAPS) -> Iterator[ChiefSeries]:

@@ -14,12 +14,15 @@ Two evaluation routes exist and must agree:
   exactly when it is G_{i-1} or G_i; at those endpoints, told apart by
   |D| alone, the index is 1 and no normaliser is built;
 * the oracle route builds each quotient G/G_{i-1} explicitly and evaluates
-  the definition verbatim (used in tests and the acceptance suite).
+  the definition verbatim: an oracle for the tests, which no verdict uses.
 
 The fast route is a step function for ``chiefs.search_chains``: the factor
 condition depends only on (G_{i-1}, G_i, H), so the search abandons a failing
 prefix whole. The partial CAP property and ``pi_series_through`` are step
 functions for the same search.
+
+Searched from a normal N, the same step reads HN/N in G/N inside G: at
+(K, L) the trace of HN/N is (HK cap L)/N.
 """
 
 from __future__ import annotations
@@ -117,17 +120,19 @@ def _pi_step(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
 
 
 @memo("partial_pi")
-def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
+def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS,
+                         bottom: Subgroup | None = None):
     """(verdict, witness): does some chief series pass every factor check?
 
     The first witness in canonical DFS order is returned; chains explored
-    are counted against caps.series.
+    are counted against caps.series. From ``bottom`` = N normal in G it is
+    the verdict of HN/N in G/N, the witness running from N to G.
     """
     def step(below, above, i):
         rec = _pi_step(G, H, below, above, i)
         return rec if rec.passed else None
 
-    found = next(search_chains(G, step, caps=caps), None)
+    found = next(search_chains(G, step, caps=caps, bottom=bottom), None)
     return found is not None, found and PiWitness(*found)
 
 

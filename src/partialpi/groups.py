@@ -532,10 +532,6 @@ class QuotientMap:
         self.pull_idx[position] = reps
         self.pull_idx.setflags(write=False)
 
-    @property
-    def index(self) -> int:
-        return self.target.order
-
     def push(self, perm: Perm) -> Perm:
         return self.target.perm(int(self.push_idx[self.source.index_of(perm)]))
 

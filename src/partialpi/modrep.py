@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from . import _kernels
-from .chiefs import _prime_factors
+from .chiefs import _is_prime
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
     ActingGroupMismatch,
@@ -452,10 +452,13 @@ def cyclicity_criterion_check(H: Subgroup, V: FpModule) -> bool:
         raise HypothesisViolated("action is not faithful")
     if not is_irreducible(V):
         raise HypothesisViolated("module is not irreducible")
-    dim_primes = _prime_factors(V.dim)
-    if not (len(dim_primes) == 1 and V.dim == dim_primes[0]):
+    if not _is_prime(V.dim):
         raise HypothesisViolated(f"dimension {V.dim} is not prime")
-    orders = H.ambient.element_orders[H.idx]
-    cyclic = int(orders.max()) == H.order
-    # V is irreducible, so it is absolutely irreducible iff End(V) = F_p
+    return _cyclicity_criterion(H, V)
+
+
+def _cyclicity_criterion(H: Subgroup, V: FpModule) -> bool:
+    """(H cyclic) == (End(V) has dimension > 1): for an irreducible V,
+    the criterion itself, as V is absolutely irreducible iff End(V) = F_p."""
+    cyclic = int(H.ambient.element_orders[H.idx].max()) == H.order
     return cyclic == (module_hom_space_dim(V, V) > 1)

@@ -16,6 +16,11 @@ needs it: ``frattini`` intersects the cores of the maximal subgroups, read
 off the chief factors, and ``hall`` grows a maximal pi-subgroup element by
 element (P. Hall). A p-group takes Phi(P) = P'P^p. Other groups keep the
 lattice route, which the oracle tests use as reference.
+
+O_p, O_p', the upper p-series, Z_U and Z_{U_p} are one climb up G's
+chief-factor DAG, to a chief child while its factor's order passes the
+subgroup's test (``_climb``). Started at a normal K instead of 1, the
+climb gives the preimage in G of the like subgroup of G/K.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import numpy as np
 from . import _kernels
 from .chiefs import (
     ChiefSeries,
+    _bottom,
     _chief_children,
+    _is_prime,
     _prime_factors,
     _prime_power,
     all_chief_series,
@@ -48,12 +55,16 @@ from .groups import (
 from .perms import _DTYPE
 
 
-def _p_part(n: int, p: int) -> int:
-    out = 1
+def _valuation(n: int, p: int) -> int:
+    v = 0
     while n % p == 0:
-        out *= p
+        v += 1
         n //= p
-    return out
+    return v
+
+
+def _p_part(n: int, p: int) -> int:
+    return p ** _valuation(n, p)
 
 
 def _pi_part(n: int, pi) -> int:
@@ -479,27 +490,51 @@ def socle_and_minimal_normals(G: Group):
     return G.subgroup_from_mask(mask), mins
 
 
-def _largest_normal_over(G: Group, below: Subgroup, accept) -> Subgroup:
-    """The largest normal N of G containing the normal ``below`` with
-    accept(|N : below|). For a p-number or p'-number test it is unique:
-    the product of two such N is again one."""
-    best = below
-    for N in normal_subgroups(G):
-        if (N.order > best.order and N.contains(below)
-                and accept(N.order // below.order)):
-            best = N
-    return best
+# -- the climb up the chief-factor DAG ---------------------------------------
 
 
-def o_p(G: Group, p: int) -> Subgroup:
-    """Largest normal p-subgroup."""
-    return _largest_normal_over(G, G.trivial_subgroup(),
-                                lambda n: _p_part(n, p) == n)
+def _climb(G: Group, bottom: Subgroup | None, accept) -> Subgroup:
+    """The largest normal Z of G over the normal ``bottom`` (1 when None)
+    whose G-chief factors above bottom all have an order that ``accept``
+    takes: the preimage of the like subgroup of G/bottom.
+
+    The climb steps to any chief child whose factor order is accepted,
+    until none is. Every step stays inside Z (the product of two such
+    normal subgroups is again one), and below Z some chief child of the
+    current term lies in Z, whose factor is accepted by Jordan-Hoelder; so
+    the climb ends at Z whatever child it takes.
+    """
+    cur = _bottom(G, bottom)
+    while True:
+        step = next((M for M in _chief_children(G, cur)
+                     if accept(M.order // cur.order)), None)
+        if step is None:
+            return cur
+        cur = step
 
 
-def o_p_prime(G: Group, p: int) -> Subgroup:
-    """Largest normal subgroup of order coprime to p."""
-    return _largest_normal_over(G, G.trivial_subgroup(), lambda n: n % p != 0)
+def o_p(G: Group, p: int, bottom: Subgroup | None = None) -> Subgroup:
+    """Largest normal p-subgroup; from ``bottom`` = K, that of G/K."""
+    return _climb(G, bottom, lambda n: _p_part(n, p) == n)
+
+
+def o_p_prime(G: Group, p: int, bottom: Subgroup | None = None) -> Subgroup:
+    """Largest normal p'-subgroup; from ``bottom`` = K, that of G/K."""
+    return _climb(G, bottom, lambda n: n % p != 0)
+
+
+@memo("z_u")
+def hypercenter_u(G: Group, bottom: Subgroup | None = None) -> Subgroup:
+    """Z_U(G): product of all normal N whose chief factors below N all have
+    prime order; from ``bottom`` = K, that of G/K."""
+    return _climb(G, bottom, _is_prime)
+
+
+@memo("z_up")
+def hypercenter_up(G: Group, p: int, bottom: Subgroup | None = None) -> Subgroup:
+    """Z_{U_p}(G): like Z_U, also from ``bottom``, but only p-divisible
+    factors must have order p."""
+    return _climb(G, bottom, lambda n: n % p != 0 or n == p)
 
 
 # -- solubility hierarchy ------------------------------------------------------
@@ -517,42 +552,27 @@ def _is_soluble(G: Group) -> bool:
 
 @memo("p_solubility")
 def p_solubility(G: Group, p: int):
-    """(is_p_soluble, p_length).
+    """(is_p_soluble, p_length), from the upper p-series
+    1 <= O_{p'} <= O_{p',p} <= ..., which reaches G iff G is p-soluble.
 
-    p-soluble iff every chief factor is a p-group or p'-group (checked on one
-    series; Jordan-Hoelder makes it series-independent). p_length counts the
-    p-terms of the upper p-series 1 <= O_{p'} <= O_{p',p} <= ...; the value
-    is only meaningful when the group is p-soluble. Each term is read off
-    G's own normal subgroups: the preimage of O_{p'}(G/cur) is the largest
-    normal N containing cur with |N : cur| a p'-number, and likewise for
-    O_p.
+    p_length counts its p-terms, and is 0 when G is not p-soluble.
     """
-    soluble = True
-    for o in _first_series(G).factor_orders():
-        if o % p == 0 and _p_part(o, p) != o:
-            soluble = False
-            break
-    length = 0
-    if soluble:
-        cur = G.trivial_subgroup()
-        while cur.order < G.order:
-            cur = _largest_normal_over(G, cur, lambda n: n % p != 0)
-            step = _largest_normal_over(G, cur, lambda n: _p_part(n, p) == n)
-            if step.order == cur.order:
-                break
-            length += 1
-            cur = step
-    return soluble, length
+    cur, length = o_p_prime(G, p), 0
+    while cur.order < G.order:
+        step = o_p(G, p, cur)
+        if step.order == cur.order:
+            return False, 0
+        cur, length = o_p_prime(G, p, step), length + 1
+    return True, length
 
 
 def p_supersoluble(G: Group, p: int) -> bool:
     """Every chief factor of order divisible by p has order exactly p."""
-    return all(o == p for o in _first_series(G).factor_orders() if o % p == 0)
+    return hypercenter_up(G, p).order == G.order
 
 
 def supersoluble(G: Group) -> bool:
-    return all(len(_prime_factors(o)) == 1 and o == _prime_factors(o)[0]
-               for o in _first_series(G).factor_orders())
+    return hypercenter_u(G).order == G.order
 
 
 def p_rank(G: Group, p: int):
@@ -560,48 +580,8 @@ def p_rank(G: Group, p: int):
     divide |G| (the notion is undefined there). NotPSoluble otherwise."""
     if not p_solubility(G, p)[0]:
         raise NotPSoluble(f"group of order {G.order} is not {p}-soluble")
-    best = None
-    for o in _first_series(G).factor_orders():
-        if o % p == 0:
-            k = round(math.log(o, p))
-            best = k if best is None else max(best, k)
-    return best
-
-
-# -- hypercenters --------------------------------------------------------------
-
-
-def _hypercenter(G: Group, accept) -> Subgroup:
-    """The largest normal subgroup of G all of whose G-chief factors have
-    an accepted order.
-
-    The climb starts at 1 and steps to any chief child whose factor order
-    is accepted, until none is. Every step stays inside the hypercentre Z,
-    and below Z some chief child of the current term lies in Z, whose
-    factor is accepted by Jordan-Hoelder; so the climb ends at Z whatever
-    child it takes.
-    """
-    cur = G.trivial_subgroup()
-    while True:
-        step = next((M for M in _chief_children(G, cur)
-                     if accept(M.order // cur.order)), None)
-        if step is None:
-            return cur
-        cur = step
-
-
-@memo("z_u")
-def hypercenter_u(G: Group) -> Subgroup:
-    """Z_U(G): product of all normal N whose chief factors below N all have
-    prime order."""
-    return _hypercenter(
-        G, lambda o: len(_prime_factors(o)) == 1 and o == _prime_factors(o)[0])
-
-
-@memo("z_up")
-def hypercenter_up(G: Group, p: int) -> Subgroup:
-    """Z_{U_p}(G): like Z_U but only p-divisible factors must have order p."""
-    return _hypercenter(G, lambda o: o % p != 0 or o == p)
+    return max((_valuation(o, p) for o in _first_series(G).factor_orders()
+                if o % p == 0), default=None)
 
 
 # -- p-group predicates ---------------------------------------------------------

@@ -7,6 +7,10 @@ recorded as a single joint case so that pass == vacuous-or-nonempty-cases
 holds exactly. Cap violations surface as status "indeterminate", a third
 verdict state distinct from pass/fail.
 
+The verifiers build no quotient group: G/N is read as G's chief-factor
+DAG above N, so the Pi-property of HN/N is the chain search from N, and
+Z_U(G/N) and Z_{U_p}(G/N) are climbs from N to their preimages in G.
+
 Universally quantified lemma statements ("for every subgroup of order d...")
 expand to exhaustive checks over the relevant subgroup lists; the expensive
 quantifier sweeps are cached per group so theorem and lemma verifiers share
@@ -26,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .chiefs import _prime_factors, minimal_normal_subgroups, normal_subgroups
+from .chiefs import (_is_prime, _prime_factors, minimal_normal_subgroups,
+                     normal_subgroups)
 from .config import Caps, DEFAULT_CAPS
 from .embedding import (
     is_complemented,
@@ -41,10 +46,9 @@ from .groups import (
     centralizer,
     lift_subgroup,
     memo,
-    quotient,
 )
 from .modrep import (
-    cyclicity_criterion_check,
+    _cyclicity_criterion,
     homogeneous_constituents,
     is_irreducible,
     module_hom_space_dim,
@@ -52,6 +56,7 @@ from .modrep import (
 )
 from .structure import (
     _p_part,
+    _valuation,
     all_subgroups,
     frattini,
     hall_complement,
@@ -168,6 +173,16 @@ def _is_cyclic(H: Subgroup) -> bool:
     return int(H.ambient.element_orders[H.idx].max()) == H.order
 
 
+def _is_cyclic_quotient(G: Group, N: Subgroup) -> bool:
+    """G/N is cyclic: some g has no power g^k in N for 0 < k < |G : N|."""
+    every = np.arange(G.order)
+    power, alive = every, np.ones(G.order, dtype=bool)
+    for _ in range(G.order // N.order - 1):
+        alive &= ~N.mask[power]
+        power = G.table[power, every]
+    return bool(alive.any())
+
+
 def _is_elementary_abelian(G: Group, P: Subgroup, p: int) -> bool:
     orders = G.element_orders[P.idx]
     if not all(int(o) in (1, p) for o in orders):
@@ -200,14 +215,6 @@ def _subgroups_in(G: Group, P: Subgroup, caps: Caps) -> list:
     shared list that callers must not mutate."""
     return [lift_subgroup(s, G)
             for s in all_subgroups(subgroup_as_group(G, P), caps).all]
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
 
 
 @memo("section_module")
@@ -383,9 +390,7 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
         for H in _subgroups_in(G, P, caps):
             if ((H.contains(N) or math.gcd(H.order, N.order) == 1)
                     and satisfies_partial_pi(G, H, caps)[0]):
-                q = quotient(G, N)
-                yield satisfies_partial_pi(q.target, q.push_subgroup(H),
-                                           caps)[0]
+                yield satisfies_partial_pi(G, H, caps, N)[0]
 
     _tally(rep, "pairs_checked", "inherited",
            (pairs(N) for N in normal_subgroups(G)
@@ -445,8 +450,7 @@ def _lemma_cyclic_in_hypercenter(G, p, d, caps, rep):
 def _lemma_frattini_quotient_hypercenter(G, p, d, caps, rep):
     """P/Phi(P) <= Z_U(G/Phi(P)) forces P <= Z_U(G) for normal p-subgroups."""
     def premise(P0):
-        q = quotient(G, _frattini_in(G, P0, caps))
-        return hypercenter_u(q.target).contains(q.push_subgroup(P0))
+        return hypercenter_u(G, _frattini_in(G, P0, caps)).contains(P0)
 
     _tally(rep, "subgroups_checked", "contained",
            [(hypercenter_u(G).contains(P0) for P0 in normal_subgroups(G)
@@ -457,8 +461,8 @@ def _lemma_frattini_factor_hypercenter(G, p, d, caps, rep):
     """E <= Z_{U_p}(G) iff E/Phi(E) <= Z_{U_p}(G/Phi(E)), E normal, p | |E|."""
     def equivalent(E):
         lhs = hypercenter_up(G, p).contains(E)
-        q = quotient(G, _frattini_in(G, E, caps))
-        return lhs == hypercenter_up(q.target, p).contains(q.push_subgroup(E))
+        return lhs == hypercenter_up(
+            G, p, _frattini_in(G, E, caps)).contains(E)
 
     _tally(rep, "subgroups_checked", "equivalent",
            [(equivalent(E) for E in normal_subgroups(G) if E.order % p == 0)])
@@ -559,9 +563,9 @@ def _lemma_cyclic_module(G, p, d, caps, rep):
     rep.hypotheses["module_irreducible"] = (
         module is not None and is_irreducible(module))
     rep.hypotheses["dimension_prime"] = (
-        module is not None and _prime_factors(module.dim) == [module.dim])
+        module is not None and _is_prime(module.dim))
     if all(rep.hypotheses.values()):
-        if cyclicity_criterion_check(H, module):
+        if _cyclicity_criterion(H, module):
             rep.conclusion_cases = ("criterion-holds",)
 
 
@@ -576,8 +580,7 @@ def _lemma_socle_homogeneous(G, p, d, caps, rep):
         N.order == d for N in mins)
     if all(rep.hypotheses.values()):
         soc, _ = socle_and_minimal_normals(G)
-        q = quotient(G, soc)
-        quotient_cyclic = _is_cyclic(q.target.as_subgroup())
+        quotient_cyclic = _is_cyclic_quotient(G, soc)
         phi_trivial = frattini(G, caps).order == 1
         socle_is_sylow = soc.order == P.order and P.contains(soc)
         homog, _, _ = _section_constituents(

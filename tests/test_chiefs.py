@@ -11,6 +11,7 @@ from partialpi.chiefs import (
     classify_factor,
     minimal_normal_subgroups,
     normal_subgroups,
+    search_chains,
 )
 from partialpi.config import Caps
 from partialpi.corpus import BUILTIN_ENTRIES
@@ -70,6 +71,29 @@ def test_chief_series_through(groups):
     c4 = subgroup_generated(s4, [parse_cycles("(1 2 3 4)", 4)])
     with pytest.raises(NotNormal):
         list(chief_series_through(s4, c4))
+
+
+def test_bottom_must_be_normal(groups):
+    """A search or a climb starts at a normal subgroup of G: NotNormal for
+    a non-normal C4 of S4 and for a normal subgroup of another group."""
+    from partialpi.structure import hypercenter_u, o_p
+    s4 = groups["S4"]
+    c4 = subgroup_generated(s4, [parse_cycles("(1 2 3 4)", 4)])
+    elsewhere = groups["A4"].as_subgroup()
+    for bottom in (c4, elsewhere):
+        with pytest.raises(NotNormal):
+            next(search_chains(s4, bottom=bottom))
+        with pytest.raises(NotNormal):
+            satisfies_partial_pi(s4, c4, bottom=bottom)
+        with pytest.raises(NotNormal):
+            hypercenter_u(s4, bottom)
+        with pytest.raises(NotNormal):
+            o_p(s4, 2, bottom)
+    # from a normal V4 the chains are the chief series of S4/V4 = S3
+    v4 = minimal_normal_subgroups(s4)[0]
+    chains = [s for s, _ in search_chains(s4, bottom=v4)]
+    assert [s.factor_orders() for s in chains] == [(3, 2)]
+    assert chains[0].terms[0] == v4
 
 
 def test_union_of_through_equals_all(groups):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -178,6 +179,33 @@ def test_builtin_report_matches_reference(capsys, monkeypatch):
     assert rc == 0
     assert capsys.readouterr().out == REFERENCE_REPORT.read_text(
         encoding="utf-8")
+
+
+_CAPPED_REPORTS = (
+    # flags, sha256 prefix of the report, its summary line
+    (["--cap-series", "2"], "a0b40ab8502f96a3",
+     "pass=482 fail=0 vacuous=659 indeterminate=56"),
+    (["--cap-lattice", "4", "--cap-series", "5"], "b621e0a8fcbf1fbe",
+     "pass=251 fail=0 vacuous=426 indeterminate=520"),
+    (["--cap-module-dim", "1"], "8049a7f914565723",
+     "pass=472 fail=0 vacuous=687 indeterminate=38"),
+)
+
+
+@pytest.mark.parametrize("flags, digest, summary", _CAPPED_REPORTS,
+                         ids=[" ".join(c[0]) for c in _CAPPED_REPORTS])
+def test_capped_report_pinned(capsys, monkeypatch, flags, digest, summary):
+    """The structured report of the builtin sweep under tight caps, pinned
+    by its sha256 prefix and summary line: which verdicts a cap stops, and
+    how each stopped one reads. A change that alters a pinned report lists
+    the changed lines in CHANGES.md."""
+    for var in [v for v in os.environ if v.startswith("PARTIALPI_CAP_")]:
+        monkeypatch.delenv(var)
+    rc = main(["verify", "builtin", "--format", "structured", *flags])
+    out = capsys.readouterr().out
+    assert rc == 3  # indeterminate verdicts, none failed
+    assert out.splitlines()[-1] == f"#summary {summary}"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
 def test_verify_unknown_theorem(capsys):

@@ -6,9 +6,12 @@ the two lattice routes (the layer walk of p-groups and the cyclic extension
 of other groups) and the extension of normal subgroups by class closures.
 The layer walk is also compared with the cyclic extension on p-groups, and
 the soluble routes to Phi(G), Hall subgroups and complements are checked
-against the subgroup lattice. Hypercentres and the upper p-series, read off
-G's own normal subgroups, are checked against their former definitions
-through chief chains and materialised quotients. The chief-factor DAG,
+against the subgroup lattice. Hypercentres and the upper p-series, climbed
+up G's own chief-factor DAG, are checked against their former definitions
+through chief chains and materialised quotients, and O_p and O_p' against
+a scan of the normal subgroups. Read in G from a normal N, the partial
+Pi-property of HN/N, the preimages of Z_U(G/N) and Z_{U_p}(G/N) and the
+cyclicity of G/N are checked against the materialised quotient G/N. The chief-factor DAG,
 built lazily from class closures, is checked against a scan of the normal
 subgroups the lattice filter finds. The class-union normality test is
 checked against the normaliser kernel, and so is the trace index of the
@@ -43,6 +46,7 @@ from partialpi.embedding import (
     _complemented_by_lattice,
     _trace,
     is_complemented,
+    satisfies_partial_pi,
 )
 from partialpi.groups import (
     Group,
@@ -63,7 +67,13 @@ from partialpi.groups import (
     trivial_group,
     vector_action_group,
 )
-from partialpi.theorems import _section_constituents, _section_module
+from partialpi.theorems import (
+    _is_cyclic,
+    _is_cyclic_quotient,
+    _section_constituents,
+    _section_module,
+    _subgroups_in,
+)
 from partialpi.modrep import (
     are_isomorphic_modules,
     is_absolutely_irreducible,
@@ -302,11 +312,19 @@ def test_central_factor_matches_every_commutator(corpus):
 
 
 def test_hypercenter_characterizes_supersolubility(corpus):
+    """Z_U(G) = G and Z_{U_p}(G) = G, which is how supersoluble and
+    p_supersoluble answer, against the orders of the chief factors of one
+    series: all prime, and all p-divisible ones equal to p."""
     for name, G in corpus:
         if G.order > 100:
             continue
+        orders = next(all_chief_series(G)).factor_orders()
+        assert supersoluble(G) == all(
+            _prime_factors(o) == [o] for o in orders), name
         assert (hypercenter_u(G).order == G.order) == supersoluble(G), name
         for p in _prime_factors(G.order):
+            assert p_supersoluble(G, p) == all(
+                o == p for o in orders if o % p == 0), (name, p)
             assert (hypercenter_up(G, p).order == G.order) == \
                 p_supersoluble(G, p), (name, p)
 
@@ -325,10 +343,13 @@ def _hypercenter_by_chains(G, accept):
     return G.subgroup_from_mask(mask)
 
 
-def _largest_normal(G, accept):
-    best = G.trivial_subgroup()
+def _largest_normal_over(G, below, accept):
+    """The largest normal N of G containing the normal ``below`` with
+    accept(|N : below|), by a scan of every normal subgroup."""
+    best = below
     for N in normal_subgroups(G):
-        if N.order > best.order and accept(N.order):
+        if (N.order > best.order and N.contains(below)
+                and accept(N.order // below.order)):
             best = N
     return best
 
@@ -340,10 +361,12 @@ def _p_length_by_quotients(G, p):
     cur = G.trivial_subgroup()
     while cur.order < G.order:
         q = quotient(G, cur)
-        cur = q.preimage(_largest_normal(q.target, lambda n: n % p != 0))
+        cur = q.preimage(_largest_normal_over(
+            q.target, q.target.trivial_subgroup(), lambda n: n % p != 0))
         q = quotient(G, cur)
-        step = q.preimage(
-            _largest_normal(q.target, lambda n: _pi_part(n, {p}) == n))
+        step = q.preimage(_largest_normal_over(
+            q.target, q.target.trivial_subgroup(),
+            lambda n: _pi_part(n, {p}) == n))
         if step.order == cur.order:
             break
         length += 1
@@ -361,13 +384,70 @@ def test_hypercenters_and_p_series_match_former_definitions(corpus):
         for p in _prime_factors(G.order):
             expected = _hypercenter_by_chains(G, lambda o: o % p or o == p)
             assert hypercenter_up(G, p) == expected, (name, p)
-            assert o_p(G, p) == _largest_normal(
-                G, lambda n: _pi_part(n, {p}) == n), (name, p)
-            assert o_p_prime(G, p) == _largest_normal(
-                G, lambda n: n % p != 0), (name, p)
             soluble, length = p_solubility(G, p)
             if soluble:
                 assert length == _p_length_by_quotients(G, p), (name, p)
+
+
+def test_climbs_match_normal_subgroup_scan(corpus):
+    """O_p and O_p' climbed from every normal K of every corpus group (the
+    preimages of O_p(G/K) and O_p'(G/K)), against a scan of all normal
+    subgroups; and p-solubility, read off the upper p-series, against the
+    orders of the chief factors of one series."""
+    for name, G in corpus:
+        for p in _prime_factors(G.order):
+            def p_order(n):
+                return _pi_part(n, {p}) == n
+
+            def p_prime_order(n):
+                return n % p != 0
+            for K in normal_subgroups(G):
+                assert o_p(G, p, K) == _largest_normal_over(
+                    G, K, p_order), (name, p, K)
+                assert o_p_prime(G, p, K) == _largest_normal_over(
+                    G, K, p_prime_order), (name, p, K)
+            orders = next(all_chief_series(G)).factor_orders()
+            assert p_solubility(G, p)[0] == all(
+                p_order(o) or p_prime_order(o) for o in orders), (name, p)
+
+
+def test_climbs_from_K_match_quotients(corpus):
+    """Climbed from every normal K of every corpus group, the preimages of
+    Z_U(G/K) and of Z_{U_p}(G/K) for every prime p of |G|, and G/K cyclic
+    tested in G, against the same in the materialised quotient G/K."""
+    cyclic_kinds = set()
+    for name, G in corpus:
+        for K in normal_subgroups(G):
+            q = quotient(G, K)
+            assert hypercenter_u(G, K) == q.preimage(
+                hypercenter_u(q.target)), (name, K)
+            for p in _prime_factors(G.order):
+                assert hypercenter_up(G, p, K) == q.preimage(
+                    hypercenter_up(q.target, p)), (name, p, K)
+            is_cyclic = _is_cyclic(q.target.as_subgroup())
+            assert _is_cyclic_quotient(G, K) == is_cyclic, (name, K)
+            cyclic_kinds.add(is_cyclic)
+    assert cyclic_kinds == {True, False}
+
+
+def test_pi_from_N_matches_quotients(corpus):
+    """The partial Pi-property of HN/N in G/N, searched from N in G, against
+    the search in the materialised quotient G/N: for every normal
+    1 < N < G of every corpus group and every H in the lattice of a Sylow
+    subgroup, 4 024 pairs."""
+    pairs, verdicts = 0, set()
+    for name, G in corpus:
+        hs = [H for p in _prime_factors(G.order)
+              for H in _subgroups_in(G, sylow(G, p), DEFAULT_CAPS)]
+        for N in normal_subgroups(G)[1:-1]:
+            q = quotient(G, N)
+            for H in hs:
+                verdict = satisfies_partial_pi(G, H, bottom=N)[0]
+                assert verdict == satisfies_partial_pi(
+                    q.target, q.push_subgroup(H))[0], (name, N, H)
+                verdicts.add(verdict)
+                pairs += 1
+    assert pairs == 4024 and verdicts == {True, False}
 
 
 def soluble_cases(corpus):

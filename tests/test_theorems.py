@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from partialpi import _kernels, theorems
+from partialpi.chiefs import _prime_factors
 from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.errors import BadParameter, UnknownLemma
@@ -235,18 +236,24 @@ class _Everything:
         return False
 
 
+# The verifiers read a quotient G/N inside G, from the first term N: the
+# replacements below tell its calls from those on G itself by ``bottom``.
+
+
 def _pi_false_in_quotients(G, real):
-    return lambda X, H, caps=DEFAULT_CAPS: (
-        real(X, H, caps) if X is G else (False, None))
+    return lambda X, H, caps=DEFAULT_CAPS, bottom=None: (
+        real(X, H, caps) if bottom is None else (False, None))
 
 
 def _z_u_trivial_in_G(G, real):
-    return lambda X: X.trivial_subgroup() if X is G else real(X)
+    return lambda X, bottom=None: (
+        X.trivial_subgroup() if bottom is None else real(X, bottom))
 
 
 def _z_up_all_in_G(G, real):
-    return lambda X, p: (X.as_subgroup() if X is G
-                         else X.trivial_subgroup())
+    # from bottom = Phi(E), Z_{U_p} of the quotient is trivial: bottom itself
+    return lambda X, p, bottom=None: (
+        X.as_subgroup() if bottom is None else bottom)
 
 
 def _pi_only_above_order_2(G, real):
@@ -290,6 +297,29 @@ def test_exhaustive_lemma_failure_branch(monkeypatch, lemma, name, p, attr,
     assert r.status == "fail" and not r.passed
     assert r.hypotheses_hold and r.conclusion_cases == ()
     assert r.details[detail] == count
+
+
+def test_cyclicity_criterion_check_agrees_with_verifier(corpus):
+    """The verifier of cyclic-iff-not-absolutely-irreducible reads the
+    criterion without re-checking the module's hypotheses; the public
+    check, which does, gives the recorded case on every corpus instance
+    whose hypotheses hold."""
+    from partialpi.modrep import cyclicity_criterion_check
+    from partialpi.structure import hall_complement, sylow
+    checked = 0
+    for name, G in corpus:
+        for p in _prime_factors(G.order):
+            r = check_lemma(G, "cyclic-iff-not-absolutely-irreducible",
+                            {"p": p})
+            if not r.hypotheses_hold:
+                continue
+            H = hall_complement(G, p)
+            module = theorems._section_module(
+                G, sylow(G, p), G.trivial_subgroup(), H, p)
+            assert cyclicity_criterion_check(H, module) == (
+                r.conclusion_cases == ("criterion-holds",)), (name, p)
+            checked += 1
+    assert checked == 4
 
 
 @pytest.mark.parametrize("name, spins", [("C2^4:C3", 31), ("C3^4:C4", 81)])

@@ -19,16 +19,18 @@ the part of the DAG one single-subgroup check pays for. It ends with one
 theorem verifiers and the quotient oracle of a single-subgroup check build
 them. A third section times the
 subgroup lattice on fresh groups, with its route (the layer walk of a p-group
-or the cyclic extension of any other group) and the closures it takes. A
-fourth times the soluble routes of ``frattini``, ``hall`` and
-``is_complemented``, which build no lattice of the group, on the two groups
-whose lattices cost most. A fifth times the module layer on fresh groups:
+or the cyclic extension of any other group) and the closures it takes, and
+then the lattice of a Sylow subgroup P read in G's own table
+(``subgroups_in``) next to P built as a standalone group with its own
+lattice, the route it replaces. A fourth times the soluble routes of
+``frattini``, ``hall`` and ``is_complemented``, which build no lattice of
+the group, on the two groups whose lattices cost most. A fifth times the module layer on fresh groups:
 the memoised analysis of the section P/1 under a Hall p'-complement (the
 module, its homogeneity by Schur's lemma, its constituent dimension) with
 the spins it takes, on ``C2^4:C3`` and ``C3^4:C4``; then
 ``is_quaternion_free``, which counts squares on one lattice, and the lemma
-``cyclic-in-hypercenter`` at p = 2, which calls it on every normal
-2-subgroup, on ``C2^5``, ``D8xD8`` and ``Q8xQ8xC2``.
+``cyclic-in-hypercenter`` at p = 2, which runs the same test on every
+normal 2-subgroup, read in G, on ``C2^5``, ``D8xD8`` and ``Q8xQ8xC2``.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -64,6 +66,7 @@ from partialpi.structure import (
     hall,
     hall_complement,
     is_quaternion_free,
+    subgroups_in,
     subgroups_of_order_in,
     sylow,
 )
@@ -290,6 +293,23 @@ def lattice_builds():
         route = "walk" if _prime_power(G.order) else "extension"
         print(f"{name:<10}{G.order:>6}{len(_lattice(G)):>11}{route:>11}"
               f"{calls:>10}{seconds * 1000:>10.1f}ms")
+    print(f"{'Sylow P':<10}{'|P|':>6}{'|G|':>6}{'subgroups':>11}"
+          f"{'read in G':>12}{'standalone':>13}")
+    for name, p in [("C3^4:C4", 3), ("F7^2:S3", 7)]:
+        def make(name=name):
+            return builtin_corpus().group(name)
+
+        def prepare(G, p=p):
+            return sylow(G, p)
+        in_g = timed_fresh(make, lambda G: subgroups_in(G, prepare(G)),
+                           before=prepare)
+        alone = timed_fresh(make, lambda G: _lattice(prepare(G).as_group()),
+                            before=prepare)
+        G = make()
+        P = prepare(G)
+        print(f"{name:<10}{P.order:>6}{G.order:>6}"
+              f"{len(subgroups_in(G, P)):>11}{in_g * 1000:>10.1f}ms"
+              f"{alone * 1000:>11.1f}ms")
 
 
 def soluble_routes():

@@ -45,13 +45,15 @@ def closure_idx(table, gens):
     return member
 
 
-def normalizer_mask(table, inv, sub_idx):
+def normalizer_mask(table, inv, sub_idx, elements=None):
+    """out[i]: does elements[i] (range(n) when None) normalise sub_idx?"""
     n = table.shape[0]
+    elements = np.arange(n, dtype=np.int32) if elements is None else elements
+    if len(sub_idx) == 0:
+        return np.ones(len(elements), np.bool_)
     member = np.zeros(n, np.bool_)
     member[sub_idx] = True
-    if len(sub_idx) == 0:
-        return np.ones(n, np.bool_)
-    conj = table[table[inv][:, sub_idx], np.arange(n, dtype=np.int32)[:, None]]
+    conj = table[table[inv[elements]][:, sub_idx], elements[:, None]]
     return member[conj].all(axis=1)
 
 

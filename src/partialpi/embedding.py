@@ -22,7 +22,8 @@ prefix whole. The partial CAP property and ``pi_series_through`` are step
 functions for the same search.
 
 Searched from a normal N, the same step reads HN/N in G/N inside G: at
-(K, L) the trace of HN/N is (HK cap L)/N.
+(K, L) the trace of HN/N is (HK cap L)/N. Complements of a subgroup of a
+normal Sylow P are sought among P's subgroups, also read in G's table.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .structure import (
     _maximal_pi_subgroup,
     _p_part,
     all_subgroups,
-    subgroup_as_group,
+    subgroups_in,
     sylow,
 )
 
@@ -238,18 +239,15 @@ def _complemented_in_normal_sylow(G: Group, H: Subgroup, P: Subgroup,
     Sylow p-subgroup, so that its p'-subgroups are all conjugate into R.
     """
     p_prime = G.order // P.order
-    h_in_p = H.mask[P.idx]  # row i of P's group is element P.idx[i] of G
-    lattice = all_subgroups(subgroup_as_group(G, P), caps)
-    for T in lattice.of_order(P.order // H.order):
-        if h_in_p[T.idx[1:]].any():
+    for T in subgroups_in(G, P, caps).of_order(P.order // H.order):
+        if H.mask[T.idx[1:]].any():
             continue
-        t_idx = P.idx[T.idx]
-        if _normalizer_order(G, t_idx.tobytes()) % p_prime:
+        if _normalizer_order(G, T.idx.tobytes()) % p_prime:
             continue
-        norm = _kernels.normalizer_mask(G.table, G.inverses, t_idx)
+        norm = _kernels.normalizer_mask(G.table, G.inverses, T.idx)
         R = _maximal_pi_subgroup(G, _prime_factors(p_prime), norm)
         return True, G.subgroup_from_mask(_kernels.product_mask(
-            G.table, t_idx, np.flatnonzero(R).astype(_DTYPE)))
+            G.table, T.idx, np.flatnonzero(R).astype(_DTYPE)))
     return False, None
 
 

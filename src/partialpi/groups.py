@@ -107,8 +107,6 @@ class Group:
         self.name = name
         self._gens = tuple(generators)
         self._cache: dict = {}
-        # (parent, idx) when built by Subgroup.as_group: row i is parent[idx[i]]
-        self.lift_parent = None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -133,19 +131,9 @@ class Group:
             self._gens = sub.generators
         return self._gens
 
-    @property
-    @memo("key_index")
-    def _key_index(self) -> dict:
-        return {row.tobytes(): i for i, row in enumerate(self._elts)}
-
     def index_of(self, perm: Perm) -> int:
         """Index of a Perm in the element table; ElementNotInGroup if absent."""
-        if perm.degree != self.degree:
-            raise ElementNotInGroup(f"degree {perm.degree} != {self.degree}")
-        idx = self._key_index.get(perm.array.tobytes())
-        if idx is None:
-            raise ElementNotInGroup(f"{perm!r} not in group")
-        return idx
+        return int(self.indices_of((perm,))[0])
 
     def indices_of(self, perms) -> np.ndarray:
         """Indices of a few Perms in the element table, by one compare of
@@ -165,8 +153,11 @@ class Group:
         return idx
 
     def __contains__(self, perm: Perm) -> bool:
-        return (perm.degree == self.degree
-                and perm.array.tobytes() in self._key_index)
+        try:
+            self.indices_of((perm,))
+        except ElementNotInGroup:
+            return False
+        return True
 
     def perm(self, index: int) -> Perm:
         return Perm._from_array(self._elts[index])
@@ -369,12 +360,11 @@ class Subgroup:
         return bool(self.mask[met[reps]].all())
 
     def as_group(self) -> Group:
-        """Standalone Group on the same points with this subgroup's elements."""
+        """Standalone Group on the same points with this subgroup's elements;
+        both element tables are lex-sorted, so its row i is ``idx[i]``."""
         G = self.ambient
-        sub = Group(G.degree, G.element_array[self.idx],
-                    generators=self.generators)
-        sub.lift_parent = (G, self.idx)
-        return sub
+        return Group(G.degree, G.element_array[self.idx],
+                     generators=self.generators)
 
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self._key == other._key
@@ -387,16 +377,11 @@ class Subgroup:
 
 
 def lift_subgroup(sub_of_sub: Subgroup, parent: Group) -> Subgroup:
-    """Reinterpret a subgroup of S.as_group() as a subgroup of S's ambient."""
+    """A subgroup of S.as_group() read in S's ambient, by element set."""
     small = sub_of_sub.ambient
     if small is parent:
         return parent.subgroup(sub_of_sub.idx)
-    if small.lift_parent is not None and small.lift_parent[0] is parent:
-        return parent.subgroup(small.lift_parent[1][sub_of_sub.idx])
-    index = parent._key_index
-    rows = small.element_array[sub_of_sub.idx]
-    return parent.subgroup(np.array([index[r.tobytes()] for r in rows],
-                                    dtype=_DTYPE))
+    return parent.subgroup(parent.indices_of(sub_of_sub.members))
 
 
 # -- closure from generators ------------------------------------------------

@@ -172,8 +172,7 @@ def section_as_module(G: Group, above: Subgroup, below: Subgroup,
             extended[x_rep] = vec + (0,)
         assigned = extended
     mats = []
-    for h in H.generators:
-        hi = G.index_of(h)
+    for hi in G.indices_of(H.generators):
         col = []
         for b in basis_elems:
             conj = int(table[table[int(inv[hi]), b], hi])

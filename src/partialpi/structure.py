@@ -8,14 +8,17 @@ The subgroup lattice has two routes. A p-group's lattice is walked up one
 order at a time: each subgroup of order p^(j+1) is a union of p cosets of
 a normal subgroup of order p^j, so the walk takes no closure. Any other
 group's lattice comes from cyclic extension of one subgroup per conjugacy
-class; the oracle tests compare the two routes on p-groups.
+class; the oracle tests compare the two routes on p-groups. A p-subgroup
+P of G is read in G's own table, with no standalone group: its lattice
+by the same walk, Phi(P) = P'P^p, and its Q8 sections for the
+quaternion-free test.
 
 The subgroup lattice of G is the general route to Phi(G) and Hall
 subgroups. A soluble G (every chief factor of prime-power order) never
 needs it: ``frattini`` intersects the cores of the maximal subgroups, read
 off the chief factors, and ``hall`` grows a maximal pi-subgroup element by
-element (P. Hall). A p-group takes Phi(P) = P'P^p. Other groups keep the
-lattice route, which the oracle tests use as reference.
+element (P. Hall). Other groups keep the lattice route, which the oracle
+tests use as reference.
 
 O_p, O_p', the upper p-series, Z_U and Z_{U_p} are one climb up G's
 chief-factor DAG, to a chief child while its factor's order passes the
@@ -45,13 +48,7 @@ from .chiefs import (
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
-from .groups import (
-    Group,
-    Subgroup,
-    derived_subgroup,
-    lift_subgroup,
-    memo,
-)
+from .groups import Group, Subgroup, derived_subgroup, memo
 from .perms import _DTYPE
 
 
@@ -78,13 +75,12 @@ def _pi_part(n: int, pi) -> int:
 
 
 class SubgroupLattice:
-    """Every subgroup of the ambient group, conjugation-closed.
-
-    ``all`` is canonically ordered; ``normal`` is the normal sublist.
+    """Every subgroup of the ambient group, or of its p-subgroup P, in the
+    ambient's indices: ``all`` is canonically ordered and ends with the top
+    (the ambient or P), and ``normal`` is the sublist normal in the top.
     """
 
-    def __init__(self, ambient: Group, all_subs, normal_flags):
-        self.ambient = ambient
+    def __init__(self, all_subs, normal_flags):
         self.all = all_subs
         self._normal_flags = normal_flags
         self.normal = [s for s, f in zip(all_subs, normal_flags) if f]
@@ -99,8 +95,8 @@ class SubgroupLattice:
         return self._normal_flags[i]
 
     def maximal_subgroups(self) -> list:
-        """Maximal proper subgroups of the ambient group."""
-        n = self.ambient.order
+        """Maximal proper subgroups of the top."""
+        n = self.all[-1].order
         masks = np.stack([s.mask for s in self.all])
         orders = np.array([s.order for s in self.all])
         out = []
@@ -160,12 +156,28 @@ def _lattice(G: Group) -> SubgroupLattice:
     the subgroups by (order, index bytes), so they give the same lattice.
     """
     if G.order > 1 and _prime_power(G.order) is not None:
-        return _lattice_by_layers(G)
+        return _lattice_by_layers(G, G.subgroup(np.arange(G.order)))
     return _lattice_by_extension(G)
 
 
-def _lattice_by_layers(P: Group) -> SubgroupLattice:
-    """The subgroup lattice of a p-group P, one order at a time.
+@memo("subgroups_in")
+def subgroups_in(G: Group, P: Subgroup,
+                 caps: Caps = DEFAULT_CAPS) -> SubgroupLattice:
+    """Every subgroup of G inside P = G (``all_subgroups``) or a p-subgroup
+    P, walked in G's table and listed in P's own lattice order, the flags
+    meaning normal in P; LatticeCapExceeded when |P| > caps.lattice."""
+    if P.order == G.order:
+        return all_subgroups(G, caps)
+    if P.order > caps.lattice:
+        raise LatticeCapExceeded(
+            f"order {P.order} exceeds lattice cap {caps.lattice}")
+    if P.order > 1 and _prime_power(P.order) is None:
+        raise ValueError("subgroups_in expects G or a p-subgroup of G")
+    return _lattice_by_layers(G, P)
+
+
+def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
+    """The subgroups of G inside the p-subgroup P, one order at a time.
 
     Layer j holds the subgroups of order p^j. Every subgroup T of order
     p^(j+1) has a maximal subgroup S, which has index p and so is normal
@@ -176,36 +188,39 @@ def _lattice_by_layers(P: Group) -> SubgroupLattice:
     walk is complete (Holt, Eick and O'Brien, *Handbook of Computational
     Group Theory*, 2005, ch. 4). An x that lies in a cover of S found
     already gives that cover again and is skipped. The normaliser mask of
-    S also gives its normal flag; S's generators plus x generate a cover.
-    No closure is taken: a cover is the products of S with x's powers.
+    S in P (P's elements alone tested) gives its normal flag in P; S's
+    generators plus x generate a cover. No closure is taken: a cover is
+    the products of S with x's powers. Layers sort by positions in P.
     """
-    table, inv = P.table, P.inverses
-    n = P.order
-    p = _prime_power(n)
-    power = [np.zeros(n, dtype=_DTYPE), np.arange(n, dtype=_DTYPE)]
+    table, inv, elts = G.table, G.inverses, P.idx
+    p = _prime_power(P.order) or 1  # 1: P is trivial, with no cover
+    power = [np.zeros(len(elts), dtype=_DTYPE), elts]
     while len(power) <= p:
-        power.append(table[power[-1], power[1]])
-    power = np.stack(power)  # power[i, x] = x^i for 0 <= i <= p
+        power.append(table[power[-1], elts])
+    power = np.stack(power)  # power[i, j] = elts[j]^i for 0 <= i <= p
+    position = np.zeros(G.order, dtype=_DTYPE)
+    position[elts] = np.arange(len(elts), dtype=_DTYPE)
 
     subs, flags = [], []
     layer = [(np.zeros(1, dtype=_DTYPE), ())]
     while layer:  # P itself, with no cover, ends the walk
         covers: dict = {}
         for idx, gens_idx in layer:
-            norm = _kernels.normalizer_mask(table, inv, idx)
-            subs.append(P.subgroup(idx, generator_idx=gens_idx))
+            norm = _kernels.normalizer_mask(table, inv, idx, elts)
+            subs.append(G.subgroup(idx, generator_idx=gens_idx))
             flags.append(bool(norm.all()))
-            covered = np.zeros(n, dtype=bool)
+            covered = np.zeros(G.order, dtype=bool)
             covered[idx] = True
-            for x in np.flatnonzero(norm & ~covered & covered[power[p]]):
-                if covered[x]:
+            for j in np.flatnonzero(norm & ~covered[elts]
+                                    & covered[power[p]]):
+                if covered[elts[j]]:
                     continue
-                cover = np.sort(table[idx[:, None], power[:p, x]], axis=None)
+                cover = np.sort(table[idx[:, None], power[:p, j]], axis=None)
                 covered[cover] = True
-                covers.setdefault(cover.tobytes(),
-                                  (cover, gens_idx + (int(x),)))
+                covers.setdefault(position[cover].tobytes(),
+                                  (cover, gens_idx + (int(elts[j]),)))
         layer = [covers[key] for key in sorted(covers)]
-    return SubgroupLattice(P, subs, flags)
+    return SubgroupLattice(subs, flags)
 
 
 def _lattice_by_extension(G: Group) -> SubgroupLattice:
@@ -272,22 +287,13 @@ def _lattice_by_extension(G: Group) -> SubgroupLattice:
     for idx, gens_idx, normal in entries:
         subs.append(G.subgroup(idx, generator_idx=gens_idx))
         flags.append(normal)
-    return SubgroupLattice(G, subs, flags)
-
-
-@memo("as_group")
-def subgroup_as_group(G: Group, P: Subgroup) -> Group:
-    """P as a standalone Group, cached per subgroup so its own caches
-    (lattice, table, quotients) are shared across callers; G itself when P
-    is all of G."""
-    return G if P.order == G.order else P.as_group()
+    return SubgroupLattice(subs, flags)
 
 
 def subgroups_of_order_in(G: Group, P: Subgroup, order: int,
                           caps: Caps = DEFAULT_CAPS) -> list:
-    """All subgroups of G of the given order inside P (via P's own lattice)."""
-    lattice = all_subgroups(subgroup_as_group(G, P), caps)
-    return [lift_subgroup(s, G) for s in lattice.of_order(order)]
+    """All subgroups of G of the given order inside P (``subgroups_in``)."""
+    return subgroups_in(G, P, caps).of_order(order)
 
 
 def two_maximal_subgroups(G: Group, P: Subgroup,
@@ -423,10 +429,23 @@ def frattini(G: Group, caps: Caps = DEFAULT_CAPS) -> Subgroup:
         return G.as_subgroup()
     p = _prime_power(G.order)
     if p is not None:
-        return _frattini_p_group(G, p)
+        return _frattini_p_group(G, G.subgroup(np.arange(G.order)), p)
     if _is_soluble(G):
         return _frattini_soluble(G)
     return _frattini_by_lattice(G, caps)
+
+
+@memo("frattini_in")
+def _frattini_in(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS) -> Subgroup:
+    """Phi(P) for a subgroup P of G, as a subgroup of G: in G's table for a
+    p-subgroup; any other P but G is built as a standalone group (its row i
+    is P.idx[i]), as its Phi needs its own maximal subgroups."""
+    p = _prime_power(P.order)
+    if p is not None:
+        return _frattini_p_group(G, P, p)
+    if P.order == G.order:
+        return frattini(G, caps)
+    return G.subgroup(P.idx[frattini(P.as_group(), caps).idx])
 
 
 def _frattini_by_lattice(G: Group, caps: Caps) -> Subgroup:
@@ -436,14 +455,18 @@ def _frattini_by_lattice(G: Group, caps: Caps) -> Subgroup:
     return G.subgroup_from_mask(mask)
 
 
-def _frattini_p_group(P: Group, p: int) -> Subgroup:
-    """Phi(P) = P'P^p for a p-group P (Burnside's basis theorem)."""
-    n = P.order
-    power = np.arange(n, dtype=_DTYPE)
+def _frattini_p_group(G: Group, P: Subgroup, p: int) -> Subgroup:
+    """Phi(P) = P'P^p for a p-subgroup P of G (Burnside's basis theorem):
+    the closure in G's table of P's commutators and p-th powers."""
+    table, inv, elts = G.table, G.inverses, P.idx
+    seeds = np.zeros(G.order, dtype=bool)
+    seeds[table[table[inv[elts][:, None], inv[elts]],  # a^-1 b^-1 a b
+                table[elts[:, None], elts]]] = True
+    power = elts
     for _ in range(p - 1):
-        power = P.table[power, np.arange(n)]
-    seeds = np.union1d(derived_subgroup(P).idx, power).astype(_DTYPE)
-    return P.subgroup_from_mask(_kernels.closure_idx(P.table, seeds))
+        power = table[power, elts]
+    seeds[power] = True
+    return G.subgroup_from_mask(_kernels.closure_idx(table, seeds.nonzero()[0]))
 
 
 def _frattini_soluble(G: Group) -> Subgroup:
@@ -473,7 +496,7 @@ def _self_centralising(G: Group, K: Subgroup, H: Subgroup) -> bool:
     """C_G(H/K) = H for an abelian chief factor H/K."""
     table, inv = G.table, G.inverses
     cent = np.ones(G.order, dtype=bool)
-    for h in (G.index_of(x) for x in H.generators):
+    for h in G.indices_of(H.generators):
         # [h, g] = h^-1 g^-1 h g for every g
         cent &= K.mask[table[table[inv[h], inv], table[h]]]
     return int(cent.sum()) == H.order
@@ -604,29 +627,37 @@ def omega(P: Group, p: int, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     return P.subgroup_from_mask(mask)
 
 
-@memo("quaternion_free")
 def is_quaternion_free(P: Group, caps: Caps = DEFAULT_CAPS) -> bool:
-    """No section S/T of P (T normal in S) isomorphic to Q8.
+    """No section S/T of P (T normal in S) isomorphic to Q8."""
+    return _quaternion_free_in(P, P.subgroup(np.arange(P.order)), caps)
+
+
+@memo("quaternion_free_in")
+def _quaternion_free_in(G: Group, P: Subgroup,
+                        caps: Caps = DEFAULT_CAPS) -> bool:
+    """is_quaternion_free for P = G or a p-subgroup P of G, read in G.
 
     A Q8 section has order exactly 8, so only |S:T| = 8 pairs are scanned,
     and an abelian P, whose sections are all abelian, has none.
     """
-    if P.order % 8 or np.array_equal(P.table, P.table.T):
+    if (P.order % 8
+            or _kernels.centralizer_mask(G.table, P.idx)[P.idx].all()):
         return True
-    return _quaternion_free_by_sections(P, caps)
+    return _quaternion_free_by_sections(G, P, caps)
 
 
-def _quaternion_free_by_sections(P: Group, caps: Caps = DEFAULT_CAPS) -> bool:
+def _quaternion_free_by_sections(G: Group, P: Subgroup,
+                                 caps: Caps = DEFAULT_CAPS) -> bool:
     """is_quaternion_free by scanning the sections of P's one lattice: for
     each T, the S of order 8|T| that contain T and normalise it."""
-    lattice = all_subgroups(P, caps)
+    lattice = subgroups_in(G, P, caps)
     for T in lattice.all:
         above = [S.mask for S in lattice.of_order(8 * T.order) if S.contains(T)]
         if above:
             masks = np.stack(above)
-            norm = _kernels.normalizer_mask(P.table, P.inverses, T.idx)
-            masks = masks[~(masks & ~norm).any(axis=1)]
-            if is_q8_section(P, masks, T.mask).any():
+            norm = _kernels.normalizer_mask(G.table, G.inverses, T.idx, P.idx)
+            masks = masks[~(masks[:, P.idx] & ~norm).any(axis=1)]
+            if is_q8_section(G, masks, T.mask).any():
                 return False
     return True
 

@@ -9,7 +9,10 @@ verdict state distinct from pass/fail.
 
 The verifiers build no quotient group: G/N is read as G's chief-factor
 DAG above N, so the Pi-property of HN/N is the chain search from N, and
-Z_U(G/N) and Z_{U_p}(G/N) are climbs from N to their preimages in G.
+Z_U(G/N) and Z_{U_p}(G/N) are climbs from N to their preimages in G. Nor
+do they build a subgroup as a group of its own, but for Phi(E) of a normal
+E that is not a p-group: a p-subgroup's lattice, Phi and Q8 sections are
+read in G's table (``structure.subgroups_in``).
 
 Universally quantified lemma statements ("for every subgroup of order d...")
 expand to exhaustive checks over the relevant subgroup lists; the expensive
@@ -40,13 +43,7 @@ from .embedding import (
     satisfies_partial_pi,
 )
 from .errors import BadParameter, CapExceeded, NotElementaryAbelian, UnknownLemma
-from .groups import (
-    Group,
-    Subgroup,
-    centralizer,
-    lift_subgroup,
-    memo,
-)
+from .groups import Group, Subgroup, centralizer, memo
 from .modrep import (
     _cyclicity_criterion,
     homogeneous_constituents,
@@ -55,22 +52,22 @@ from .modrep import (
     section_as_module,
 )
 from .structure import (
+    _frattini_in,
     _p_part,
+    _quaternion_free_in,
     _valuation,
-    all_subgroups,
     frattini,
     hall_complement,
     hypercenter_u,
     hypercenter_up,
     is_q8_section,
-    is_quaternion_free,
     o_p,
     o_p_prime,
     p_rank,
     p_solubility,
     p_supersoluble,
     socle_and_minimal_normals,
-    subgroup_as_group,
+    subgroups_in,
     subgroups_of_order_in,
     supersoluble,
     sylow,
@@ -158,7 +155,7 @@ def _order_d_hypotheses(G: Group, P: Subgroup, d: int, caps: Caps,
         name: P.order == 1 or all_of_order_satisfy_pi(G, P, d, caps),
         "cyclic_4_subgroups_pi": (
             d != 2 or P.order == 1
-            or is_quaternion_free(subgroup_as_group(G, P), caps)
+            or _quaternion_free_in(G, P, caps)
             or cyclic_order4_satisfy_pi(G, P, caps)),
     }
 
@@ -202,19 +199,6 @@ def _splits(G: Group, p: int, caps: Caps):
         return False, None
     H = hall_complement(G, p, caps)
     return (H is not None), H
-
-
-def _frattini_in(G: Group, P: Subgroup, caps: Caps) -> Subgroup:
-    """Phi(P) for a subgroup P of G, as a subgroup of G."""
-    return lift_subgroup(frattini(subgroup_as_group(G, P), caps), G)
-
-
-@memo("subgroups_in")
-def _subgroups_in(G: Group, P: Subgroup, caps: Caps) -> list:
-    """Every subgroup of G inside P, in P's lattice order (by order): a
-    shared list that callers must not mutate."""
-    return [lift_subgroup(s, G)
-            for s in all_subgroups(subgroup_as_group(G, P), caps).all]
 
 
 @memo("section_module")
@@ -387,7 +371,7 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
     P = sylow(G, p)
 
     def pairs(N):
-        for H in _subgroups_in(G, P, caps):
+        for H in subgroups_in(G, P, caps).all:
             if ((H.contains(N) or math.gcd(H.order, N.order) == 1)
                     and satisfies_partial_pi(G, H, caps)[0]):
                 yield satisfies_partial_pi(G, H, caps, N)[0]
@@ -401,8 +385,9 @@ def _lemma_series_through(G, p, d, caps, rep):
     """Every p-subgroup H of a normal N that has the property admits a chief
     series through N with p-number normalizer indices at every factor."""
     def pairs(N):
-        syl = lift_subgroup(sylow(subgroup_as_group(G, N), p), G)
-        for H in _subgroups_in(G, syl, caps):
+        # a Sylow subgroup of N; conjugates in G give the same verdicts
+        syl = G.subgroup_from_mask(sylow(G, p).mask & N.mask)
+        for H in subgroups_in(G, syl, caps).all:
             if satisfies_partial_pi(G, H, caps)[0]:
                 yield pi_series_through(G, H, N, p, caps)[0]
 
@@ -439,7 +424,7 @@ def _lemma_cyclic_in_hypercenter(G, p, d, caps, rep):
     def premise(P0):
         orders = G.element_orders[P0.idx]
         return z_u.mask[P0.idx[orders == p]].all() and (
-            p != 2 or is_quaternion_free(subgroup_as_group(G, P0), caps)
+            p != 2 or _quaternion_free_in(G, P0, caps)
             or z_u.mask[P0.idx[orders == 4]].all())
 
     _tally(rep, "subgroups_checked", "contained",
@@ -514,7 +499,7 @@ def _lemma_pi_iff_complemented(G, p, d, caps, rep):
     rep.hypotheses["sylow_elementary_abelian"] = \
         P.order > 1 and _is_elementary_abelian(G, P, p)
     if all(rep.hypotheses.values()):
-        subs = _subgroups_in(G, P, caps)
+        subs = subgroups_in(G, P, caps).all
         rep.details["subgroups_checked"] = len(subs)
         if all([satisfies_partial_pi(G, H, caps)[0]
                 == is_complemented(G, H, caps)[0] for H in subs]):

@@ -17,7 +17,7 @@ from partialpi.embedding import (
     satisfies_partial_pi,
     satisfies_partial_pi_by_quotients,
 )
-from partialpi.groups import alternating, lift_subgroup, subgroup_generated, symmetric
+from partialpi.groups import alternating, subgroup_generated, symmetric
 from partialpi.modrep import (
     FpModule,
     cyclicity_criterion_check,
@@ -31,7 +31,7 @@ from partialpi.structure import (
     all_subgroups,
     frattini,
     o_p,
-    subgroup_as_group,
+    subgroups_in,
     subgroups_of_order_in,
     sylow,
 )
@@ -81,9 +81,7 @@ def test_criterion_2_route_equivalence():
             continue
         for p in _prime_factors(G.order):
             P = sylow(G, p)
-            lattice = all_subgroups(subgroup_as_group(G, P))
-            for s in lattice.all:
-                H = lift_subgroup(s, G)
+            for H in subgroups_in(G, P).all:
                 pairs += 1
                 assert satisfies_partial_pi(G, H)[0] == \
                     satisfies_partial_pi_by_quotients(G, H)[0], (name, p)
@@ -94,7 +92,7 @@ def test_criterion_2_route_equivalence():
                         assert (a.intersection_order, a.normalizer_index,
                                 a.passed) == (b.intersection_order,
                                               b.normalizer_index, b.passed), \
-                            (name, p, s.order)
+                            (name, p, H.order)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _report(2, f"route equivalence on {pairs} subgroup evaluations, "
@@ -167,7 +165,7 @@ def test_criterion_6_theorem_B(corpus):
 def test_criterion_7_theorem_C(corpus):
     G = corpus.group("C2^4:C3")
     P = sylow(G, 2)
-    phi = frattini(subgroup_as_group(G, P))
+    phi = frattini(P.as_group())
     assert phi.order == 1
     rep = check_theorem_C(G, 2, 4, group_name="C2^4:C3")
     assert rep.status == "pass" and rep.conclusion_cases == ("1+2+3",)

@@ -15,13 +15,17 @@ from partialpi.embedding import (
 )
 from partialpi.config import Caps
 from partialpi.errors import HypothesisViolated, SeriesCapExceeded
-from partialpi.groups import cyclic, quotient, subgroup_generated, symmetric
+from partialpi.groups import (
+    cyclic,
+    lift_subgroup,
+    quotient,
+    subgroup_generated,
+    symmetric,
+)
 from partialpi.perms import parse_cycles
 from partialpi.structure import (
     _p_part,
-    all_subgroups,
-    lift_subgroup,
-    subgroup_as_group,
+    subgroups_in,
     subgroups_of_order_in,
     sylow,
     two_maximal_subgroups,
@@ -83,8 +87,7 @@ def test_normal_subgroup_satisfies(groups):
     sl = groups["SL(2,3)"]
     z = sylow(sl, 2)
     from partialpi.groups import center
-    zc = lift_subgroup(center(subgroup_as_group(sl, z)).ambient.subgroup(
-        center(subgroup_as_group(sl, z)).idx), sl)
+    zc = lift_subgroup(center(z.as_group()), sl)
     assert zc.order == 2
     assert satisfies_partial_pi(sl, zc)[0]
     for name in ("S4", "A4", "SL(2,3)"):
@@ -194,8 +197,7 @@ def test_lemma_over_property(corpus):
             continue
         for p in _prime_factors(G.order):
             P = sylow(G, p)
-            subs = [lift_subgroup(s, G)
-                    for s in all_subgroups(subgroup_as_group(G, P)).all]
+            subs = subgroups_in(G, P).all
             for N in normal_subgroups(G):
                 if N.order == G.order:
                     continue

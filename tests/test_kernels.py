@@ -43,20 +43,22 @@ def _closure_idx_loop(table, gens):
     return member
 
 
-def _normalizer_mask_loop(table, inv, sub_idx):
+def _normalizer_mask_loop(table, inv, sub_idx, elements=None):
     n = table.shape[0]
+    if elements is None:
+        elements = range(n)
     member = np.zeros(n, np.bool_)
     for s in sub_idx:
         member[s] = True
-    out = np.zeros(n, np.bool_)
-    for g in range(n):
+    out = np.zeros(len(elements), np.bool_)
+    for i, g in enumerate(elements):
         gi = inv[g]
         ok = True
         for s in sub_idx:
             if not member[table[table[gi, s], g]]:
                 ok = False
                 break
-        out[g] = ok
+        out[i] = ok
     return out
 
 
@@ -230,6 +232,15 @@ def test_subgroup_kernels_agree(s4, f294, name):
             kernel, reference = results
             assert kernel.dtype == reference.dtype
             assert np.array_equal(kernel, reference)
+            if name == "normalizer_mask":
+                # only the elements of a subgroup tested, as N_P(S) is
+                within = np.flatnonzero(
+                    _kernels.closure_idx(table, seed[:1])).astype(_DTYPE)
+                kernel, reference = (impl[name](table, inv, sub, within)
+                                     for impl in _impls())
+                assert kernel.dtype == reference.dtype
+                assert np.array_equal(kernel, reference)
+                assert np.array_equal(kernel, results[0][within])
 
 
 @pytest.mark.parametrize("group", ["s4", "f294"])

@@ -22,7 +22,9 @@ Quotient maps, built by gathers over the Cayley table, are checked against
 a loop over every element.
 Quaternion-freeness, read off one lattice by counting squares, is checked
 against a scan of nested lattices and quotients with the general
-isomorphism test. The memoised analysis of a section module, which compares
+isomorphism test. The lattice, Phi and quaternion-freeness of a
+p-subgroup P, read in G's own table, are checked against P as a
+standalone group. The memoised analysis of a section module, which compares
 constituents by Schur's lemma, is checked against module isomorphism and
 absolute irreducibility tested separately.
 """
@@ -72,7 +74,6 @@ from partialpi.theorems import (
     _is_cyclic_quotient,
     _section_constituents,
     _section_module,
-    _subgroups_in,
 )
 from partialpi.modrep import (
     are_isomorphic_modules,
@@ -83,6 +84,7 @@ from partialpi.modrep import (
 )
 from partialpi.structure import (
     _frattini_by_lattice,
+    _frattini_in,
     _frattini_soluble,
     _hall_by_lattice,
     _hall_soluble,
@@ -91,6 +93,7 @@ from partialpi.structure import (
     _lattice_by_layers,
     _pi_part,
     _quaternion_free_by_sections,
+    _quaternion_free_in,
     all_subgroups,
     frattini,
     hall,
@@ -103,7 +106,7 @@ from partialpi.structure import (
     o_p_prime,
     p_solubility,
     p_supersoluble,
-    subgroup_as_group,
+    subgroups_in,
     subgroups_of_order_in,
     supersoluble,
     sylow,
@@ -170,9 +173,10 @@ def test_layer_walk_matches_extension(corpus):
         for p in _prime_factors(G.order):
             P = sylow(G, p)
             if P.order > p:
-                cases.append((f"{name} sylow {p}", subgroup_as_group(G, P)))
+                cases.append((f"{name} sylow {p}", P.as_group()))
     for name, P in cases:
-        walk, extension = _lattice_by_layers(P), _lattice_by_extension(P)
+        walk = _lattice_by_layers(P, P.subgroup(np.arange(P.order)))
+        extension = _lattice_by_extension(P)
         assert [s.idx.tobytes() for s in walk.all] == \
             [s.idx.tobytes() for s in extension.all], name
         assert walk._normal_flags == extension._normal_flags, name
@@ -180,6 +184,52 @@ def test_layer_walk_matches_extension(corpus):
             gens = np.array(s._gens_idx, dtype=_DTYPE)
             closed = _kernels.closure_idx(P.table, gens)
             assert np.array_equal(np.flatnonzero(closed), s.idx), name
+
+
+def p_subgroup_cases(corpus):
+    """(name, G, P) for every corpus group and prime p, then D8 x D8, Q8 x C4
+    and Q16 x C2: P ranges over the Sylow p-subgroup, every normal
+    p-subgroup and every Sylow p-subgroup of a normal N read as
+    sylow(G, p) cap N."""
+    extra = [("D8xD8", direct_product(dihedral(8), dihedral(8))),
+             ("Q8xC4", direct_product(dicyclic(8), cyclic(4))),
+             ("Q16xC2", direct_product(dicyclic(16), cyclic(2)))]
+    for name, G in itertools.chain(corpus, extra):
+        for p in _prime_factors(G.order):
+            S = sylow(G, p)
+            cases = {S}
+            for N in normal_subgroups(G):
+                if N.order > 1 and _prime_factors(N.order) == [p]:
+                    cases.add(N)
+                if N.order % p == 0:
+                    cases.add(G.subgroup_from_mask(S.mask & N.mask))
+            for P in sorted(cases, key=lambda P: (P.order, P.idx.tobytes())):
+                yield f"{name} p={p} order {P.order}", G, P
+
+
+def test_p_subgroups_read_in_g_match_standalone(corpus):
+    """The lattice, Phi and quaternion-freeness of a p-subgroup P, read in
+    G's own table, against P as a standalone group, each subgroup lifted
+    by element set: the same subgroups in the same order, with the same
+    normal flags (normal in P), as the standalone lattice and as its cyclic
+    extension, which shares no code with the layer walk."""
+    count = 0
+    for name, G, P in p_subgroup_cases(corpus):
+        alone = P.as_group()
+        to_g = G.indices_of(alone.elements).astype(_DTYPE)
+
+        def lifted(S):
+            return np.sort(to_g[S.idx]).tobytes()
+        got = subgroups_in(G, P)
+        for expected in (all_subgroups(alone), _lattice_by_extension(alone)):
+            assert [lifted(S) for S in expected.all] == \
+                [S.idx.tobytes() for S in got.all], name
+            assert expected._normal_flags == got._normal_flags, name
+        assert lifted(frattini(alone)) == _frattini_in(G, P).idx.tobytes(), \
+            name
+        assert is_quaternion_free(alone) == _quaternion_free_in(G, P), name
+        count += 1
+    assert count == 282
 
 
 def test_lattice_class_counts(groups):
@@ -438,7 +488,7 @@ def test_pi_from_N_matches_quotients(corpus):
     pairs, verdicts = 0, set()
     for name, G in corpus:
         hs = [H for p in _prime_factors(G.order)
-              for H in _subgroups_in(G, sylow(G, p), DEFAULT_CAPS)]
+              for H in subgroups_in(G, sylow(G, p)).all]
         for N in normal_subgroups(G)[1:-1]:
             q = quotient(G, N)
             for H in hs:
@@ -462,11 +512,11 @@ def soluble_cases(corpus):
             continue
         yield name, G
         for N in normal_subgroups(G)[1:-1]:
-            yield f"{name} normal {N.order}", subgroup_as_group(G, N)
+            yield f"{name} normal {N.order}", N.as_group()
         for p in _prime_factors(G.order):
             P = sylow(G, p)
             if P.order < G.order:
-                yield f"{name} sylow {p}", subgroup_as_group(G, P)
+                yield f"{name} sylow {p}", P.as_group()
 
 
 def test_soluble_frattini_matches_lattice(corpus):
@@ -581,7 +631,7 @@ def _quaternion_free_by_quotients(P):
     for S in all_subgroups(P).all:
         if S.order % 8:
             continue
-        s_group = subgroup_as_group(P, S)
+        s_group = S.as_group()
         for T in all_subgroups(s_group).of_order(S.order // 8):
             if T.is_normal() and is_isomorphic(quotient(s_group, T).target, q8):
                 return False
@@ -594,10 +644,10 @@ def two_groups(corpus):
     for name, G in corpus:
         if G.order % 8:
             continue
-        P = subgroup_as_group(G, sylow(G, 2))
+        P = sylow(G, 2).as_group()
         for i, S in enumerate(all_subgroups(P).all):
             if S.order >= 8:
-                yield f"{name} sylow 2 subgroup {i}", subgroup_as_group(P, S)
+                yield f"{name} sylow 2 subgroup {i}", S.as_group()
     yield "D8xD8", direct_product(dihedral(8), dihedral(8))
     yield "Q8xC4", direct_product(dicyclic(8), cyclic(4))
     yield "Q16xC2", direct_product(dicyclic(16), cyclic(2))
@@ -611,7 +661,8 @@ def test_quaternion_free_matches_quotients(corpus):
     seconds, kinds = 0.0, set()
     for name, P in two_groups(corpus):
         t0 = time.perf_counter()
-        got = (is_quaternion_free(P), _quaternion_free_by_sections(P))
+        got = (is_quaternion_free(P), _quaternion_free_by_sections(
+            P, P.subgroup(np.arange(P.order))))
         seconds += time.perf_counter() - t0
         expected = _quaternion_free_by_quotients(P)
         assert got == (expected, expected), name
@@ -654,7 +705,7 @@ def test_section_constituents_match_isomorphism(corpus):
             H = hall_complement(G, p)
             if H is None or not P.is_normal():
                 continue
-            phi = lift_subgroup(frattini(subgroup_as_group(G, P)), G)
+            phi = lift_subgroup(frattini(P.as_group()), G)
             for below in (G.trivial_subgroup(), phi):
                 module = _section_module(G, P, below, H, p)
                 got = _section_constituents(G, P, below, H, p, DEFAULT_CAPS)

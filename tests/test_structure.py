@@ -40,7 +40,7 @@ from partialpi.structure import (
     p_supersoluble,
     socle_and_minimal_normals,
     structure_facts,
-    subgroup_as_group,
+    subgroups_in,
     supersoluble,
     sylow,
     two_maximal_subgroups,
@@ -135,20 +135,21 @@ def test_memo_keys_read_by_tracer():
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
 
 
-def test_subgroup_as_group_whole_is_group():
-    s4 = symmetric(4)
-    assert subgroup_as_group(s4, s4.as_subgroup()) is s4
+def test_subgroups_in_whole_is_all_subgroups():
+    """subgroups_in(G, G) is G's own memoised lattice, for a p-group too."""
+    for G in (symmetric(4), dihedral(16)):
+        assert subgroups_in(G, G.as_subgroup()) is all_subgroups(G)
 
 
 def test_lift_subgroup_by_element_set():
     """Lifting by element set: from a separately built equal group, and
-    through two levels of subgroup_as_group."""
+    through two levels of standalone subgroup groups."""
     s4, other = symmetric(4), symmetric(4)
     direct = sylow(s4, 2)
     assert lift_subgroup(sylow(other, 2), s4) == direct
-    d8 = subgroup_as_group(s4, direct)
+    d8 = direct.as_group()
     for four in all_subgroups(d8).of_order(4):
-        four_group = subgroup_as_group(d8, four)
+        four_group = four.as_group()
         for s in all_subgroups(four_group).of_order(2):
             lifted = lift_subgroup(s, s4)
             assert lifted == lift_subgroup(lift_subgroup(s, d8), s4)
@@ -182,7 +183,7 @@ def test_sylow(groups):
     assert sylow(groups["S3"], 5).order == 1
     syl = sylow(groups["SL(2,3)"], 2)
     assert syl.order == 8
-    assert is_isomorphic(subgroup_as_group(groups["SL(2,3)"], syl), dicyclic(8))
+    assert is_isomorphic(syl.as_group(), dicyclic(8))
 
 
 def test_sylow_count_congruence(corpus):
@@ -339,7 +340,7 @@ def test_lemma_phi_property(corpus):
             for E in normal_subgroups(G):
                 if E.order % p:
                     continue
-                phi = G.subgroup(E.idx[frattini(subgroup_as_group(G, E)).idx])
+                phi = G.subgroup(E.idx[frattini(E.as_group()).idx])
                 q = quotient(G, phi)
                 lhs = hypercenter_up(G, p).contains(E)
                 rhs = hypercenter_up(q.target, p).contains(q.push_subgroup(E))
@@ -362,8 +363,7 @@ def test_lemma_in_property(corpus):
                 orders = G.element_orders[P0.idx]
                 ok = all(z_u.mask[int(i)] for i, o in zip(P0.idx, orders)
                          if int(o) == p)
-                if ok and p == 2 and not is_quaternion_free(
-                        subgroup_as_group(G, P0)):
+                if ok and p == 2 and not is_quaternion_free(P0.as_group()):
                     ok = all(z_u.mask[int(i)] for i, o in zip(P0.idx, orders)
                              if int(o) == 4)
                 if ok:
@@ -400,8 +400,8 @@ def test_quaternion_free_abelian_without_lattice():
 def test_quaternion_free_shortcut_matches_sections(corpus):
     for name, P in corpus:
         if _prime_factors(P.order) == [2]:
-            assert is_quaternion_free(P) == \
-                structure._quaternion_free_by_sections(P), name
+            assert is_quaternion_free(P) == structure._quaternion_free_by_sections(
+                P, P.subgroup(np.arange(P.order))), name
 
 
 def test_two_maximal(groups):

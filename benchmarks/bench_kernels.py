@@ -31,11 +31,19 @@ the spins it takes, on ``C2^4:C3`` and ``C3^4:C4``; then
 ``is_quaternion_free``, which counts squares on one lattice, and the lemma
 ``cyclic-in-hypercenter`` at p = 2, which runs the same test on every
 normal 2-subgroup, read in G, on ``C2^5``, ``D8xD8`` and ``Q8xQ8xC2``.
+The last section times the Pi family of a Sylow subgroup P
+(``embedding.pi_family``) against the chain searches it replaces, one per
+pair: the property of every subgroup H of P, then HN/N in G/N for the
+(N, H) that quotient-inheritance asks about and a series through N for
+those series-through asks about, on fresh ``C3^4:C4`` (p = 3), ``C2^5``,
+``D8xD8`` and ``Q8xQ8xC2`` with G's table, chief-factor DAG and P's
+lattice built first. The searches run once, the family best of 3.
 
 Run:  python benchmarks/bench_kernels.py
 """
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -43,6 +51,7 @@ import numpy as np
 
 from partialpi import _kernels
 from partialpi.chiefs import (
+    _chief_children,
     _class_closures,
     _prime_power,
     normal_subgroups,
@@ -50,7 +59,12 @@ from partialpi.chiefs import (
 )
 from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
-from partialpi.embedding import is_complemented
+from partialpi.embedding import (
+    is_complemented,
+    pi_family,
+    pi_series_through,
+    satisfies_partial_pi,
+)
 from partialpi.groupfile import build_directive
 from partialpi.groups import (
     QuotientMap,
@@ -375,6 +389,55 @@ def module_layer():
               f"{row[1] * 1000:>21.1f}ms")
 
 
+def pi_by_search(G, P):
+    """The Pi questions of quotient-inheritance and series-through, one
+    chain search per pair; returns the number of searches."""
+    p = _prime_power(P.order)
+    nodes = normal_subgroups(G)
+    searches = 0
+    for H in subgroups_in(G, P).all:
+        searches += 1
+        if not satisfies_partial_pi(G, H)[0]:
+            continue
+        for N in nodes:
+            if 1 < N.order < G.order and (
+                    H.contains(N) or math.gcd(H.order, N.order) == 1):
+                satisfies_partial_pi(G, H, bottom=N)
+                searches += 1
+            if N.contains(H):
+                pi_series_through(G, H, N, p)
+                searches += 1
+    return searches
+
+
+def pi_family_rows():
+    makers = [("C3^4:C4", c3_4_c4, 3),
+              ("C2^5", lambda: elementary_abelian(2, 5), 2),
+              ("D8xD8", lambda: build_directive("dp:dihedral:8xdihedral:8"), 2),
+              ("Q8xQ8xC2", lambda: build_directive(
+                  "dp:quaternion:8xquaternion:8xcyclic:2"), 2)]
+    print("\nPi verdicts of every subgroup of P, fresh group each:")
+    print(f"{'group':<10}{'p':>3}{'|P|':>5}{'H':>6}{'nodes':>7}"
+          f"{'searches':>10}{'per-pair search':>17}{'pi_family':>12}")
+    for name, make, p in makers:
+        def prepare(G, p=p):
+            P = sylow(G, p)
+            for N in normal_subgroups(G):
+                _chief_children(G, N)
+            subgroups_in(G, P)
+            return P
+        family = timed_fresh(make, lambda G: pi_family(G, prepare(G)),
+                             before=prepare)
+        G = make()
+        P = prepare(G)
+        t0 = time.perf_counter()
+        searches = pi_by_search(G, P)
+        search = time.perf_counter() - t0
+        print(f"{name:<10}{p:>3}{P.order:>5}{len(subgroups_in(G, P)):>6}"
+              f"{len(normal_subgroups(G)):>7}{searches:>10}"
+              f"{search * 1000:>15.1f}ms{family * 1000:>10.1f}ms")
+
+
 def main():
     rows = [(name, timed(fn)) for name, fn in workloads()]
     width = max(len(name) for name, _ in rows)
@@ -386,6 +449,7 @@ def main():
     lattice_builds()
     soluble_routes()
     module_layer()
+    pi_family_rows()
 
 
 if __name__ == "__main__":

@@ -249,15 +249,26 @@ def search_chains(G: Group, step=None, through: Subgroup | None = None,
 
     ``step(below, above, i)`` returns the record of factor i, or None to
     prune that prefix; with no step every record is True. ``through=N``
-    keeps only the series having N as a term. Each complete chain and each
-    pruned prefix counts against caps.series; children dropped by the
-    through filter do not. Chains start at ``bottom`` (1 when None), and
-    from a normal K they are the chief series of G/K, read in G.
+    keeps only the series having N as a term. Chains start at ``bottom``
+    (1 when None), and from a normal K they are the chief series of G/K,
+    read in G.
+
+    Whether a step passes may depend only on (below, above), and the
+    through filter depends only on the node, so a node whose children all
+    failed to complete a chain is dead for the rest of the call: it joins
+    ``dead`` and is never expanded again. Each complete chain, each pruned
+    prefix and each skip of a dead child counts against caps.series;
+    children dropped by the through filter do not. The counted prefixes
+    extend to disjoint sets of chains, so a search counts at most as many
+    as there are chief series from its bottom. A dead node has no passing
+    completion, so the chains found, and their order, are those of the
+    search without ``dead``.
     """
     if through is not None and not _is_normal(G, through):
         raise NotNormal("series can only pass through a normal subgroup")
     step = step or (lambda below, above, i: True)
     explored = 0
+    dead = set()
 
     def count():
         nonlocal explored
@@ -272,16 +283,24 @@ def search_chains(G: Group, step=None, through: Subgroup | None = None,
             yield ChiefSeries(G, terms), records
             return
         below_n = through is not None and top.order < through.order
+        completed = False
         for M in _chief_children(G, top):
             if below_n and not through.contains(M):
                 continue
-            rec = step(top, M, len(records))
+            rec = None if M in dead else step(top, M, len(records))
             if rec is None:
                 count()
                 continue
-            yield from dfs(terms + [M], records + [rec])
+            for found in dfs(terms + [M], records + [rec]):
+                completed = True
+                yield found
+        if not completed:
+            dead.add(top)
 
-    yield from dfs([_bottom(G, bottom)], [])
+    try:
+        yield from dfs([_bottom(G, bottom)], [])
+    finally:
+        del dfs  # dfs refers to itself: break the cycle that would keep G
 
 
 def all_chief_series(G: Group, caps: Caps = DEFAULT_CAPS) -> Iterator[ChiefSeries]:

@@ -26,7 +26,7 @@ from .embedding import evaluate_series, satisfies_partial_pi
 from .errors import BadParameter, ParseError, PartialPiError
 from .chiefs import all_chief_series
 from .groupfile import parse_group_file
-from .groups import subgroup_generated
+from .groups import clear_memo, subgroup_generated
 from .perms import parse_cycles
 from .theorems import CHECKS, LEMMA_IDS, run_corpus
 
@@ -122,6 +122,8 @@ def _cmd_verify(args) -> int:
     d_filter = set(args.d) if args.d else None
     reports = run_corpus(corpus, caps=caps, p_filter=p_filter,
                          d_filter=d_filter, theorem_filter=theorem_filter)
+    for _, G in corpus:
+        clear_memo(G)
     summary = {"pass": 0, "fail": 0, "vacuous": 0, "indeterminate": 0}
     for r in reports:
         summary[r.status] += 1

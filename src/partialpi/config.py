@@ -6,11 +6,16 @@ operation), via CLI flags, or via environment variables:
     PARTIALPI_CAP_CLOSURE     max group order for generator closure (default 5000)
     PARTIALPI_CAP_ISO         max group order for isomorphism tests (default 512)
     PARTIALPI_CAP_LATTICE     max group order for subgroup-lattice enumeration (default 512)
-    PARTIALPI_CAP_SERIES      max number of chief series enumerated (default 100000)
+    PARTIALPI_CAP_SERIES      max chief series and pruned or dead prefixes one
+                              chain search counts (default 100000)
     PARTIALPI_CAP_MODULE_DIM  max module dimension for submodule enumeration (default 8)
 
 The theorem verifiers run no isomorphism test, so the iso cap bounds only
-the library call ``groups.is_isomorphic``.
+the library call ``groups.is_isomorphic``. The series cap bounds each chain
+search (``chiefs.search_chains``): every complete chain, every pruned
+prefix and every skip of a dead node counts once. The verifiers' batched
+Pi verdicts (``embedding.pi_family``) stand down to those searches when the
+chief-factor DAG has more paths from 1 to G than the cap.
 """
 
 from __future__ import annotations

@@ -24,6 +24,14 @@ functions for the same search.
 Searched from a normal N, the same step reads HN/N in G/N inside G: at
 (K, L) the trace of HN/N is (HK cap L)/N. Complements of a subgroup of a
 normal Sylow P are sought among P's subgroups, also read in G's table.
+
+The verifiers ask the Pi question for every subgroup H of a Sylow
+subgroup P, and often from every normal N as well. ``pi_family`` answers
+all of them at once: one pass bit per (chief factor, H), then one walk of
+the chief-factor DAG up from 1 and one down from G. It judges a factor by
+the same ``_pi_condition`` as the search, and it stands down (None) over
+the lattice or series cap, where the callers search per pair. The search,
+with its witness, stays for single subgroups and as the family's oracle.
 """
 
 from __future__ import annotations
@@ -33,9 +41,11 @@ import numpy as np
 from . import _kernels
 from .chiefs import (
     ChiefSeries,
+    _chief_children,
     _prime_factors,
     _prime_power,
     all_chief_series,
+    normal_subgroups,
     search_chains,
 )
 from .config import Caps, DEFAULT_CAPS
@@ -111,12 +121,18 @@ def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup) -> tuple:
             G.order // _normalizer_order(G, d_idx.tobytes()))
 
 
+def _pi_condition(image_order: int, index: int) -> tuple:
+    """(the primes of the image's order, whether every prime of the
+    normaliser index is one of them): the factor condition."""
+    primes = _prime_factors(image_order)
+    return primes, all(q in primes for q in _prime_factors(index))
+
+
 def _pi_step(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
              factor_index: int) -> PiFactorRecord:
     """Factor condition via subgroup arithmetic inside G."""
     image_order, index = _trace(G, H, below, above)
-    primes = _prime_factors(image_order)
-    passed = all(q in primes for q in _prime_factors(index))
+    primes, passed = _pi_condition(image_order, index)
     return PiFactorRecord(factor_index, image_order, index, primes, passed)
 
 
@@ -135,6 +151,131 @@ def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS,
 
     found = next(search_chains(G, step, caps=caps, bottom=bottom), None)
     return found is not None, found and PiWitness(*found)
+
+
+class PiFamily:
+    """The Pi verdicts of every subgroup H of a p-subgroup P, from every
+    normal subgroup N of G, as two boolean tables (node x column): ``co``,
+    whether a chain of passing factors runs from N up to G, and ``reach``,
+    whether one runs from 1 up to N."""
+
+    __slots__ = ("_node", "_column", "reach", "co")
+
+    def __init__(self, node_of: dict, columns, reach, co):
+        self._node = node_of
+        self._column = {H: j for j, H in enumerate(columns)}
+        self.reach = reach
+        self.co = co
+
+    def pi(self, H: Subgroup, bottom: Subgroup | None = None) -> bool:
+        """``satisfies_partial_pi(G, H, caps, bottom)[0]``."""
+        node = 0 if bottom is None else self._node[bottom]
+        return bool(self.co[node, self._column[H]])
+
+    def through(self, H: Subgroup, N: Subgroup) -> bool:
+        """``pi_series_through(G, H, N, p, caps)[0]`` for H <= N with the
+        property."""
+        node, column = self._node[N], self._column[H]
+        return bool(self.reach[node, column] and self.co[node, column])
+
+
+def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
+                  owner):
+    """The pass bits at the factor K < L of every column, where those not
+    flagged ``inner`` pass (their traces are K or L). The traces
+    D = HK cap L of the inner ones come from one gather (a column j's
+    elements are ``elements[owner == j]``), and each distinct D is judged
+    once."""
+    pick = inner[owner]
+    rows = np.zeros((len(inner), G.order), dtype=bool)
+    rows[owner[pick][:, None], G.table[elements[pick][:, None], K.idx]] = True
+    rows &= L.mask
+    out = ~inner
+    verdicts = {}
+    for j in np.flatnonzero(inner):
+        key = rows[j].tobytes()
+        if key not in verdicts:
+            d_idx = np.flatnonzero(rows[j]).astype(_DTYPE)
+            index = G.order // _normalizer_order(G, d_idx.tobytes())
+            verdicts[key] = _pi_condition(len(d_idx) // K.order, index)[1]
+        out[j] = verdicts[key]
+    return out
+
+
+@memo("pi_family")
+def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
+    """The Pi verdicts of every subgroup of the p-subgroup P, in G and in
+    every G/N, from one walk of the chief-factor DAG each way; None over a
+    cap.
+
+    The nodes are the normal subgroups in canonical order, which is by
+    order and so topological; the edges K -> L are the chief factors, and
+    the columns are ``subgroups_in(G, P, caps).all``. One integer matmul of
+    the columns' masks against the nodes' gives every |H cap N|. At a
+    factor K < L the trace is D = HK cap L = (H cap L)K (Dedekind's rule,
+    as K <= L), so |D| = |H cap L| |K| / |H cap K|. A D of order |K| or
+    |L| is normal, and the factor passes with index 1; only the others
+    build D, those of one factor in one gather (``_inner_passes``), and
+    each distinct D takes its index from ``_normalizer_order``, as the
+    search does. Both routes judge a factor by ``_pi_condition``.
+
+    The walks are ``reach[L] |= reach[K] & pass[K -> L]`` up from 1 and
+    ``co[K] |= pass[K -> L] & co[L]`` down from G. By the correspondence
+    theorem, the chief series of G/N are the paths from N to G, and the
+    trace of HN/N at (K/N, L/N) is D/N with normaliser index
+    |G : N_G(D)|; so ``co[N]`` is the search from N,
+    ``satisfies_partial_pi(G, H, caps, N)``, and ``co[1]`` is the property
+    of H. For a p-subgroup H the image D/K is a p-group, so the p-number
+    step of ``pi_series_through`` and the Pi step accept the same factors,
+    and ``reach[N] & co[N]`` is ``pi_series_through(G, H, N, p)``.
+
+    The family is None when |P| > caps.lattice, or when the DAG has more
+    paths from 1 to G than caps.series; the callers then search per pair.
+    Under that guard no search can raise, so both routes give the same
+    verdicts: each prefix a search counts (a complete chain, a pruned
+    prefix or a dead child) extends to its own chains, so it counts at
+    most one per path from its bottom, and the paths from N number no more
+    than those from 1.
+    """
+    if P.order > caps.lattice:
+        return None
+    nodes = normal_subgroups(G)
+    node_of = {N: i for i, N in enumerate(nodes)}
+    edges = [(k, node_of[L]) for k, K in enumerate(nodes)
+             for L in _chief_children(G, K)]
+    paths = [1] + [0] * (len(nodes) - 1)
+    for k, l in edges:
+        paths[l] += paths[k]
+    if paths[-1] > caps.series:
+        return None
+    columns = subgroups_in(G, P, caps).all
+    m = len(columns)
+    elements = np.concatenate([H.idx for H in columns])
+    owner = np.repeat(np.arange(m), [H.order for H in columns])
+    # every H lies in P, so |H cap N| is counted on P's elements alone
+    position = np.zeros(G.order, dtype=np.intp)
+    position[P.idx] = np.arange(P.order)
+    h_rows = np.zeros((m, P.order), dtype=np.int32)
+    h_rows[owner, position[elements]] = 1
+    meet = h_rows @ np.stack([N.mask[P.idx] for N in nodes]).T.astype(np.int32)
+    order = np.array([N.order for N in nodes])
+    below, above = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    d = meet[:, above] * order[below] // meet[:, below]
+    inner = np.ascontiguousarray(((d != order[below])
+                                  & (d != order[above])).T)  # edge x column
+    passed = ~inner
+    for e in np.flatnonzero(inner.any(axis=1)):
+        passed[e] = _inner_passes(G, nodes[below[e]], nodes[above[e]],
+                                  inner[e], elements, owner)
+    reach = np.zeros((len(nodes), m), dtype=bool)
+    co = np.zeros_like(reach)
+    reach[0] = co[-1] = True
+    for e, (k, l) in enumerate(edges):
+        reach[l] |= reach[k] & passed[e]
+    for e in range(len(edges) - 1, -1, -1):
+        k, l = edges[e]
+        co[k] |= passed[e] & co[l]
+    return PiFamily(node_of, columns, reach, co)
 
 
 def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:

@@ -6,9 +6,13 @@ element orders, conjugacy classes) is computed lazily and cached. Caches are
 pure functions of the element table, so recomputation is idempotent and the
 observable behaviour is that of an immutable value.
 
-Every per-group cache goes through ``memo``: ``fn(G, *args)`` is keyed by
-all its arguments, caps included, so a cached value answers only a call with
-equal arguments and equal caps.
+The table machinery (elements, Cayley table, inverses, element orders,
+generator conjugation, class representatives) is held in
+``functools.cached_property`` attributes, which a read takes straight from
+the instance. Every other per-group cache goes through ``memo``:
+``fn(G, *args)`` is keyed by all its arguments, caps included, so a cached
+value answers only a call with equal arguments and equal caps.
+``clear_memo`` empties that cache when a caller is done with the group.
 
 Subgroups are index arrays into the ambient element table. Index 0 is always
 the identity because the identity is the lex-least permutation.
@@ -58,7 +62,7 @@ _MISSING = object()
 
 
 def memo(key: str):
-    """Cache ``fn(G, *args)`` in ``G._cache``, the only code that writes it.
+    """Cache ``fn(G, *args)`` in ``G._cache``, the only code that fills it.
 
     The value is stored under ``key`` when fn takes G alone and under
     ``(key, *args)`` otherwise, omitted defaults filled in first, so
@@ -90,6 +94,17 @@ def memo(key: str):
     return decorate
 
 
+def clear_memo(G: "Group") -> None:
+    """Drop every value ``memo`` cached for G.
+
+    Cached subgroups refer back to G, so a group with a filled cache is
+    part of a reference cycle that only a full garbage collection frees;
+    emptied, it is freed as soon as its last reference goes. Later calls
+    recompute what they need.
+    """
+    G._cache.clear()
+
+
 class Group:
     """A finite permutation group on {1..degree}."""
 
@@ -118,8 +133,7 @@ class Group:
     def element_array(self) -> np.ndarray:
         return self._elts
 
-    @property
-    @memo("elements")
+    @functools.cached_property
     def elements(self) -> tuple:
         """All elements as Perm objects, in canonical (lexicographic) order."""
         return tuple(Perm._from_array(r) for r in self._elts)
@@ -136,21 +150,33 @@ class Group:
         return int(self.indices_of((perm,))[0])
 
     def indices_of(self, perms) -> np.ndarray:
-        """Indices of a few Perms in the element table, by one compare of
-        their rows with every element's, so that no element index is
-        built; ElementNotInGroup if one is absent."""
-        perms = tuple(perms)
+        """Indices of a few Perms in the element table; ElementNotInGroup
+        if one is absent.
+
+        The rows are lex-sorted, so the rows that agree with a Perm on its
+        first c images form one range, and they all agree up to the first
+        column where the range's first and last rows differ. A binary
+        search in that column narrows the range, strictly, as the rows are
+        distinct; once at most one row is left, it is compared with the
+        Perm. No element index and no temporary of the table's size is
+        built.
+        """
+        elts, out = self._elts, []
         for perm in perms:
             if perm.degree != self.degree:
                 raise ElementNotInGroup(
                     f"degree {perm.degree} != {self.degree}")
-        rows = np.array([p.array for p in perms], dtype=_DTYPE)
-        rows = rows.reshape(len(perms), 1, self.degree)
-        found, idx = (self._elts == rows).all(axis=2).nonzero()
-        if len(idx) < len(perms):
-            missing = min(set(range(len(perms))) - set(found.tolist()))
-            raise ElementNotInGroup(f"{perms[missing]!r} not in group")
-        return idx
+            row = perm.array
+            lo, hi = 0, len(elts)
+            while hi - lo > 1:
+                c = int((elts[lo] != elts[hi - 1]).argmax())
+                col, x = elts[lo:hi, c], row[c]
+                lo, hi = (lo + int(col.searchsorted(x, "left")),
+                          lo + int(col.searchsorted(x, "right")))
+            if hi == lo or not (elts[lo] == row).all():
+                raise ElementNotInGroup(f"{perm!r} not in group")
+            out.append(lo)
+        return np.array(out, dtype=np.intp)
 
     def __contains__(self, perm: Perm) -> bool:
         try:
@@ -168,8 +194,7 @@ class Group:
 
     # -- table machinery ---------------------------------------------------
 
-    @property
-    @memo("table")
+    @functools.cached_property
     def table(self) -> np.ndarray:
         """Cayley table: table[i, j] = index of element_i-then-element_j.
 
@@ -218,8 +243,7 @@ class Group:
         table.setflags(write=False)
         return table
 
-    @property
-    @memo("inverses")
+    @functools.cached_property
     def inverses(self) -> np.ndarray:
         inv = np.empty(self.order, dtype=_DTYPE)
         rows, cols = np.nonzero(self.table == 0)
@@ -227,8 +251,7 @@ class Group:
         inv.setflags(write=False)
         return inv
 
-    @property
-    @memo("element_orders")
+    @functools.cached_property
     def element_orders(self) -> np.ndarray:
         """orders[x] = least k >= 1 with x^k = 1, by powering every element
         at once through the table."""
@@ -245,8 +268,7 @@ class Group:
         orders.setflags(write=False)
         return orders
 
-    @property
-    @memo("conjugation")
+    @functools.cached_property
     def conjugation(self) -> np.ndarray:
         """conjugation[t, x] = index of x^g = g^-1 x g, for g the t-th
         generator: one row per generator, m x order in all.
@@ -262,8 +284,7 @@ class Group:
         conj.setflags(write=False)
         return conj
 
-    @property
-    @memo("class_reps")
+    @functools.cached_property
     def class_reps(self) -> np.ndarray:
         """class_reps[x] = least index in the conjugacy class of x."""
         reps = _kernels.class_min_rep(self.conjugation)

@@ -8,8 +8,12 @@ holds exactly. Cap violations surface as status "indeterminate", a third
 verdict state distinct from pass/fail.
 
 The verifiers build no quotient group: G/N is read as G's chief-factor
-DAG above N, so the Pi-property of HN/N is the chain search from N, and
-Z_U(G/N) and Z_{U_p}(G/N) are climbs from N to their preimages in G. Nor
+DAG above N, so the Pi-property of HN/N is the DAG walked from N, and
+Z_U(G/N) and Z_{U_p}(G/N) are climbs from N to their preimages in G. Every
+Pi question is about a subgroup of a Sylow subgroup P, and goes through
+``_has_pi``: it reads P's ``pi_family`` (every H, in G and from every N,
+from two walks of the DAG), or, when the family is over a cap, runs the
+chain search for that one (N, H). Nor
 do they build a subgroup as a group of its own, but for Phi(E) of a normal
 E that is not a p-group: a p-subgroup's lattice, Phi and Q8 sections are
 read in G's table (``structure.subgroups_in``).
@@ -33,11 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .chiefs import (_is_prime, _prime_factors, minimal_normal_subgroups,
-                     normal_subgroups)
+from .chiefs import (_is_prime, _prime_factors, _prime_power,
+                     minimal_normal_subgroups, normal_subgroups)
 from .config import Caps, DEFAULT_CAPS
 from .embedding import (
     is_complemented,
+    pi_family,
     pi_series_through,
     satisfies_partial_cap,
     satisfies_partial_pi,
@@ -123,18 +128,37 @@ class VerdictReport:
 # -- cached quantifier sweeps --------------------------------------------------
 
 
+def _has_pi(G: Group, P: Subgroup, H: Subgroup, caps: Caps,
+            bottom: Subgroup | None = None,
+            through: Subgroup | None = None) -> bool:
+    """The Pi verdict of a subgroup H of the Sylow subgroup P: in G, of
+    HN/N in G/N from ``bottom`` = N, or, for ``through`` = N >= H, whether
+    a chief series through N has p-number normaliser indices. Read off P's
+    ``pi_family``, or searched for this one H when the family is over a
+    cap. Every verifier asks its Pi questions here."""
+    family = pi_family(G, P, caps)
+    if family is None:
+        if through is not None:
+            return pi_series_through(G, H, through, _prime_power(P.order),
+                                     caps)[0]
+        return satisfies_partial_pi(G, H, caps, bottom)[0]
+    if through is not None:
+        return family.through(H, through)
+    return family.pi(H, bottom)
+
+
 @memo("all_of_order_pi")
 def all_of_order_satisfy_pi(G: Group, P: Subgroup, order: int,
                             caps: Caps = DEFAULT_CAPS) -> bool:
     """Does every subgroup of P of the given order satisfy the property?"""
-    return all(satisfies_partial_pi(G, H, caps)[0]
+    return all(_has_pi(G, P, H, caps)
                for H in subgroups_of_order_in(G, P, order, caps))
 
 
 @memo("cyclic_order4_pi")
 def cyclic_order4_satisfy_pi(G: Group, P: Subgroup,
                              caps: Caps = DEFAULT_CAPS) -> bool:
-    return all(satisfies_partial_pi(G, H, caps)[0]
+    return all(_has_pi(G, P, H, caps)
                for H in subgroups_of_order_in(G, P, 4, caps)
                if int(G.element_orders[H.idx].max()) == 4)  # cyclic C4
 
@@ -287,7 +311,7 @@ def _theorem_B(G, p, d, caps, rep):
     rep.hypotheses["sylow_at_least_p2"] = P.order >= p * p
     rep.hypotheses["two_maximal_subgroups_pi"] = (
         P.order >= p * p and all(
-            satisfies_partial_pi(G, H, caps)[0]
+            _has_pi(G, P, H, caps)
             for H in two_maximal_subgroups(G, P, caps)))
     if all(rep.hypotheses.values()):
         cases = []
@@ -373,8 +397,8 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
     def pairs(N):
         for H in subgroups_in(G, P, caps).all:
             if ((H.contains(N) or math.gcd(H.order, N.order) == 1)
-                    and satisfies_partial_pi(G, H, caps)[0]):
-                yield satisfies_partial_pi(G, H, caps, N)[0]
+                    and _has_pi(G, P, H, caps)):
+                yield _has_pi(G, P, H, caps, bottom=N)
 
     _tally(rep, "pairs_checked", "inherited",
            (pairs(N) for N in normal_subgroups(G)
@@ -383,13 +407,24 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
 
 def _lemma_series_through(G, p, d, caps, rep):
     """Every p-subgroup H of a normal N that has the property admits a chief
-    series through N with p-number normalizer indices at every factor."""
+    series through N with p-number normalizer indices at every factor.
+    H ranges over the subgroups of P cap N, a Sylow subgroup of N; its
+    conjugates in G give the same verdicts. With P's Pi family they are
+    read off P's own list, which spares a lattice per N; without it, off
+    the lattice of P cap N, which may be under the lattice cap when P's is
+    not."""
+    P = sylow(G, p)
+    family = pi_family(G, P, caps)
+
     def pairs(N):
-        # a Sylow subgroup of N; conjugates in G give the same verdicts
-        syl = G.subgroup_from_mask(sylow(G, p).mask & N.mask)
-        for H in subgroups_in(G, syl, caps).all:
-            if satisfies_partial_pi(G, H, caps)[0]:
-                yield pi_series_through(G, H, N, p, caps)[0]
+        if family is None:
+            hs = subgroups_in(G, G.subgroup_from_mask(P.mask & N.mask),
+                              caps).all
+        else:
+            hs = (H for H in subgroups_in(G, P, caps).all if N.contains(H))
+        for H in hs:
+            if _has_pi(G, P, H, caps):
+                yield _has_pi(G, P, H, caps, through=N)
 
     _tally(rep, "pairs_checked", "series-found",
            (pairs(N) for N in normal_subgroups(G) if N.order % p == 0))
@@ -462,10 +497,10 @@ def _lemma_product_transfer(G, p, d, caps, rep):
             _kernels.product_mask(G.table, N.idx, K.idx))
 
     _tally(rep, "pairs_checked", "transferred",
-           [(satisfies_partial_pi(G, K, caps)[0]
+           [(_has_pi(G, P, K, caps)
              for N in minimal_normal_subgroups(G) if N.order == p
              for K in subgroups_of_order_in(G, P, p, caps)
-             if satisfies_partial_pi(G, product(N, K), caps)[0])])
+             if _has_pi(G, P, product(N, K), caps))])
 
 
 def _lemma_minimal_normal_elementary(G, p, d, caps, rep):
@@ -488,7 +523,7 @@ def _lemma_cap_from_pi(G, p, d, caps, rep):
         _tally(rep, "subgroups_checked", "partial-cap",
                [(satisfies_partial_cap(G, H, caps)[0]
                  for H in two_maximal_subgroups(G, P, caps)
-                 if satisfies_partial_pi(G, H, caps)[0])])
+                 if _has_pi(G, P, H, caps))])
 
 
 def _lemma_pi_iff_complemented(G, p, d, caps, rep):
@@ -501,7 +536,7 @@ def _lemma_pi_iff_complemented(G, p, d, caps, rep):
     if all(rep.hypotheses.values()):
         subs = subgroups_in(G, P, caps).all
         rep.details["subgroups_checked"] = len(subs)
-        if all([satisfies_partial_pi(G, H, caps)[0]
+        if all([_has_pi(G, P, H, caps)
                 == is_complemented(G, H, caps)[0] for H in subs]):
             rep.conclusion_cases = ("equivalent",)
 
@@ -614,7 +649,7 @@ def _lemma_frattini_in_two_maximal(G, p, d, caps, rep):
     rep.hypotheses["sylow_at_least_p2"] = P.order >= p * p
     two_max = two_maximal_subgroups(G, P, caps) if P.order >= p * p else []
     rep.hypotheses["two_maximal_subgroups_pi"] = bool(two_max) and all(
-        satisfies_partial_pi(G, H, caps)[0] for H in two_max)
+        _has_pi(G, P, H, caps) for H in two_max)
     if all(rep.hypotheses.values()):
         phi = _frattini_in(G, P, caps)
         if all(Q.contains(phi) for Q in two_max):

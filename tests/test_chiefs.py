@@ -193,8 +193,9 @@ def test_series_cap():
         list(all_chief_series(big, Caps(series=50)))
 
 
-# Every search counts each complete chain and each pruned prefix against
-# caps.series; chains skipped by a through-N filter are not counted.
+# Every search counts each complete chain, each pruned prefix and each skip
+# of a dead child (a node from which no chain passed) against caps.series;
+# chains skipped by a through-N filter are not counted.
 _SEARCHES = {
     "all": lambda G, H, N, caps: len(list(all_chief_series(G, caps))),
     "through": lambda G, H, N, caps: len(list(chief_series_through(G, N, caps))),
@@ -233,3 +234,18 @@ def test_series_cap_threshold(name, h_index, n_order, search, cap, result):
     with pytest.raises(SeriesCapExceeded):
         run(G, H, N, Caps(series=cap - 1))
     assert run(G, H, N, Caps(series=cap)) == result
+
+
+@pytest.mark.parametrize("k, cap", [(3, 36), (4, 241), (5, 2078)])
+def test_dead_nodes_expanded_once(k, cap):
+    """On A4 x C2^k, H = <(1 2)(3 4)> lacks the property. A node from which
+    no passing chain reaches G is expanded once per search, so the least
+    caps.series that decides is pinned on fresh groups; re-expanding it for
+    every chain that reaches it took 50, 751 and 23 282."""
+    def run(series):
+        G = build_directive(f"dp:alt:4xelemab:2:{k}")
+        H = subgroup_generated(G, [parse_cycles("(1 2)(3 4)", G.degree)])
+        return satisfies_partial_pi(G, H, Caps(series=series))[0]
+    with pytest.raises(SeriesCapExceeded):
+        run(cap - 1)
+    assert run(cap) is False

@@ -8,6 +8,7 @@ from partialpi.embedding import (
     evaluate_series,
     evaluate_series_by_quotients,
     is_complemented,
+    pi_family,
     pi_series_through,
     satisfies_partial_cap,
     satisfies_partial_pi,
@@ -123,6 +124,18 @@ def test_partial_pi_series_cap_warm():
     assert satisfies_partial_pi(s4, H)[0]
     with pytest.raises(SeriesCapExceeded):
         satisfies_partial_pi(s4, H, Caps(series=0))
+
+
+def test_pi_family_stands_down_over_caps(groups):
+    """The Pi family is None when the chief-factor DAG has more paths from
+    1 to G than caps.series (C2^3 has 21 chief series) or when |P| exceeds
+    caps.lattice, and is built at the caps themselves."""
+    G = groups["C2^3"]
+    P = sylow(G, 2)
+    assert pi_family(G, P, Caps(series=20)) is None
+    assert pi_family(G, P, Caps(series=21)) is not None
+    assert pi_family(G, P, Caps(lattice=7)) is None
+    assert pi_family(G, P, Caps(lattice=8)) is not None
 
 
 def test_partial_cap(groups):

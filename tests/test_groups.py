@@ -39,7 +39,7 @@ from partialpi.groups import (
     trivial_group,
     vector_action_group,
 )
-from partialpi.perms import _DTYPE, parse_cycles
+from partialpi.perms import _DTYPE, Perm, parse_cycles
 
 
 def test_group_from_generators_examples():
@@ -120,6 +120,38 @@ def test_subgroup_generated():
     for gens in [["(1 2)"], ["(1 2 3)"], ["(1 2)", "(3 4)"]]:
         H = subgroup_generated(s4, [parse_cycles(t, 4) for t in gens])
         assert s4.order % H.order == 0
+
+
+def _indices_by_compare_all(G, perms):
+    """Each Perm's row compared with every element row at once."""
+    rows = np.array([p.array for p in perms]).reshape(len(perms), 1, G.degree)
+    found, idx = (G.element_array == rows).all(axis=2).nonzero()
+    return found, idx
+
+
+def test_indices_of_matches_compare_all(corpus):
+    """The range-narrowing lookup finds every element of every corpus group
+    and of ``cyclic(2049)`` (whose element rows are wider than 8 KiB) at
+    its own row, and agrees with the compare with every element row on 20
+    seeded random permutations of each group's points: a perm outside the
+    group raises ElementNotInGroup and is not ``in`` it."""
+    rng = np.random.default_rng(1)
+    outside = 0
+    for name, G in list(corpus) + [("cyclic:2049", cyclic(2049))]:
+        assert (G.indices_of(G.elements) == np.arange(G.order)).all(), name
+        for _ in range(20):
+            perm = Perm._from_array(rng.permutation(G.degree))
+            found, idx = _indices_by_compare_all(G, [perm])
+            if len(idx):
+                assert G.index_of(perm) == idx[0] and perm in G, name
+                continue
+            outside += 1
+            assert perm not in G, name
+            with pytest.raises(ElementNotInGroup):
+                G.indices_of([G.elements[-1], perm])
+    assert outside > 500
+    with pytest.raises(ElementNotInGroup):
+        symmetric(4).index_of(parse_cycles("(1 2)", 5))
 
 
 def brute_normalizer(G, H):

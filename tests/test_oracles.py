@@ -11,7 +11,9 @@ up G's own chief-factor DAG, are checked against their former definitions
 through chief chains and materialised quotients, and O_p and O_p' against
 a scan of the normal subgroups. Read in G from a normal N, the partial
 Pi-property of HN/N, the preimages of Z_U(G/N) and Z_{U_p}(G/N) and the
-cyclicity of G/N are checked against the materialised quotient G/N. The chief-factor DAG,
+cyclicity of G/N are checked against the materialised quotient G/N. The Pi
+family of a Sylow subgroup, read off two walks of the chief-factor DAG, is
+checked against the chain search for every (N, H). The chief-factor DAG,
 built lazily from class closures, is checked against a scan of the normal
 subgroups the lattice filter finds. The class-union normality test is
 checked against the normaliser kernel, and so is the trace index of the
@@ -48,6 +50,8 @@ from partialpi.embedding import (
     _complemented_by_lattice,
     _trace,
     is_complemented,
+    pi_family,
+    pi_series_through,
     satisfies_partial_pi,
 )
 from partialpi.groups import (
@@ -498,6 +502,57 @@ def test_pi_from_N_matches_quotients(corpus):
                 verdicts.add(verdict)
                 pairs += 1
     assert pairs == 4024 and verdicts == {True, False}
+
+
+def test_pi_family_matches_search(corpus):
+    """Every verdict of the Pi family against the chain search, for every
+    normal N and every subgroup H of a Sylow subgroup P, on every corpus
+    group and prime and on D8xD8: ``co[N]`` against the search from N
+    (``co[1]``, and ``reach[G]``, against the search in G) and, where
+    H <= N has the property, ``reach[N] & co[N]`` against
+    ``pi_series_through``."""
+    cases = [*corpus, ("D8xD8", direct_product(dihedral(8), dihedral(8)))]
+    pairs = through = 0
+    verdicts = set()
+    for name, G in cases:
+        nodes = normal_subgroups(G)
+        for p in _prime_factors(G.order):
+            family = pi_family(G, sylow(G, p))
+            for j, H in enumerate(subgroups_in(G, sylow(G, p)).all):
+                pi = satisfies_partial_pi(G, H)[0]
+                assert family.pi(H) == family.reach[-1, j] == pi, (name, H)
+                for N in nodes:
+                    verdict = satisfies_partial_pi(G, H, bottom=N)[0]
+                    assert family.pi(H, N) == verdict, (name, N, H)
+                    verdicts.add(verdict)
+                    pairs += 1
+                    if pi and N.contains(H):
+                        assert family.through(H, N) == pi_series_through(
+                            G, H, N, p)[0], (name, N, H)
+                        through += 1
+    assert (pairs, through) == (40637, 4596) and verdicts == {True, False}
+
+
+def test_pi_family_matches_search_on_c2_5_premised_pairs():
+    """The family against the search on the (N, H) pairs of C2^5 that meet
+    the premises of quotient-inheritance (5 766) and series-through
+    (5 768)."""
+    G = elementary_abelian(2, 5)
+    family = pi_family(G, G.as_subgroup())
+    inherited = through = 0
+    for H in subgroups_in(G, G.as_subgroup()).all:
+        if not satisfies_partial_pi(G, H)[0]:
+            continue
+        for N in normal_subgroups(G)[1:]:
+            if N.order < G.order and (H.contains(N) or H.order == 1):
+                assert family.pi(H, N) == satisfies_partial_pi(
+                    G, H, bottom=N)[0], (N, H)
+                inherited += 1
+            if N.contains(H):
+                assert family.through(H, N) == pi_series_through(
+                    G, H, N, 2)[0], (N, H)
+                through += 1
+    assert (inherited, through) == (5766, 5768)
 
 
 def soluble_cases(corpus):

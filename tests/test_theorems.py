@@ -3,7 +3,6 @@ import pytest
 
 from partialpi import _kernels, theorems
 from partialpi.chiefs import _prime_factors
-from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.errors import BadParameter, UnknownLemma
 from partialpi.structure import p_rank, p_supersoluble
@@ -238,11 +237,18 @@ class _Everything:
 
 # The verifiers read a quotient G/N inside G, from the first term N: the
 # replacements below tell its calls from those on G itself by ``bottom``.
+# Every Pi question goes through ``theorems._has_pi`` (H in G, HN/N from
+# ``bottom`` = N, or a series through ``through`` = N).
 
 
 def _pi_false_in_quotients(G, real):
-    return lambda X, H, caps=DEFAULT_CAPS, bottom=None: (
-        real(X, H, caps) if bottom is None else (False, None))
+    return lambda X, P, H, caps, bottom=None, through=None: (
+        real(X, P, H, caps) if bottom is None else False)
+
+
+def _no_series_through(G, real):
+    return lambda X, P, H, caps, bottom=None, through=None: (
+        real(X, P, H, caps, bottom) if through is None else False)
 
 
 def _z_u_trivial_in_G(G, real):
@@ -257,7 +263,7 @@ def _z_up_all_in_G(G, real):
 
 
 def _pi_only_above_order_2(G, real):
-    return lambda X, H, caps=DEFAULT_CAPS: (H.order != 2, None)
+    return lambda X, P, H, caps, bottom=None, through=None: H.order != 2
 
 
 def _never(G, real):
@@ -266,9 +272,9 @@ def _never(G, real):
 
 _FAILURES = (
     # lemma, group, p, replaced name, replacement, detail, count at failure
-    ("quotient-inheritance", "D8", 2, "satisfies_partial_pi",
+    ("quotient-inheritance", "D8", 2, "_has_pi",
      _pi_false_in_quotients, "pairs_checked", 6),
-    ("series-through", "D8", 2, "pi_series_through", _never,
+    ("series-through", "D8", 2, "_has_pi", _no_series_through,
      "pairs_checked", 2),
     ("cyclic-in-hypercenter", "D8", 2, "hypercenter_u",
      lambda G, real: _Everything, "subgroups_checked", 5),
@@ -276,7 +282,7 @@ _FAILURES = (
      _z_u_trivial_in_G, "subgroups_checked", 5),
     ("frattini-factor-hypercenter", "D8", 2, "hypercenter_up",
      _z_up_all_in_G, "subgroups_checked", 5),
-    ("product-transfer", "D8", 2, "satisfies_partial_pi",
+    ("product-transfer", "D8", 2, "_has_pi",
      _pi_only_above_order_2, "pairs_checked", 4),
     ("cap-from-pi", "D8", 2, "satisfies_partial_cap", _never,
      "subgroups_checked", 5),

@@ -24,7 +24,12 @@ then the lattice of a Sylow subgroup P read in G's own table
 (``subgroups_in``) next to P built as a standalone group with its own
 lattice, the route it replaces. A fourth times the soluble routes of
 ``frattini``, ``hall`` and ``is_complemented``, which build no lattice of
-the group, on the two groups whose lattices cost most. A fifth times the module layer on fresh groups:
+the group, on the two groups whose lattices cost most, and then Phi(E) of
+a normal E that is not a p-group: read in G's table off E's own
+chief-factor DAG (``_frattini_in``) next to E built as a standalone group
+with its own DAG, the route it replaces, for the order-162 normal subgroup
+of ``C3^4:C4`` and the order-147 one of ``F7^2:S3``, G's normal subgroups
+found first. A fifth times the module layer on fresh groups:
 the memoised analysis of the section P/1 under a Hall p'-complement (the
 module, its homogeneity by Schur's lemma, its constituent dimension) with
 the spins it takes, on ``C2^4:C3`` and ``C3^4:C4``; then
@@ -75,6 +80,7 @@ from partialpi.groups import (
 )
 from partialpi.perms import Perm, _DTYPE
 from partialpi.structure import (
+    _frattini_in,
     _lattice,
     frattini,
     hall,
@@ -348,6 +354,23 @@ def soluble_routes():
         row = [timed_fresh(make, call, before=prepare) for _, call in calls]
         print(f"{name:<10}{make().order:>6}"
               + "".join(f"{t * 1000:>15.1f}ms" for t in row))
+    print(f"{'Phi(E)':<10}{'|E|':>6}{'|G|':>6}{'read in G':>12}"
+          f"{'standalone':>13}")
+    for name, order in [("C3^4:C4", 162), ("F7^2:S3", 147)]:
+        def make(name=name):
+            return builtin_corpus().group(name)
+
+        def normal(G, order=order):
+            return next(N for N in normal_subgroups(G) if N.order == order)
+
+        def standalone(G):
+            E = normal(G)
+            return G.subgroup(E.idx[frattini(E.as_group()).idx])
+        in_g = timed_fresh(make, lambda G: _frattini_in(G, normal(G)),
+                           before=normal)
+        alone = timed_fresh(make, standalone, before=normal)
+        print(f"{name:<10}{order:>6}{make().order:>6}{in_g * 1000:>10.1f}ms"
+              f"{alone * 1000:>11.1f}ms")
 
 
 def module_layer():

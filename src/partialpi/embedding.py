@@ -100,11 +100,13 @@ class CapWitness:
         self.per_factor = list(per_factor)  # (factor_index, "covers"|"avoids")
 
 
-@memo("normalizer_order")
-def _normalizer_order(G: Group, d_key: bytes) -> int:
-    """|N_G(D)| for D given by the bytes of its index array."""
+@memo("normalizer")
+def _normalizer(G: Group, d_key: bytes) -> tuple:
+    """(|N_G(D)|, the mask of N_G(D)) for D given by the bytes of its index
+    array: one normaliser per D, whoever asks first."""
     d_idx = np.frombuffer(d_key, dtype=_DTYPE)
-    return int(_kernels.normalizer_mask(G.table, G.inverses, d_idx).sum())
+    mask = _kernels.normalizer_mask(G.table, G.inverses, d_idx)
+    return int(mask.sum()), mask
 
 
 def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup) -> tuple:
@@ -118,7 +120,7 @@ def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup) -> tuple:
     if len(d_idx) in (below.order, above.order):
         return len(d_idx) // below.order, 1
     return (len(d_idx) // below.order,
-            G.order // _normalizer_order(G, d_idx.tobytes()))
+            G.order // _normalizer(G, d_idx.tobytes())[0])
 
 
 def _pi_condition(image_order: int, index: int) -> tuple:
@@ -196,7 +198,7 @@ def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
         key = rows[j].tobytes()
         if key not in verdicts:
             d_idx = np.flatnonzero(rows[j]).astype(_DTYPE)
-            index = G.order // _normalizer_order(G, d_idx.tobytes())
+            index = G.order // _normalizer(G, d_idx.tobytes())[0]
             verdicts[key] = _pi_condition(len(d_idx) // K.order, index)[1]
         out[j] = verdicts[key]
     return out
@@ -216,7 +218,7 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     as K <= L), so |D| = |H cap L| |K| / |H cap K|. A D of order |K| or
     |L| is normal, and the factor passes with index 1; only the others
     build D, those of one factor in one gather (``_inner_passes``), and
-    each distinct D takes its index from ``_normalizer_order``, as the
+    each distinct D takes its index from ``_normalizer``, as the
     search does. Both routes judge a factor by ``_pi_condition``.
 
     The walks are ``reach[L] |= reach[K] & pass[K -> L]`` up from 1 and
@@ -354,7 +356,7 @@ def is_complemented(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     if p is not None:
         P = sylow(G, p)
         if (P.contains(H)
-                and _normalizer_order(G, P.idx.tobytes()) == G.order):
+                and _normalizer(G, P.idx.tobytes())[0] == G.order):
             return _complemented_in_normal_sylow(G, H, P, caps)
     return _complemented_by_lattice(G, H, caps)
 
@@ -383,9 +385,9 @@ def _complemented_in_normal_sylow(G: Group, H: Subgroup, P: Subgroup,
     for T in subgroups_in(G, P, caps).of_order(P.order // H.order):
         if H.mask[T.idx[1:]].any():
             continue
-        if _normalizer_order(G, T.idx.tobytes()) % p_prime:
+        order, norm = _normalizer(G, T.idx.tobytes())
+        if order % p_prime:
             continue
-        norm = _kernels.normalizer_mask(G.table, G.inverses, T.idx)
         R = _maximal_pi_subgroup(G, _prime_factors(p_prime), norm)
         return True, G.subgroup_from_mask(_kernels.product_mask(
             G.table, T.idx, np.flatnonzero(R).astype(_DTYPE)))

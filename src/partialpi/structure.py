@@ -14,11 +14,14 @@ by the same walk, Phi(P) = P'P^p, and its Q8 sections for the
 quaternion-free test.
 
 The subgroup lattice of G is the general route to Phi(G) and Hall
-subgroups. A soluble G (every chief factor of prime-power order) never
-needs it: ``frattini`` intersects the cores of the maximal subgroups, read
-off the chief factors, and ``hall`` grows a maximal pi-subgroup element by
-element (P. Hall). Other groups keep the lattice route, which the oracle
-tests use as reference.
+subgroups. A soluble G (every chief factor of prime-power order, so G is
+its own soluble radical) never needs it: ``hall`` grows a maximal
+pi-subgroup element by element (P. Hall). ``_frattini_in`` is the one
+Frattini dispatcher, for G, a p-subgroup or a normal subgroup E: P'P^p for
+a p-group; for a soluble E (or G) the intersection of the cores of the
+maximal subgroups, read off E's own chief-factor DAG in G's table; the
+lattice of G otherwise. Only a non-soluble proper normal E is built as a
+group of its own. The oracle tests use the lattice route as reference.
 
 O_p, O_p', the upper p-series, Z_U and Z_{U_p} are one climb up G's
 chief-factor DAG, to a chief child while its factor's order passes the
@@ -40,6 +43,7 @@ from .chiefs import (
     _bottom,
     _chief_children,
     _is_prime,
+    _nodes,
     _prime_factors,
     _prime_power,
     all_chief_series,
@@ -422,29 +426,28 @@ def hall_complement(G: Group, p: int, caps: Caps = DEFAULT_CAPS):
 # -- Frattini subgroup and socle ---------------------------------------------
 
 
-@memo("frattini")
 def frattini(G: Group, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     """Intersection of all maximal subgroups (G itself when G is trivial)."""
-    if G.order == 1:
-        return G.as_subgroup()
-    p = _prime_power(G.order)
-    if p is not None:
-        return _frattini_p_group(G, G.subgroup(np.arange(G.order)), p)
-    if _is_soluble(G):
-        return _frattini_soluble(G)
-    return _frattini_by_lattice(G, caps)
+    return _frattini_in(G, G.subgroup(np.arange(G.order)), caps)
 
 
 @memo("frattini_in")
 def _frattini_in(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS) -> Subgroup:
-    """Phi(P) for a subgroup P of G, as a subgroup of G: in G's table for a
-    p-subgroup; any other P but G is built as a standalone group (its row i
-    is P.idx[i]), as its Phi needs its own maximal subgroups."""
+    """Phi(P) for a subgroup P of G, as a subgroup of G, read in G's table.
+
+    A p-group's is P'P^p. A P inside G's soluble radical is soluble (and
+    a soluble normal P always lies inside it): its Phi intersects the
+    cores read off P's own chief-factor DAG (``_frattini_soluble``). Otherwise Phi(G) is
+    read off G's lattice, and any other P, which needs its own maximal
+    subgroups, is built as a standalone group (its row i is P.idx[i]).
+    """
     p = _prime_power(P.order)
     if p is not None:
         return _frattini_p_group(G, P, p)
+    if _soluble_radical(G).contains(P):
+        return _frattini_soluble(G, None if P.order == G.order else P)
     if P.order == G.order:
-        return frattini(G, caps)
+        return _frattini_by_lattice(G, caps)
     return G.subgroup(P.idx[frattini(P.as_group(), caps).idx])
 
 
@@ -469,9 +472,9 @@ def _frattini_p_group(G: Group, P: Subgroup, p: int) -> Subgroup:
     return G.subgroup_from_mask(_kernels.closure_idx(table, seeds.nonzero()[0]))
 
 
-def _frattini_soluble(G: Group) -> Subgroup:
-    """Phi(G) of a soluble G as the intersection of the cores of its
-    maximal subgroups.
+def _frattini_soluble(G: Group, E: Subgroup | None = None) -> Subgroup:
+    """Phi(G) of a soluble G, or Phi(E) of a soluble subgroup E of G, as
+    the intersection of the cores of its maximal subgroups.
 
     A normal K is such a core iff G/K is primitive, and a soluble G/K is
     primitive iff it has a single minimal normal subgroup H/K and
@@ -480,25 +483,29 @@ def _frattini_soluble(G: Group) -> Subgroup:
     there F(G/K) = H/K, so Phi(G/K) = 1 and a maximal subgroup missing H/K
     complements it. Normal subgroups are taken largest first, and one that
     already contains the running intersection is skipped, as it cannot
-    shrink it.
+    shrink it. For E the same walk runs on E's own chief-factor DAG in G's
+    table (``chiefs._chief_children`` with E acting), with C_E(H/K).
     """
-    mask = np.ones(G.order, dtype=bool)
-    for K in reversed(normal_subgroups(G)):
+    top = np.ones(G.order, dtype=bool) if E is None else E.mask
+    mask = top.copy()
+    for K in reversed(normal_subgroups(G) if E is None else _nodes(G, E)):
         if not (mask & ~K.mask).any():
             continue
-        children = _chief_children(G, K)
-        if len(children) == 1 and _self_centralising(G, K, children[0]):
+        children = _chief_children(G, K, E)
+        if len(children) == 1 and _self_centralising(G, K, children[0], top):
             mask &= K.mask
     return G.subgroup_from_mask(mask)
 
 
-def _self_centralising(G: Group, K: Subgroup, H: Subgroup) -> bool:
-    """C_G(H/K) = H for an abelian chief factor H/K."""
+def _self_centralising(G: Group, K: Subgroup, H: Subgroup,
+                       top: np.ndarray) -> bool:
+    """C(H/K) = H for an abelian chief factor H/K, the centraliser taken
+    in the subgroup whose mask is ``top`` (G, or the acting E)."""
     table, inv = G.table, G.inverses
-    cent = np.ones(G.order, dtype=bool)
+    cent = top
     for h in G.indices_of(H.generators):
         # [h, g] = h^-1 g^-1 h g for every g
-        cent &= K.mask[table[table[inv[h], inv], table[h]]]
+        cent = cent & K.mask[table[table[inv[h], inv], table[h]]]
     return int(cent.sum()) == H.order
 
 
@@ -568,9 +575,16 @@ def _first_series(G: Group) -> ChiefSeries:
     return next(all_chief_series(G))
 
 
+def _soluble_radical(G: Group) -> Subgroup:
+    """The largest soluble normal subgroup: the climb over chief factors
+    of prime-power order."""
+    return _climb(G, None, _prime_power)
+
+
 def _is_soluble(G: Group) -> bool:
-    """Every chief factor has prime-power order (read from one series)."""
-    return all(_prime_power(o) for o in _first_series(G).factor_orders())
+    """Every chief factor has prime-power order: G is its own soluble
+    radical."""
+    return _soluble_radical(G).order == G.order
 
 
 @memo("p_solubility")

@@ -14,9 +14,11 @@ Pi question is about a subgroup of a Sylow subgroup P, and goes through
 ``_has_pi``: it reads P's ``pi_family`` (every H, in G and from every N,
 from two walks of the DAG), or, when the family is over a cap, runs the
 chain search for that one (N, H). Nor
-do they build a subgroup as a group of its own, but for Phi(E) of a normal
-E that is not a p-group: a p-subgroup's lattice, Phi and Q8 sections are
-read in G's table (``structure.subgroups_in``).
+do they build a subgroup as a group of its own: a p-subgroup's lattice,
+Phi and Q8 sections are read in G's table (``structure.subgroups_in``),
+and so is Phi(E) of a soluble normal E, off E's own chief-factor DAG. Only
+a non-soluble proper normal E would be built alone; no corpus group has
+one.
 
 Universally quantified lemma statements ("for every subgroup of order d...")
 expand to exhaustive checks over the relevant subgroup lists; the expensive
@@ -163,7 +165,6 @@ def cyclic_order4_satisfy_pi(G: Group, P: Subgroup,
                if int(G.element_orders[H.idx].max()) == 4)  # cyclic C4
 
 
-@memo("all_of_order_complemented")
 def all_of_order_complemented(G: Group, P: Subgroup, order: int,
                               caps: Caps = DEFAULT_CAPS) -> bool:
     return all(is_complemented(G, H, caps)[0]
@@ -408,21 +409,13 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
 def _lemma_series_through(G, p, d, caps, rep):
     """Every p-subgroup H of a normal N that has the property admits a chief
     series through N with p-number normalizer indices at every factor.
-    H ranges over the subgroups of P cap N, a Sylow subgroup of N; its
-    conjugates in G give the same verdicts. With P's Pi family they are
-    read off P's own list, which spares a lattice per N; without it, off
-    the lattice of P cap N, which may be under the lattice cap when P's is
-    not."""
+    H ranges over the lattice of P cap N, a Sylow subgroup of N; its
+    conjugates in G give the same verdicts."""
     P = sylow(G, p)
-    family = pi_family(G, P, caps)
 
     def pairs(N):
-        if family is None:
-            hs = subgroups_in(G, G.subgroup_from_mask(P.mask & N.mask),
-                              caps).all
-        else:
-            hs = (H for H in subgroups_in(G, P, caps).all if N.contains(H))
-        for H in hs:
+        for H in subgroups_in(G, G.subgroup_from_mask(P.mask & N.mask),
+                              caps).all:
             if _has_pi(G, P, H, caps):
                 yield _has_pi(G, P, H, caps, through=N)
 

@@ -26,7 +26,8 @@ Quaternion-freeness, read off one lattice by counting squares, is checked
 against a scan of nested lattices and quotients with the general
 isomorphism test. The lattice, Phi and quaternion-freeness of a
 p-subgroup P, read in G's own table, are checked against P as a
-standalone group. The memoised analysis of a section module, which compares
+standalone group, and so is Phi(E) of a normal E that is not a p-group,
+read off E's own chief-factor DAG in G. The memoised analysis of a section module, which compares
 constituents by Schur's lemma, is checked against module isomorphism and
 absolute irreducibility tested separately.
 """
@@ -54,6 +55,7 @@ from partialpi.embedding import (
     pi_series_through,
     satisfies_partial_pi,
 )
+from partialpi.groupfile import build_directive
 from partialpi.groups import (
     Group,
     QuotientMap,
@@ -234,6 +236,31 @@ def test_p_subgroups_read_in_g_match_standalone(corpus):
         assert is_quaternion_free(alone) == _quaternion_free_in(G, P), name
         count += 1
     assert count == 282
+
+
+# Products with soluble normal subgroups that are not p-groups, SL(2,3) x C2
+# last, and two groups whose normal A5 is not soluble, so that its Phi
+# takes the standalone route.
+NORMAL_PHI_EXTRA = ("dp:sym:4xsym:3", "dp:alt:4xalt:4", "dp:elemab:2:3xsym:3",
+                    "sym:5", "dp:alt:5xcyclic:3",
+                    "dp:linear:3:2:0,2,1,0;1,1,0,1xcyclic:2")
+
+
+def test_frattini_of_normal_read_in_g_matches_standalone(corpus):
+    """Phi(E) of every proper normal E that is not a p-group, read in G's
+    table (for a soluble E, off E's own chief-factor DAG), against E as a
+    standalone group, whose row i is E.idx[i]."""
+    extra = [(d, build_directive(d)) for d in NORMAL_PHI_EXTRA]
+    count = 0
+    for name, G in itertools.chain(corpus, extra):
+        for E in normal_subgroups(G)[1:-1]:
+            if len(_prime_factors(E.order)) == 1:
+                continue
+            expected = E.idx[frattini(E.as_group()).idx]
+            assert _frattini_in(G, E).idx.tobytes() == expected.tobytes(), \
+                (name, E.order)
+            count += 1
+    assert count == 98
 
 
 def test_lattice_class_counts(groups):

@@ -5,6 +5,7 @@ from partialpi import _kernels, theorems
 from partialpi.chiefs import _prime_factors
 from partialpi.corpus import builtin_corpus
 from partialpi.errors import BadParameter, UnknownLemma
+from partialpi.groups import Subgroup
 from partialpi.structure import p_rank, p_supersoluble
 from partialpi.theorems import (
     LEMMA_IDS,
@@ -341,3 +342,19 @@ def test_section_modules_spun_once(monkeypatch, name, spins):
     monkeypatch.setattr(_kernels, "spin_basis", counted)
     run_corpus([(name, builtin_corpus().group(name))])
     assert len(calls) == spins
+
+
+def test_builtin_sweep_builds_no_standalone_subgroup(monkeypatch):
+    """A cold builtin sweep reads every verdict in its groups' own tables:
+    no subgroup is built as a group of its own."""
+    calls = 0
+    as_group = Subgroup.as_group
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return as_group(self)
+    monkeypatch.setattr(Subgroup, "as_group", counted)
+    reports = run_corpus(builtin_corpus())
+    assert calls == 0
+    assert {r.status for r in reports} == {"pass", "vacuous"}

@@ -25,11 +25,13 @@ then the lattice of a Sylow subgroup P read in G's own table
 lattice, the route it replaces. A fourth times the soluble routes of
 ``frattini``, ``hall`` and ``is_complemented``, which build no lattice of
 the group, on the two groups whose lattices cost most, and then Phi(E) of
-a normal E that is not a p-group: read in G's table off E's own
-chief-factor DAG (``_frattini_in``) next to E built as a standalone group
-with its own DAG, the route it replaces, for the order-162 normal subgroup
-of ``C3^4:C4`` and the order-147 one of ``F7^2:S3``, G's normal subgroups
-found first. A fifth times the module layer on fresh groups:
+a normal E that is not a p-group through ``_frattini_in`` next to E built
+as a standalone group, G's normal subgroups found first: the order-162
+normal subgroup of ``C3^4:C4`` and the order-147 one of ``F7^2:S3``, which
+meet Phi(G) = 1 and so have Phi(E) = 1 once Phi(G) is read, and SL(2,3)
+in SL(2,3) x C2, which meets Phi(G) = C2, is not nilpotent, and so is
+built standalone by ``_frattini_in`` too. A fifth times the module layer
+on fresh groups:
 the memoised analysis of the section P/1 under a Hall p'-complement (the
 module, its homogeneity by Schur's lemma, its constituent dimension) with
 the spins it takes, on ``C2^4:C3`` and ``C3^4:C4``; then
@@ -354,12 +356,13 @@ def soluble_routes():
         row = [timed_fresh(make, call, before=prepare) for _, call in calls]
         print(f"{name:<10}{make().order:>6}"
               + "".join(f"{t * 1000:>15.1f}ms" for t in row))
-    print(f"{'Phi(E)':<10}{'|E|':>6}{'|G|':>6}{'read in G':>12}"
+    print(f"{'Phi(E)':<10}{'|E|':>6}{'|G|':>6}{'_frattini_in':>14}"
           f"{'standalone':>13}")
-    for name, order in [("C3^4:C4", 162), ("F7^2:S3", 147)]:
-        def make(name=name):
-            return builtin_corpus().group(name)
-
+    for name, make, order in [
+            ("C3^4:C4", c3_4_c4, 162),
+            ("F7^2:S3", lambda: builtin_corpus().group("F7^2:S3"), 147),
+            ("SL23xC2", lambda: build_directive(
+                "dp:linear:3:2:0,2,1,0;1,1,0,1xcyclic:2"), 24)]:
         def normal(G, order=order):
             return next(N for N in normal_subgroups(G) if N.order == order)
 
@@ -369,7 +372,7 @@ def soluble_routes():
         in_g = timed_fresh(make, lambda G: _frattini_in(G, normal(G)),
                            before=normal)
         alone = timed_fresh(make, standalone, before=normal)
-        print(f"{name:<10}{order:>6}{make().order:>6}{in_g * 1000:>10.1f}ms"
+        print(f"{name:<10}{order:>6}{make().order:>6}{in_g * 1000:>12.1f}ms"
               f"{alone * 1000:>11.1f}ms")
 
 

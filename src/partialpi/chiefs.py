@@ -9,11 +9,6 @@ pays only for the nodes it reaches. ``normal_subgroups`` is the set of
 nodes reached from 1. ``search_chains`` is the one enumeration: a DFS from
 the bottom in canonical order, streamed lazily, which prunes any prefix a
 per-factor step function rejects.
-
-The closures, the chief children and the nodes take an optional acting
-subgroup E: then the classes are E's own, under the conjugation rows of
-E's generators, and the DAG is E's (its nodes the normal subgroups of E),
-read in G's table with no group built for E.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _kernels
 from .config import Caps, DEFAULT_CAPS
 from .errors import NotChief, NotNormal, SeriesCapExceeded
 from .groups import Group, Subgroup, memo
@@ -53,27 +47,21 @@ def _is_prime(n: int) -> bool:
     return _prime_power(n) == n
 
 
-def _class_closures(G: Group, E: Subgroup | None = None) -> list:
-    """The distinct normal closures of G's conjugacy classes, as index
-    arrays; with an acting subgroup E, those of E's own classes in E, read
-    in G's table.
+def _class_closures(G: Group) -> list:
+    """The distinct normal closures of G's conjugacy classes, as index arrays.
 
     All come from one batched search: a boolean row per class
     representative r (the least of each non-identity class), grown from
     {1, r} level by level. Each level scatters the frontier's images under
-    x -> x·r and under the conjugation rows of the acting group's
-    generators (``Group.conjugation`` for G). The least set holding 1 and
-    r and closed under both is <r^G> (<r^E> for E): a product of k conjugates of r is
-    (v·r)^g with v a product of k - 1 of them. The rows lie end to end in
-    one flat array, so that an entry's flat index less its element is its
-    row's offset. They are deduped in representative order.
+    x -> x·r and under the conjugation rows of G's generators. The least
+    set holding 1 and r and closed under both is <r^G>: a product of k
+    conjugates of r is (v·r)^g with v a product of k - 1 of them. The rows
+    lie end to end in one flat array, so that an entry's flat index less
+    its element is its row's offset. They are deduped in representative
+    order.
     """
-    n, conj, reps = G.order, G.conjugation, G.class_reps
-    if E is not None:
-        gens = G.indices_of(E.generators)
-        conj = G.table[G.table[G.inverses[gens]], gens[:, None]]
-        reps = np.where(E.mask, _kernels.class_min_rep(conj), -1)
-    reps = np.flatnonzero(reps == np.arange(n))[1:]
+    n, conj = G.order, G.conjugation
+    reps = np.flatnonzero(G.class_reps == np.arange(n))[1:]
     right = G.table[:, reps].T.ravel()  # right[i * n + x] = x·reps[i]
     offsets = np.arange(len(reps)) * n
     member = np.zeros(len(reps) * n, dtype=bool)
@@ -98,11 +86,10 @@ def _class_closures(G: Group, E: Subgroup | None = None) -> list:
 
 
 @memo("closure_layout")
-def _closure_layout(G: Group, E: Subgroup | None = None) -> tuple:
-    """The class closures (of E when given) flattened for one gather:
-    (elements, start of each closure, closure of each element). The acting
-    group must be non-trivial."""
-    closures = _class_closures(G, E)
+def _closure_layout(G: Group) -> tuple:
+    """The class closures flattened for one gather: (elements, start of
+    each closure, closure of each element). G must be non-trivial."""
+    closures = _class_closures(G)
     sizes = [len(c) for c in closures]
     flat = np.concatenate(closures).astype(_DTYPE)
     starts = np.cumsum([0] + sizes[:-1])
@@ -127,11 +114,9 @@ def _bottom(G: Group, bottom: Subgroup | None) -> Subgroup:
 
 
 @memo("chief_children")
-def _chief_children(G: Group, top: Subgroup, E: Subgroup | None = None) -> list:
+def _chief_children(G: Group, top: Subgroup) -> list:
     """The chief children of the normal ``top``: the normal M > top with
-    nothing normal strictly between, in canonical order. With an acting
-    subgroup E, "normal" means normal in E, for a ``top`` inside E: the
-    edges of E's own chief-factor DAG, read in G's table.
+    nothing normal strictly between, in canonical order.
 
     They are the minimal products top·C over the class closures C outside
     top. If K is normal with top < K < top·C, then top·C' <= K for C' the
@@ -141,9 +126,9 @@ def _chief_children(G: Group, top: Subgroup, E: Subgroup | None = None) -> list:
     boolean row per closure. Row i is dropped when some row j lies inside
     it (|P_i ∩ P_j| = |P_j|) and is smaller, or equal with j < i.
     """
-    if top.order == (G if E is None else E).order:
+    if top.order == G.order:
         return []
-    flat, starts, row_of = _closure_layout(G, E)
+    flat, starts, row_of = _closure_layout(G)
     outside = ~np.logical_and.reduceat(top.mask[flat], starts)
     keep = outside[row_of]
     prods = np.zeros((len(starts), G.order), dtype=bool)
@@ -168,16 +153,10 @@ def normal_subgroups(G: Group) -> list:
     ``_chief_children``: every normal subgroup lies on some chief series,
     a maximal chain of normal subgroups from 1 to G.
     """
-    return _nodes(G)
-
-
-def _nodes(G: Group, E: Subgroup | None = None) -> list:
-    """The nodes of G's chief-factor DAG, or of the acting E's (its normal
-    subgroups, in G's table), canonically ordered."""
     seen = {G.trivial_subgroup()}
     work = list(seen)
     while work:
-        for M in _chief_children(G, work.pop(), E):
+        for M in _chief_children(G, work.pop()):
             if M not in seen:
                 seen.add(M)
                 work.append(M)

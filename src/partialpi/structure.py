@@ -14,14 +14,17 @@ by the same walk, Phi(P) = P'P^p, and its Q8 sections for the
 quaternion-free test.
 
 The subgroup lattice of G is the general route to Phi(G) and Hall
-subgroups. A soluble G (every chief factor of prime-power order, so G is
-its own soluble radical) never needs it: ``hall`` grows a maximal
-pi-subgroup element by element (P. Hall). ``_frattini_in`` is the one
-Frattini dispatcher, for G, a p-subgroup or a normal subgroup E: P'P^p for
-a p-group; for a soluble E (or G) the intersection of the cores of the
-maximal subgroups, read off E's own chief-factor DAG in G's table; the
-lattice of G otherwise. Only a non-soluble proper normal E is built as a
-group of its own. The oracle tests use the lattice route as reference.
+subgroups. A soluble G (every chief factor of prime-power order) never
+needs it: ``hall`` grows a maximal pi-subgroup element by element
+(P. Hall). ``_frattini_in`` is the one Frattini dispatcher, for G, a
+p-subgroup or a normal subgroup E, from two facts: Phi(E) <= Phi(G) for
+a normal E, and the Phi of a nilpotent group is the product of its
+Sylow subgroups' own. A nilpotent P gives P'P^r (r the product of its
+primes); a soluble G the cores of its maximal subgroups, read off its
+chief-factor DAG; a normal E of a soluble G meeting Phi(G) trivially
+has Phi(E) = 1; G's lattice serves a non-soluble G. Any other E is built
+as a group of its own. The oracle tests use the lattice route as
+reference.
 
 O_p, O_p', the upper p-series, Z_U and Z_{U_p} are one climb up G's
 chief-factor DAG, to a chief child while its factor's order passes the
@@ -43,7 +46,6 @@ from .chiefs import (
     _bottom,
     _chief_children,
     _is_prime,
-    _nodes,
     _prime_factors,
     _prime_power,
     all_chief_series,
@@ -52,7 +54,7 @@ from .chiefs import (
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
-from .groups import Group, Subgroup, derived_subgroup, memo
+from .groups import Group, Subgroup, clear_memo, derived_subgroup, memo
 from .perms import _DTYPE
 
 
@@ -433,22 +435,37 @@ def frattini(G: Group, caps: Caps = DEFAULT_CAPS) -> Subgroup:
 
 @memo("frattini_in")
 def _frattini_in(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS) -> Subgroup:
-    """Phi(P) for a subgroup P of G, as a subgroup of G, read in G's table.
+    """Phi(P) for P = G, a p-subgroup or a normal subgroup P of G, as a
+    subgroup of G.
 
-    A p-group's is P'P^p. A P inside G's soluble radical is soluble (and
-    a soluble normal P always lies inside it): its Phi intersects the
-    cores read off P's own chief-factor DAG (``_frattini_soluble``). Otherwise Phi(G) is
-    read off G's lattice, and any other P, which needs its own maximal
-    subgroups, is built as a standalone group (its row i is P.idx[i]).
+    Two facts keep most P inside G's table (Huppert, *Endliche Gruppen I*,
+    1967, ch. III §3): Phi(N) <= Phi(G) for every normal N of G, and the
+    Phi of a nilpotent group is the product of those of its Sylow
+    subgroups. So:
+    - a nilpotent P (a p-group among them) gives P'P^r, r the product of
+      the primes dividing |P| (``_frattini_nilpotent``);
+    - P = G gives the cores of the maximal subgroups off G's chief-factor
+      DAG when G is soluble (``_frattini_soluble``), G's lattice otherwise;
+    - a normal P of a soluble G with Phi(G) ∩ P = 1 has Phi(P) = 1;
+    - any other P is built as a standalone group (its row i is P.idx[i]),
+      whose memo is cleared once its Phi is read.
     """
-    p = _prime_power(P.order)
-    if p is not None:
-        return _frattini_p_group(G, P, p)
-    if _soluble_radical(G).contains(P):
-        return _frattini_soluble(G, None if P.order == G.order else P)
+    primes = _prime_factors(P.order)
+    # nilpotent iff one Sylow q-subgroup each: exactly |P|_q q-elements
+    if all(_pi_elements(G, {q})[P.idx].sum() + 1 == _p_part(P.order, q)
+           for q in primes):
+        return _frattini_nilpotent(G, P, math.prod(primes))
     if P.order == G.order:
+        if _is_soluble(G):
+            return _frattini_soluble(G)
         return _frattini_by_lattice(G, caps)
-    return G.subgroup(P.idx[frattini(P.as_group(), caps).idx])
+    if (P.is_normal() and _is_soluble(G)
+            and not P.mask[frattini(G, caps).idx[1:]].any()):
+        return G.trivial_subgroup()
+    alone = P.as_group()
+    phi = G.subgroup(P.idx[frattini(alone, caps).idx])
+    clear_memo(alone)
+    return phi
 
 
 def _frattini_by_lattice(G: Group, caps: Caps) -> Subgroup:
@@ -458,23 +475,27 @@ def _frattini_by_lattice(G: Group, caps: Caps) -> Subgroup:
     return G.subgroup_from_mask(mask)
 
 
-def _frattini_p_group(G: Group, P: Subgroup, p: int) -> Subgroup:
-    """Phi(P) = P'P^p for a p-subgroup P of G (Burnside's basis theorem):
-    the closure in G's table of P's commutators and p-th powers."""
+def _frattini_nilpotent(G: Group, P: Subgroup, r: int) -> Subgroup:
+    """Phi(P) = P'P^r for a nilpotent subgroup P of G, r the product of the
+    primes dividing |P|: the closure in G's table of P's commutators and
+    r-th powers. For a p-group (r = p) this is Burnside's basis theorem;
+    a nilpotent P is the direct product of its Sylow subgroups P_q, and
+    x^r generates the same subgroup as x^q for a q-element x, so P'P^r
+    is the product of the P_q'P_q^q."""
     table, inv, elts = G.table, G.inverses, P.idx
     seeds = np.zeros(G.order, dtype=bool)
     seeds[table[table[inv[elts][:, None], inv[elts]],  # a^-1 b^-1 a b
                 table[elts[:, None], elts]]] = True
     power = elts
-    for _ in range(p - 1):
+    for _ in range(r - 1):
         power = table[power, elts]
     seeds[power] = True
     return G.subgroup_from_mask(_kernels.closure_idx(table, seeds.nonzero()[0]))
 
 
-def _frattini_soluble(G: Group, E: Subgroup | None = None) -> Subgroup:
-    """Phi(G) of a soluble G, or Phi(E) of a soluble subgroup E of G, as
-    the intersection of the cores of its maximal subgroups.
+def _frattini_soluble(G: Group) -> Subgroup:
+    """Phi(G) of a soluble G as the intersection of the cores of its
+    maximal subgroups.
 
     A normal K is such a core iff G/K is primitive, and a soluble G/K is
     primitive iff it has a single minimal normal subgroup H/K and
@@ -483,29 +504,25 @@ def _frattini_soluble(G: Group, E: Subgroup | None = None) -> Subgroup:
     there F(G/K) = H/K, so Phi(G/K) = 1 and a maximal subgroup missing H/K
     complements it. Normal subgroups are taken largest first, and one that
     already contains the running intersection is skipped, as it cannot
-    shrink it. For E the same walk runs on E's own chief-factor DAG in G's
-    table (``chiefs._chief_children`` with E acting), with C_E(H/K).
+    shrink it.
     """
-    top = np.ones(G.order, dtype=bool) if E is None else E.mask
-    mask = top.copy()
-    for K in reversed(normal_subgroups(G) if E is None else _nodes(G, E)):
+    mask = np.ones(G.order, dtype=bool)
+    for K in reversed(normal_subgroups(G)):
         if not (mask & ~K.mask).any():
             continue
-        children = _chief_children(G, K, E)
-        if len(children) == 1 and _self_centralising(G, K, children[0], top):
+        children = _chief_children(G, K)
+        if len(children) == 1 and _self_centralising(G, K, children[0]):
             mask &= K.mask
     return G.subgroup_from_mask(mask)
 
 
-def _self_centralising(G: Group, K: Subgroup, H: Subgroup,
-                       top: np.ndarray) -> bool:
-    """C(H/K) = H for an abelian chief factor H/K, the centraliser taken
-    in the subgroup whose mask is ``top`` (G, or the acting E)."""
+def _self_centralising(G: Group, K: Subgroup, H: Subgroup) -> bool:
+    """C_G(H/K) = H for an abelian chief factor H/K."""
     table, inv = G.table, G.inverses
-    cent = top
+    cent = np.ones(G.order, dtype=bool)
     for h in G.indices_of(H.generators):
         # [h, g] = h^-1 g^-1 h g for every g
-        cent = cent & K.mask[table[table[inv[h], inv], table[h]]]
+        cent &= K.mask[table[table[inv[h], inv], table[h]]]
     return int(cent.sum()) == H.order
 
 
@@ -575,16 +592,10 @@ def _first_series(G: Group) -> ChiefSeries:
     return next(all_chief_series(G))
 
 
-def _soluble_radical(G: Group) -> Subgroup:
-    """The largest soluble normal subgroup: the climb over chief factors
-    of prime-power order."""
-    return _climb(G, None, _prime_power)
-
-
 def _is_soluble(G: Group) -> bool:
     """Every chief factor has prime-power order: G is its own soluble
-    radical."""
-    return _soluble_radical(G).order == G.order
+    radical, the climb over chief factors of prime-power order."""
+    return _climb(G, None, _prime_power).order == G.order
 
 
 @memo("p_solubility")

@@ -16,8 +16,9 @@ from two walks of the DAG), or, when the family is over a cap, runs the
 chain search for that one (N, H). Nor
 do they build a subgroup as a group of its own: a p-subgroup's lattice,
 Phi and Q8 sections are read in G's table (``structure.subgroups_in``),
-and so is Phi(E) of a soluble normal E, off E's own chief-factor DAG. Only
-a non-soluble proper normal E would be built alone; no corpus group has
+and so is Phi(E) of a normal E that is nilpotent, or that meets Phi(G)
+trivially in a soluble G (then Phi(E) = 1, as Phi(E) <= Phi(G)). Any
+other E is built alone, its memo cleared once read; no corpus group has
 one.
 
 Universally quantified lemma statements ("for every subgroup of order d...")

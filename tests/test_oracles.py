@@ -27,7 +27,10 @@ against a scan of nested lattices and quotients with the general
 isomorphism test. The lattice, Phi and quaternion-freeness of a
 p-subgroup P, read in G's own table, are checked against P as a
 standalone group, and so is Phi(E) of a normal E that is not a p-group,
-read off E's own chief-factor DAG in G. The memoised analysis of a section module, which compares
+read in G as P'P^r for a nilpotent E, as 1 when E meets Phi(G) trivially
+in a soluble G, and off a standalone copy otherwise; Phi(G) = P'P^r of a
+nilpotent G that is not a p-group is checked against the lattice. The
+memoised analysis of a section module, which compares
 constituents by Schur's lemma, is checked against module isomorphism and
 absolute irreducibility tested separately.
 """
@@ -238,18 +241,23 @@ def test_p_subgroups_read_in_g_match_standalone(corpus):
     assert count == 282
 
 
-# Products with soluble normal subgroups that are not p-groups, SL(2,3) x C2
-# last, and two groups whose normal A5 is not soluble, so that its Phi
-# takes the standalone route.
+# Products with soluble normal subgroups that are not p-groups; two groups
+# whose normal A5 is not soluble; SL(2,3) x C2 and C4 x S3, whose normal
+# SL(2,3) and C2 x S3 meet Phi(G) = C2 but are not nilpotent, so that their
+# Phi takes the standalone route (C2 x S3 has Phi = 1 < Phi(G) ∩ E); and
+# D8 x C9 and Q8 x S3, with nilpotent normal subgroups of two primes.
 NORMAL_PHI_EXTRA = ("dp:sym:4xsym:3", "dp:alt:4xalt:4", "dp:elemab:2:3xsym:3",
                     "sym:5", "dp:alt:5xcyclic:3",
-                    "dp:linear:3:2:0,2,1,0;1,1,0,1xcyclic:2")
+                    "dp:linear:3:2:0,2,1,0;1,1,0,1xcyclic:2",
+                    "dp:cyclic:4xsym:3", "dp:dihedral:8xcyclic:9",
+                    "dp:quaternion:8xsym:3")
 
 
 def test_frattini_of_normal_read_in_g_matches_standalone(corpus):
     """Phi(E) of every proper normal E that is not a p-group, read in G's
-    table (for a soluble E, off E's own chief-factor DAG), against E as a
-    standalone group, whose row i is E.idx[i]."""
+    table (P'P^r for a nilpotent E, 1 when E meets Phi(G) trivially in a
+    soluble G), against E as a standalone group, whose row i is E.idx[i];
+    and Phi(G) = P'P^r of a nilpotent G against G's lattice."""
     extra = [(d, build_directive(d)) for d in NORMAL_PHI_EXTRA]
     count = 0
     for name, G in itertools.chain(corpus, extra):
@@ -260,7 +268,14 @@ def test_frattini_of_normal_read_in_g_matches_standalone(corpus):
             assert _frattini_in(G, E).idx.tobytes() == expected.tobytes(), \
                 (name, E.order)
             count += 1
-    assert count == 98
+    assert count == 130
+    # the standalone copy of a nilpotent E takes P'P^r too, so P'P^r is
+    # also checked against the lattice, on nilpotent G of two primes
+    for d in ("dp:dihedral:8xcyclic:3", "dp:quaternion:8xcyclic:3",
+              "dp:dihedral:8xcyclic:9"):
+        G = build_directive(d)
+        expected = _frattini_by_lattice(G, DEFAULT_CAPS).idx.tobytes()
+        assert frattini(G).idx.tobytes() == expected, d
 
 
 def test_lattice_class_counts(groups):

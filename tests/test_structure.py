@@ -1,3 +1,4 @@
+import gc
 import inspect
 
 import numpy as np
@@ -10,7 +11,9 @@ from partialpi.config import Caps, DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import is_complemented
 from partialpi.errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
+from partialpi.groupfile import build_directive
 from partialpi.groups import (
+    Group,
     alternating,
     cyclic,
     dicyclic,
@@ -25,6 +28,7 @@ from partialpi.groups import (
 )
 from partialpi.perms import _DTYPE
 from partialpi.structure import (
+    _frattini_in,
     all_subgroups,
     exponent,
     frattini,
@@ -243,6 +247,26 @@ def test_frattini_p_group_oracle(groups):
         seeds = np.unique(np.concatenate((derived_subgroup(P).idx, powers)))
         oracle = P.subgroup_from_mask(_kernels.closure_idx(P.table, seeds.astype(_DTYPE)))
         assert frattini(P).idx.tobytes() == oracle.idx.tobytes()
+
+
+def test_standalone_frattini_leaves_no_cyclic_garbage():
+    """SL(2,3), normal in SL(2,3) x C2, is not nilpotent and meets
+    Phi(G) = C2, so its Phi is read off a standalone copy; that copy's memo
+    is cleared once read, so no Group waits for the cycle collector."""
+    G = build_directive("dp:linear:3:2:0,2,1,0;1,1,0,1xcyclic:2")
+    E = next(N for N in normal_subgroups(G) if N.order == 24)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert _frattini_in(G, E).order == 2
+        gc.collect()
+        left = [x for x in gc.garbage if isinstance(x, Group)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 def test_socle(groups):

@@ -44,7 +44,13 @@ pair: the property of every subgroup H of P, then HN/N in G/N for the
 (N, H) that quotient-inheritance asks about and a series through N for
 those series-through asks about, on fresh ``C3^4:C4`` (p = 3), ``C2^5``,
 ``D8xD8`` and ``Q8xQ8xC2`` with G's table, chief-factor DAG and P's
-lattice built first. The searches run once, the family best of 3.
+lattice built first. The searches run once, the family best of 3. So do
+the rows after it: on fresh ``C3^4:C4`` at p = 3, the complement verdicts
+of every subgroup of P (``embedding.complement_family``, one matmul over
+G's normal subgroups inside P) against ``is_complemented`` per subgroup,
+and the partial CAP verdicts, which ``pi_family`` reads off the factors
+where H's trace is an end of the factor, against ``satisfies_partial_cap``
+per subgroup.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -67,9 +73,11 @@ from partialpi.chiefs import (
 from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.embedding import (
+    complement_family,
     is_complemented,
     pi_family,
     pi_series_through,
+    satisfies_partial_cap,
     satisfies_partial_pi,
 )
 from partialpi.groupfile import build_directive
@@ -464,6 +472,40 @@ def pi_family_rows():
               f"{search * 1000:>15.1f}ms{family * 1000:>10.1f}ms")
 
 
+def complement_and_cap_rows():
+    """The complement and partial CAP verdicts of every subgroup of P
+    against one search per subgroup, on fresh ``C3^4:C4`` at p = 3."""
+    def prepare(G):
+        P = sylow(G, 3)
+        for N in normal_subgroups(G):
+            _chief_children(G, N)
+        subgroups_in(G, P)
+        return P
+
+    def per_h(search):
+        G = c3_4_c4()
+        P = prepare(G)
+        t0 = time.perf_counter()
+        for H in subgroups_in(G, P).all:
+            search(G, H)
+        return time.perf_counter() - t0
+
+    rows = [("complement", "complement_family", complement_family,
+             is_complemented),
+            ("partial CAP", "pi_family (Pi too)", pi_family,
+             satisfies_partial_cap)]
+    G = c3_4_c4()
+    P = prepare(G)
+    print(f"\nverdicts of all {len(subgroups_in(G, P))} subgroups of P, "
+          f"C3^4:C4 at p = 3, fresh group each:")
+    print(f"{'verdict':<13}{'per-H search':>14}{'family':>22}")
+    for name, label, family, search in rows:
+        best = timed_fresh(c3_4_c4, lambda G: family(G, prepare(G)),
+                           before=prepare)
+        print(f"{name:<13}{per_h(search) * 1000:>12.1f}ms"
+              f"{label:>20} {best * 1000:.1f}ms")
+
+
 def main():
     rows = [(name, timed(fn)) for name, fn in workloads()]
     width = max(len(name) for name, _ in rows)
@@ -476,6 +518,7 @@ def main():
     soluble_routes()
     module_layer()
     pi_family_rows()
+    complement_and_cap_rows()
 
 
 if __name__ == "__main__":

@@ -30,11 +30,18 @@ subgroup P, and often from every normal N as well. ``pi_family`` answers
 all of them at once: one pass bit per (chief factor, H), then one walk of
 the chief-factor DAG up from 1 and one down from G. It judges a factor by
 the same ``_pi_condition`` as the search, and it stands down (None) over
-the lattice or series cap, where the callers search per pair. The search,
-with its witness, stays for single subgroups and as the family's oracle.
+the lattice or series cap, where the callers search per pair. The same
+table of orders |H cap N| gives every H's partial CAP verdict: H covers
+or avoids a factor exactly when its trace is an end of the factor
+(Dedekind's rule). ``complement_family`` reads off one more such table,
+against G's normal subgroups inside P, which subgroups of an abelian
+normal Sylow P are complemented (Schur-Zassenhaus). The searches, with
+their witnesses, stay for single subgroups and as the families' oracles.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from .errors import HypothesisViolated
 from .groups import Group, Subgroup, memo, normalizer, quotient
 from .perms import _DTYPE
 from .structure import (
+    _is_abelian_in,
     _maximal_pi_subgroup,
     _p_part,
     all_subgroups,
@@ -159,15 +167,18 @@ class PiFamily:
     """The Pi verdicts of every subgroup H of a p-subgroup P, from every
     normal subgroup N of G, as two boolean tables (node x column): ``co``,
     whether a chain of passing factors runs from N up to G, and ``reach``,
-    whether one runs from 1 up to N."""
+    whether one runs from 1 up to N; and ``cap_co``, whether a chain of
+    factors that H covers or avoids runs from 1 up to G, one bit per
+    column."""
 
-    __slots__ = ("_node", "_column", "reach", "co")
+    __slots__ = ("_node", "_column", "reach", "co", "cap_co")
 
-    def __init__(self, node_of: dict, columns, reach, co):
+    def __init__(self, node_of: dict, columns, reach, co, cap_co):
         self._node = node_of
         self._column = {H: j for j, H in enumerate(columns)}
         self.reach = reach
         self.co = co
+        self.cap_co = cap_co
 
     def pi(self, H: Subgroup, bottom: Subgroup | None = None) -> bool:
         """``satisfies_partial_pi(G, H, caps, bottom)[0]``."""
@@ -179,6 +190,18 @@ class PiFamily:
         property."""
         node, column = self._node[N], self._column[H]
         return bool(self.reach[node, column] and self.co[node, column])
+
+    def cap(self, H: Subgroup) -> bool:
+        """``satisfies_partial_cap(G, H, caps)[0]``."""
+        return bool(self.cap_co[self._column[H]])
+
+
+def _meet(P: Subgroup, columns, nodes) -> np.ndarray:
+    """|H cap N| for every column H, a subgroup of P, and every node N, as
+    one integer matmul: every H lies in P, so the counts are taken on P's
+    elements alone."""
+    h_rows = np.stack([H.mask[P.idx] for H in columns]).astype(np.int32)
+    return h_rows @ np.stack([N.mask[P.idx] for N in nodes]).T.astype(np.int32)
 
 
 def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
@@ -206,20 +229,21 @@ def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
 
 @memo("pi_family")
 def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
-    """The Pi verdicts of every subgroup of the p-subgroup P, in G and in
-    every G/N, from one walk of the chief-factor DAG each way; None over a
-    cap.
+    """The Pi and partial CAP verdicts of every subgroup of the p-subgroup
+    P, the Pi ones in G and in every G/N, from one walk of the chief-factor
+    DAG up and one down; None over a cap.
 
     The nodes are the normal subgroups in canonical order, which is by
     order and so topological; the edges K -> L are the chief factors, and
     the columns are ``subgroups_in(G, P, caps).all``. One integer matmul of
-    the columns' masks against the nodes' gives every |H cap N|. At a
-    factor K < L the trace is D = HK cap L = (H cap L)K (Dedekind's rule,
-    as K <= L), so |D| = |H cap L| |K| / |H cap K|. A D of order |K| or
-    |L| is normal, and the factor passes with index 1; only the others
-    build D, those of one factor in one gather (``_inner_passes``), and
-    each distinct D takes its index from ``_normalizer``, as the
-    search does. Both routes judge a factor by ``_pi_condition``.
+    the columns' masks against the nodes' gives every |H cap N|
+    (``_meet``). At a factor K < L the trace is D = HK cap L = (H cap L)K
+    (Dedekind's rule, as K <= L), so |D| = |H cap L| |K| / |H cap K|. A D
+    of order |K| or |L| is normal, and the factor passes with index 1;
+    only the others build D, those of one factor in one gather
+    (``_inner_passes``), and each distinct D takes its index from
+    ``_normalizer``, as the search does. Both routes judge a factor by
+    ``_pi_condition``.
 
     The walks are ``reach[L] |= reach[K] & pass[K -> L]`` up from 1 and
     ``co[K] |= pass[K -> L] & co[L]`` down from G. By the correspondence
@@ -230,6 +254,12 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     of H. For a p-subgroup H the image D/K is a p-group, so the p-number
     step of ``pi_series_through`` and the Pi step accept the same factors,
     and ``reach[N] & co[N]`` is ``pi_series_through(G, H, N, p)``.
+
+    H covers K < L when L <= HK, that is D = L, and avoids it when
+    H cap L <= K, that is D = K. So the factors H covers or avoids are
+    exactly those whose D has order |K| or |L|, and the same walk down
+    over those bits gives the partial CAP verdict of every column, its
+    row at 1 (``cap_co``). The family's guard covers that search too.
 
     The family is None when |P| > caps.lattice, or when the DAG has more
     paths from 1 to G than caps.series; the callers then search per pair.
@@ -254,12 +284,7 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     m = len(columns)
     elements = np.concatenate([H.idx for H in columns])
     owner = np.repeat(np.arange(m), [H.order for H in columns])
-    # every H lies in P, so |H cap N| is counted on P's elements alone
-    position = np.zeros(G.order, dtype=np.intp)
-    position[P.idx] = np.arange(P.order)
-    h_rows = np.zeros((m, P.order), dtype=np.int32)
-    h_rows[owner, position[elements]] = 1
-    meet = h_rows @ np.stack([N.mask[P.idx] for N in nodes]).T.astype(np.int32)
+    meet = _meet(P, columns, nodes)
     order = np.array([N.order for N in nodes])
     below, above = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     d = meet[:, above] * order[below] // meet[:, below]
@@ -271,13 +296,15 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
                                   inner[e], elements, owner)
     reach = np.zeros((len(nodes), m), dtype=bool)
     co = np.zeros_like(reach)
-    reach[0] = co[-1] = True
+    cap = np.zeros_like(reach)
+    reach[0] = co[-1] = cap[-1] = True
     for e, (k, l) in enumerate(edges):
         reach[l] |= reach[k] & passed[e]
     for e in range(len(edges) - 1, -1, -1):
         k, l = edges[e]
         co[k] |= passed[e] & co[l]
-    return PiFamily(node_of, columns, reach, co)
+        cap[k] |= ~inner[e] & cap[l]
+    return PiFamily(node_of, columns, reach, co, cap[0])
 
 
 def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:
@@ -392,6 +419,36 @@ def _complemented_in_normal_sylow(G: Group, H: Subgroup, P: Subgroup,
         return True, G.subgroup_from_mask(_kernels.product_mask(
             G.table, T.idx, np.flatnonzero(R).astype(_DTYPE)))
     return False, None
+
+
+@memo("complement_family")
+def complement_family(G: Group, P: Subgroup,
+                      caps: Caps = DEFAULT_CAPS) -> dict:
+    """{H: is H complemented in G} for every subgroup H of the abelian
+    normal Sylow p-subgroup P, from one integer matmul.
+
+    H <= P is complemented in G iff some normal subgroup N of G inside P
+    has |N cap H| = 1 and |N| |H| = |P|. If so, take a complement R of P
+    (Schur-Zassenhaus): NR is a subgroup, H cap NR = H cap N(P cap R) =
+    H cap N = 1 by Dedekind's rule, and |H| |NR| = |G|. Conversely, if K
+    complements H, then T = K cap P has order |P|/|H| and meets H
+    trivially; T is normal in K as P is normal in G, and normal in P as P
+    is abelian, so T is normal in KP = G (Kurzweil and Stellmacher, *The
+    Theory of Finite Groups*, 2004, ch. 3). The columns are
+    ``subgroups_in(G, P, caps).all``, so the lattice cap bites where the
+    per-H search does; HypothesisViolated unless P is an abelian normal
+    Sylow subgroup. ``is_complemented``, with its complement as witness,
+    stays for single subgroups and as the family's oracle.
+    """
+    if (math.gcd(P.order, G.order // P.order) != 1 or not P.is_normal()
+            or not _is_abelian_in(G, P)):
+        raise HypothesisViolated("P is not an abelian normal Sylow subgroup")
+    columns = subgroups_in(G, P, caps).all
+    inside = [N for N in normal_subgroups(G) if P.contains(N)]
+    meet = _meet(P, columns, inside)
+    sizes = np.outer([H.order for H in columns], [N.order for N in inside])
+    verdicts = ((meet == 1) & (sizes == P.order)).any(axis=1)
+    return dict(zip(columns, verdicts.tolist()))
 
 
 # -- chief series through a prescribed normal subgroup ---------------------------

@@ -22,7 +22,8 @@ a normal E, and the Phi of a nilpotent group is the product of its
 Sylow subgroups' own. A nilpotent P gives P'P^r (r the product of its
 primes); a soluble G the cores of its maximal subgroups, read off its
 chief-factor DAG; a normal E of a soluble G meeting Phi(G) trivially
-has Phi(E) = 1; G's lattice serves a non-soluble G. Any other E is built
+has Phi(E) = 1; so does a G whose Fitting subgroup is 1, as Phi(G) is
+nilpotent; G's lattice serves any other non-soluble G. Any other E is built
 as a group of its own. The oracle tests use the lattice route as
 reference.
 
@@ -75,6 +76,13 @@ def _pi_part(n: int, pi) -> int:
     for p in pi:
         out *= _p_part(n, p)
     return out
+
+
+def _is_abelian_in(G: Group, P: Subgroup) -> bool:
+    """Do the elements of the subgroup P commute pairwise, read off G's
+    table?"""
+    block = G.table[np.ix_(P.idx, P.idx)]
+    return bool((block == block.T).all())
 
 
 # -- subgroup lattice --------------------------------------------------------
@@ -196,9 +204,11 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     already gives that cover again and is skipped. The normaliser mask of
     S in P (P's elements alone tested) gives its normal flag in P; S's
     generators plus x generate a cover. No closure is taken: a cover is
-    the products of S with x's powers. Layers sort by positions in P.
+    the products of S with x's powers. Layers sort by positions in P. When
+    P is abelian every S is normal in P, and no normaliser is built.
     """
     table, inv, elts = G.table, G.inverses, P.idx
+    abelian = _is_abelian_in(G, P)
     p = _prime_power(P.order) or 1  # 1: P is trivial, with no cover
     power = [np.zeros(len(elts), dtype=_DTYPE), elts]
     while len(power) <= p:
@@ -212,7 +222,8 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     while layer:  # P itself, with no cover, ends the walk
         covers: dict = {}
         for idx, gens_idx in layer:
-            norm = _kernels.normalizer_mask(table, inv, idx, elts)
+            norm = (np.ones(len(elts), dtype=bool) if abelian else
+                    _kernels.normalizer_mask(table, inv, idx, elts))
             subs.append(G.subgroup(idx, generator_idx=gens_idx))
             flags.append(bool(norm.all()))
             covered = np.zeros(G.order, dtype=bool)
@@ -445,7 +456,10 @@ def _frattini_in(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     - a nilpotent P (a p-group among them) gives P'P^r, r the product of
       the primes dividing |P| (``_frattini_nilpotent``);
     - P = G gives the cores of the maximal subgroups off G's chief-factor
-      DAG when G is soluble (``_frattini_soluble``), G's lattice otherwise;
+      DAG when G is soluble (``_frattini_soluble``); a non-soluble G with
+      Fitting subgroup F(G) = 1, that is with no minimal normal subgroup
+      of prime-power order, has Phi(G) = 1, since Phi(G) is nilpotent and
+      normal and so lies in F(G); any other G reads its lattice;
     - a normal P of a soluble G with Phi(G) ∩ P = 1 has Phi(P) = 1;
     - any other P is built as a standalone group (its row i is P.idx[i]),
       whose memo is cleared once its Phi is read.
@@ -458,6 +472,9 @@ def _frattini_in(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS) -> Subgroup:
     if P.order == G.order:
         if _is_soluble(G):
             return _frattini_soluble(G)
+        if all(_prime_power(N.order) is None
+               for N in minimal_normal_subgroups(G)):
+            return G.trivial_subgroup()
         return _frattini_by_lattice(G, caps)
     if (P.is_normal() and _is_soluble(G)
             and not P.mask[frattini(G, caps).idx[1:]].any()):
@@ -665,8 +682,7 @@ def _quaternion_free_in(G: Group, P: Subgroup,
     A Q8 section has order exactly 8, so only |S:T| = 8 pairs are scanned,
     and an abelian P, whose sections are all abelian, has none.
     """
-    if (P.order % 8
-            or _kernels.centralizer_mask(G.table, P.idx)[P.idx].all()):
+    if P.order % 8 or _is_abelian_in(G, P):
         return True
     return _quaternion_free_by_sections(G, P, caps)
 

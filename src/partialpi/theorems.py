@@ -13,7 +13,12 @@ Z_U(G/N) and Z_{U_p}(G/N) are climbs from N to their preimages in G. Every
 Pi question is about a subgroup of a Sylow subgroup P, and goes through
 ``_has_pi``: it reads P's ``pi_family`` (every H, in G and from every N,
 from two walks of the DAG), or, when the family is over a cap, runs the
-chain search for that one (N, H). Nor
+chain search for that one (N, H). The partial CAP question goes through
+``_has_cap``, read off the same family or searched alike, and the
+complement question, asked only of an abelian normal Sylow P, through
+``_complemented``, read off P's ``complement_family`` (one table of
+|H cap N| for the normal N inside P). No verifier searches per subgroup
+while the families stand. Nor
 do they build a subgroup as a group of its own: a p-subgroup's lattice,
 Phi and Q8 sections are read in G's table (``structure.subgroups_in``),
 and so is Phi(E) of a normal E that is nilpotent, or that meets Phi(G)
@@ -44,7 +49,8 @@ from .chiefs import (_is_prime, _prime_factors, _prime_power,
                      minimal_normal_subgroups, normal_subgroups)
 from .config import Caps, DEFAULT_CAPS
 from .embedding import (
-    is_complemented,
+    _meet,
+    complement_family,
     pi_family,
     pi_series_through,
     satisfies_partial_cap,
@@ -150,6 +156,23 @@ def _has_pi(G: Group, P: Subgroup, H: Subgroup, caps: Caps,
     return family.pi(H, bottom)
 
 
+def _has_cap(G: Group, P: Subgroup, H: Subgroup, caps: Caps) -> bool:
+    """The partial CAP verdict of a subgroup H of the Sylow subgroup P,
+    read off P's ``pi_family``, or searched for this one H when the family
+    is over a cap."""
+    family = pi_family(G, P, caps)
+    if family is None:
+        return satisfies_partial_cap(G, H, caps)[0]
+    return family.cap(H)
+
+
+def _complemented(G: Group, P: Subgroup, H: Subgroup, caps: Caps) -> bool:
+    """Is the subgroup H of the abelian normal Sylow subgroup P
+    complemented in G? Read off P's ``complement_family``. Every verifier
+    asks its complement questions here."""
+    return complement_family(G, P, caps)[H]
+
+
 @memo("all_of_order_pi")
 def all_of_order_satisfy_pi(G: Group, P: Subgroup, order: int,
                             caps: Caps = DEFAULT_CAPS) -> bool:
@@ -168,7 +191,9 @@ def cyclic_order4_satisfy_pi(G: Group, P: Subgroup,
 
 def all_of_order_complemented(G: Group, P: Subgroup, order: int,
                               caps: Caps = DEFAULT_CAPS) -> bool:
-    return all(is_complemented(G, H, caps)[0]
+    """Is every subgroup of the abelian normal Sylow subgroup P of the
+    given order complemented in G?"""
+    return all(_complemented(G, P, H, caps)
                for H in subgroups_of_order_in(G, P, order, caps))
 
 
@@ -410,18 +435,28 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
 def _lemma_series_through(G, p, d, caps, rep):
     """Every p-subgroup H of a normal N that has the property admits a chief
     series through N with p-number normalizer indices at every factor.
-    H ranges over the lattice of P cap N, a Sylow subgroup of N; its
-    conjugates in G give the same verdicts."""
+    H ranges over the subgroups of P cap N, a Sylow subgroup of N; its
+    conjugates in G give the same verdicts. They are read off P's lattice
+    (H <= N iff |H cap N| = |H|, one table for every N), or, when P is
+    over the lattice cap, off that of P cap N."""
     P = sylow(G, p)
+    nodes = [N for N in normal_subgroups(G) if N.order % p == 0]
+    if P.order <= caps.lattice:
+        lattice = subgroups_in(G, P, caps).all
+        inside = _meet(P, lattice, nodes) == [[H.order] for H in lattice]
+        batches = ([lattice[j] for j in np.flatnonzero(inside[:, i])]
+                   for i in range(len(nodes)))
+    else:
+        batches = (subgroups_in(G, G.subgroup_from_mask(P.mask & N.mask),
+                                caps).all for N in nodes)
 
-    def pairs(N):
-        for H in subgroups_in(G, G.subgroup_from_mask(P.mask & N.mask),
-                              caps).all:
+    def pairs(N, below):
+        for H in below:
             if _has_pi(G, P, H, caps):
                 yield _has_pi(G, P, H, caps, through=N)
 
     _tally(rep, "pairs_checked", "series-found",
-           (pairs(N) for N in normal_subgroups(G) if N.order % p == 0))
+           (pairs(N, below) for N, below in zip(nodes, batches)))
 
 
 def _lemma_minimal_normal_order(G, p, d, caps, rep):
@@ -515,7 +550,7 @@ def _lemma_cap_from_pi(G, p, d, caps, rep):
     rep.hypotheses["sylow_normal"] = o_p(G, p).order == P.order
     if rep.hypotheses["sylow_normal"]:
         _tally(rep, "subgroups_checked", "partial-cap",
-               [(satisfies_partial_cap(G, H, caps)[0]
+               [(_has_cap(G, P, H, caps)
                  for H in two_maximal_subgroups(G, P, caps)
                  if _has_pi(G, P, H, caps))])
 
@@ -530,8 +565,8 @@ def _lemma_pi_iff_complemented(G, p, d, caps, rep):
     if all(rep.hypotheses.values()):
         subs = subgroups_in(G, P, caps).all
         rep.details["subgroups_checked"] = len(subs)
-        if all([_has_pi(G, P, H, caps)
-                == is_complemented(G, H, caps)[0] for H in subs]):
+        if all([_has_pi(G, P, H, caps) == _complemented(G, P, H, caps)
+                for H in subs]):
             rep.conclusion_cases = ("equivalent",)
 
 

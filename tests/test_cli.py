@@ -185,8 +185,8 @@ _CAPPED_REPORTS = (
     # flags, sha256 prefix of the report, its summary line
     (["--cap-series", "2"], "a0b40ab8502f96a3",
      "pass=482 fail=0 vacuous=659 indeterminate=56"),
-    (["--cap-lattice", "4", "--cap-series", "5"], "b621e0a8fcbf1fbe",
-     "pass=251 fail=0 vacuous=426 indeterminate=520"),
+    (["--cap-lattice", "4", "--cap-series", "5"], "ea927581ab2c163c",
+     "pass=257 fail=0 vacuous=426 indeterminate=514"),
     (["--cap-module-dim", "1"], "8049a7f914565723",
      "pass=472 fail=0 vacuous=687 indeterminate=38"),
 )

@@ -5,6 +5,7 @@ import pytest
 
 from partialpi.chiefs import _prime_factors, all_chief_series, minimal_normal_subgroups, normal_subgroups
 from partialpi.embedding import (
+    complement_family,
     evaluate_series,
     evaluate_series_by_quotients,
     is_complemented,
@@ -240,6 +241,24 @@ def test_lemma_also_property(corpus):
                     NK = G.subgroup_from_mask(mask)
                     if satisfies_partial_pi(G, NK)[0]:
                         assert satisfies_partial_pi(G, K)[0], (name, p)
+
+
+def test_complement_family_needs_an_abelian_normal_sylow(groups):
+    """The complement family stands only on an abelian normal Sylow
+    subgroup: S4's D8 is not normal, Q8 is not abelian, and the central
+    C4 of C3:C8 is normal and abelian but not a Sylow subgroup. In A4 the
+    trivial subgroup and V4 are complemented, the three C2 are not."""
+    for name, p in (("S4", 2), ("Q8", 2)):
+        G = groups[name]
+        with pytest.raises(HypothesisViolated):
+            complement_family(G, sylow(G, p))
+    G = groups["C3:C8"]
+    four = next(N for N in normal_subgroups(G) if N.order == 4)
+    with pytest.raises(HypothesisViolated):
+        complement_family(G, four)
+    family = complement_family(groups["A4"], sylow(groups["A4"], 2))
+    assert [family[H] for H in subgroups_in(groups["A4"], sylow(
+        groups["A4"], 2)).all] == [True, False, False, False, True]
 
 
 def test_lemma_completed_equivalence_small(groups):

@@ -13,7 +13,10 @@ a scan of the normal subgroups. Read in G from a normal N, the partial
 Pi-property of HN/N, the preimages of Z_U(G/N) and Z_{U_p}(G/N) and the
 cyclicity of G/N are checked against the materialised quotient G/N. The Pi
 family of a Sylow subgroup, read off two walks of the chief-factor DAG, is
-checked against the chain search for every (N, H). The chief-factor DAG,
+checked against the chain search for every (N, H), and its partial CAP
+verdicts against the CAP search for every H; the complement family of an
+abelian normal Sylow subgroup, read off G's normal subgroups inside it, is
+checked against the complement search. The chief-factor DAG,
 built lazily from class closures, is checked against a scan of the normal
 subgroups the lattice filter finds. The class-union normality test is
 checked against the normaliser kernel, and so is the trace index of the
@@ -53,9 +56,11 @@ from partialpi.config import DEFAULT_CAPS
 from partialpi.embedding import (
     _complemented_by_lattice,
     _trace,
+    complement_family,
     is_complemented,
     pi_family,
     pi_series_through,
+    satisfies_partial_cap,
     satisfies_partial_pi,
 )
 from partialpi.groupfile import build_directive
@@ -97,6 +102,7 @@ from partialpi.structure import (
     _frattini_soluble,
     _hall_by_lattice,
     _hall_soluble,
+    _is_abelian_in,
     _is_soluble,
     _lattice_by_extension,
     _lattice_by_layers,
@@ -597,6 +603,57 @@ def test_pi_family_matches_search_on_c2_5_premised_pairs():
     assert (inherited, through) == (5766, 5768)
 
 
+# Groups beyond the corpus for the complement and CAP families: C2^5 and
+# A4 x C2, whose abelian normal Sylow 2-subgroups have many subgroups, and
+# three whose Sylow 2-subgroups, with many subgroups, are not abelian (D8 x
+# D8, Q8 x Q8) or not normal (C2^3 x S3).
+FAMILY_EXTRA = ("elemab:2:5", "dp:dihedral:8xdihedral:8", "dp:alt:4xcyclic:2",
+                "dp:elemab:2:3xsym:3", "dp:quaternion:8xquaternion:8")
+
+
+def _family_cases(corpus):
+    for name, G in itertools.chain(
+            corpus, ((d, build_directive(d)) for d in FAMILY_EXTRA)):
+        for p in _prime_factors(G.order):
+            yield name, G, p, sylow(G, p)
+
+
+def test_complement_family_matches_search(corpus):
+    """The complement family of every abelian normal Sylow subgroup P,
+    read off G's normal subgroups inside P, against ``is_complemented``
+    on every subgroup of P."""
+    checked = 0
+    verdicts = set()
+    for name, G, p, P in _family_cases(corpus):
+        if not (P.is_normal() and _is_abelian_in(G, P)):
+            continue
+        family = complement_family(G, P)
+        for H in subgroups_in(G, P).all:
+            verdict = is_complemented(G, H)[0]
+            assert family[H] == verdict, (name, p, H)
+            verdicts.add(verdict)
+            checked += 1
+    assert checked == 852 and verdicts == {True, False}
+
+
+def test_cap_family_matches_search(corpus):
+    """The partial CAP verdicts of the Pi family, read off its meet table,
+    against ``satisfies_partial_cap`` on every subgroup of every Sylow
+    subgroup P that has a family."""
+    checked = 0
+    verdicts = set()
+    for name, G, p, P in _family_cases(corpus):
+        family = pi_family(G, P)
+        if family is None:
+            continue
+        for H in subgroups_in(G, P).all:
+            verdict = satisfies_partial_cap(G, H)[0]
+            assert family.cap(H) == verdict, (name, p, H)
+            verdicts.add(verdict)
+            checked += 1
+    assert checked == 1590 and verdicts == {True, False}
+
+
 def soluble_cases(corpus):
     """Every soluble corpus group, its proper non-trivial normal subgroups
     and its Sylow subgroups, each as a standalone group. Two groups join the
@@ -658,7 +715,11 @@ def test_complemented_in_normal_sylow_matches_lattice(corpus):
 
 
 def test_non_soluble_groups_take_the_lattice_route():
-    calls = [frattini, lambda G: hall(G, {2, 3}),
+    """Hall subgroups and complements of a non-soluble G come from its
+    lattice, and so does Phi(G) when the Fitting subgroup F(G) is not 1
+    (A5 x C2, F = C2); when F(G) = 1 (A5, GL(3,2)), Phi(G) <= F(G) is 1
+    with no lattice built."""
+    calls = [lambda G: hall(G, {2, 3}),
              lambda G: is_complemented(G, sylow(G, 2))]
     for build in (general_linear_3_2, lambda: alternating(5)):
         assert not _is_soluble(build())
@@ -666,6 +727,11 @@ def test_non_soluble_groups_take_the_lattice_route():
             G = build()
             call(G)
             assert "lattice" in G._cache, G
+        G = build()
+        assert frattini(G).order == 1 and "lattice" not in G._cache, G
+    G = build_directive("dp:alt:5xcyclic:2")
+    assert not _is_soluble(G)
+    assert frattini(G).order == 1 and "lattice" in G._cache
 
 
 def _quotient_by_loops(G, N):

@@ -89,16 +89,19 @@ def test_lattice_cap():
 
 @pytest.mark.parametrize("build, call, lattice", [
     pytest.param(lambda: symmetric(4), all_subgroups, 10, id="all_subgroups"),
-    # A5 is not soluble, so its Frattini subgroup comes from the lattice
-    pytest.param(lambda: alternating(5), frattini, 10, id="frattini"),
+    # A5 x C2 is not soluble and its Fitting subgroup is C2, so its
+    # Frattini subgroup comes from the lattice
+    pytest.param(lambda: build_directive("dp:alt:5xcyclic:2"), frattini, 10,
+                 id="frattini"),
     pytest.param(lambda: dihedral(16), is_quaternion_free, 4,
                  id="is_quaternion_free"),
     pytest.param(lambda: symmetric(4), lambda G, caps: all_of_order_satisfy_pi(
         G, sylow(G, 2), 2, caps), 4, id="all_of_order_satisfy_pi"),
     pytest.param(lambda: symmetric(4), lambda G, caps: cyclic_order4_satisfy_pi(
         G, sylow(G, 2), caps), 4, id="cyclic_order4_satisfy_pi"),
-    pytest.param(lambda: symmetric(4), lambda G, caps: all_of_order_complemented(
-        G, sylow(G, 2), 2, caps), 4, id="all_of_order_complemented"),
+    # the complement family needs an abelian normal Sylow subgroup
+    pytest.param(lambda: alternating(4), lambda G, caps: all_of_order_complemented(
+        G, sylow(G, 2), 2, caps), 2, id="all_of_order_complemented"),
 ])
 def test_lattice_cap_warm(build, call, lattice):
     """A cached value does not answer a call whose lattice cap forbids it:

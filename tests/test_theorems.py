@@ -239,7 +239,9 @@ class _Everything:
 # The verifiers read a quotient G/N inside G, from the first term N: the
 # replacements below tell its calls from those on G itself by ``bottom``.
 # Every Pi question goes through ``theorems._has_pi`` (H in G, HN/N from
-# ``bottom`` = N, or a series through ``through`` = N).
+# ``bottom`` = N, or a series through ``through`` = N), every partial CAP
+# question through ``_has_cap`` and every complement question through
+# ``_complemented``.
 
 
 def _pi_false_in_quotients(G, real):
@@ -268,7 +270,7 @@ def _pi_only_above_order_2(G, real):
 
 
 def _never(G, real):
-    return lambda *args, **kwargs: (False, None)
+    return lambda *args, **kwargs: False
 
 
 _FAILURES = (
@@ -285,10 +287,10 @@ _FAILURES = (
      _z_up_all_in_G, "subgroups_checked", 5),
     ("product-transfer", "D8", 2, "_has_pi",
      _pi_only_above_order_2, "pairs_checked", 4),
-    ("cap-from-pi", "D8", 2, "satisfies_partial_cap", _never,
+    ("cap-from-pi", "D8", 2, "_has_cap", _never,
      "subgroups_checked", 5),
-    ("pi-iff-complemented", "A4", 2, "is_complemented",
-     lambda G, real: lambda *args, **kwargs: (None, None),
+    ("pi-iff-complemented", "A4", 2, "_complemented",
+     lambda G, real: lambda *args, **kwargs: None,
      "subgroups_checked", 5),
 )
 

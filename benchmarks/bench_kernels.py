@@ -18,15 +18,17 @@ the part of the DAG one single-subgroup check pays for. It ends with one
 ``QuotientMap`` per normal subgroup of a fresh ``C3^4:C4``, as the
 theorem verifiers and the quotient oracle of a single-subgroup check build
 them. A third section times the
-subgroup lattice on fresh groups, with its route (the layer walk of a p-group
-or the cyclic extension of any other group) and the closures it takes, and
-then the lattice of a Sylow subgroup P read in G's own table
-(``subgroups_in``) next to P built as a standalone group with its own
-lattice, the route it replaces. A fourth times the soluble routes of
-``frattini``, ``hall`` and ``is_complemented``, which build no lattice of
-the group, on the two groups whose lattices cost most, and then Phi(E) of
-a normal E that is not a p-group through ``_frattini_in`` next to E built
-as a standalone group, G's normal subgroups found first: the order-162
+subgroup lattice on fresh groups, with its route (the layer walk of a p-group,
+one batch per layer, or the cyclic extension of any other group) and the
+closures and ``normalizer_mask`` calls it takes, the layer walk on ``C2^5``,
+``C2^6``, ``D8xD8`` and ``Q8xQ8xC2`` among them, and then the lattice of
+a Sylow subgroup P read in G's own table (``subgroups_in``) next to P
+built as a standalone group with its own lattice, the route it replaces.
+A fourth times the soluble routes of ``frattini``, ``hall`` and
+``is_complemented``, which build no lattice of the group, on the two
+groups whose lattices cost most, and then Phi(E) of a normal E that is
+not a p-group through ``_frattini_in`` next to E built as a standalone
+group, G's normal subgroups found first: the order-162
 normal subgroup of ``C3^4:C4`` and the order-147 one of ``F7^2:S3``, which
 meet Phi(G) = 1 and so have Phi(E) = 1 once Phi(G) is read, and SL(2,3)
 in SL(2,3) x C2, which meets Phi(G) = C2, is not nilpotent, and so is
@@ -312,17 +314,21 @@ def lattice_builds():
               ("GL(3,2)", lambda: builtin_corpus().group("GL(3,2)")),
               ("C2^5", lambda: elementary_abelian(2, 5)),
               ("C3^4", lambda: elementary_abelian(3, 4)),
-              ("C2^6", lambda: elementary_abelian(2, 6))]
+              ("C2^6", lambda: elementary_abelian(2, 6)),
+              ("D8xD8", lambda: build_directive("dp:dihedral:8xdihedral:8")),
+              ("Q8xQ8xC2", lambda: build_directive(
+                  "dp:quaternion:8xquaternion:8xcyclic:2"))]
     print("\nsubgroup lattice, fresh group each:")
     print(f"{'group':<10}{'order':>6}{'subgroups':>11}{'route':>11}"
-          f"{'closures':>10}{'_lattice':>12}")
+          f"{'closures':>10}{'normalisers':>13}{'_lattice':>12}")
     for name, make in makers:
         seconds = timed_fresh(make, _lattice, before=cayley_table)
+        calls = calls_of(_lattice, make(), "closure_idx")
+        normalisers = calls_of(_lattice, make(), "normalizer_mask")
         G = make()
-        calls = calls_of(_lattice, G, "closure_idx")
         route = "walk" if _prime_power(G.order) else "extension"
         print(f"{name:<10}{G.order:>6}{len(_lattice(G)):>11}{route:>11}"
-              f"{calls:>10}{seconds * 1000:>10.1f}ms")
+              f"{calls:>10}{normalisers:>13}{seconds * 1000:>10.1f}ms")
     print(f"{'Sylow P':<10}{'|P|':>6}{'|G|':>6}{'subgroups':>11}"
           f"{'read in G':>12}{'standalone':>13}")
     for name, p in [("C3^4:C4", 3), ("F7^2:S3", 7)]:

@@ -46,15 +46,27 @@ def closure_idx(table, gens):
 
 
 def normalizer_mask(table, inv, sub_idx, elements=None):
-    """out[i]: does elements[i] (range(n) when None) normalise sub_idx?"""
+    """out[i]: does elements[i] (range(n) when None) normalise sub_idx?
+
+    A 2-D ``sub_idx`` is a batch of equal-order subgroups, one per row, and
+    out[s, i] answers for row s: one gather conjugates every row by every
+    element, and row s reads its own membership row, at offset s*n of one
+    flat mask."""
     n = table.shape[0]
     elements = np.arange(n, dtype=np.int32) if elements is None else elements
-    if len(sub_idx) == 0:
-        return np.ones(len(elements), np.bool_)
-    member = np.zeros(n, np.bool_)
-    member[sub_idx] = True
-    conj = table[table[inv[elements]][:, sub_idx], elements[:, None]]
-    return member[conj].all(axis=1)
+    sub_idx = np.asarray(sub_idx)
+    if sub_idx.shape[-1] == 0:
+        return np.ones(sub_idx.shape[:-1] + (len(elements),), np.bool_)
+    if sub_idx.ndim == 1:
+        member = np.zeros(n, np.bool_)
+        member[sub_idx] = True
+        conj = table[table[inv[elements]][:, sub_idx], elements[:, None]]
+        return member[conj].all(axis=1)
+    offset = np.arange(0, len(sub_idx) * n, n)[:, None]
+    member = np.zeros(len(sub_idx) * n, np.bool_)
+    member[sub_idx + offset] = True
+    conj = table[table[inv[elements]][:, sub_idx], elements[:, None, None]]
+    return member[conj + offset].all(axis=2).T
 
 
 def centralizer_mask(table, sub_idx):

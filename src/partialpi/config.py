@@ -14,8 +14,9 @@ The theorem verifiers run no isomorphism test, so the iso cap bounds only
 the library call ``groups.is_isomorphic``. The series cap bounds each chain
 search (``chiefs.search_chains``): every complete chain, every pruned
 prefix and every skip of a dead node counts once. The verifiers' batched
-Pi verdicts (``embedding.pi_family``) stand down to those searches when the
-chief-factor DAG has more paths from 1 to G than the cap.
+Pi verdicts (``embedding.pi_family``) stand down to those searches when
+both the paths from 1 to G of the chief-factor DAG and its edges plus one
+outnumber the cap.
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ subgroup P, and often from every normal N as well. ``pi_family`` answers
 all of them at once: one pass bit per (chief factor, H), then one walk of
 the chief-factor DAG up from 1 and one down from G. It judges a factor by
 the same ``_pi_condition`` as the search, and it stands down (None) over
-the lattice or series cap, where the callers search per pair. The same
-table of orders |H cap N| gives every H's partial CAP verdict: H covers
+the lattice or series cap, where the callers search per pair. It keeps
+its table of orders |H cap N|, over which the verifiers' exhaustive
+lemmas reduce. The same table gives every H's partial CAP verdict: H covers
 or avoids a factor exactly when its trace is an end of the factor
 (Dedekind's rule). ``complement_family`` reads off one more such table,
 against G's normal subgroups inside P, which subgroups of an abelian
@@ -49,6 +50,7 @@ from . import _kernels
 from .chiefs import (
     ChiefSeries,
     _chief_children,
+    _is_prime,
     _prime_factors,
     _prime_power,
     all_chief_series,
@@ -169,13 +171,19 @@ class PiFamily:
     whether a chain of passing factors runs from N up to G, and ``reach``,
     whether one runs from 1 up to N; and ``cap_co``, whether a chain of
     factors that H covers or avoids runs from 1 up to G, one bit per
-    column."""
+    column. ``meet`` (column x node) is every |H cap N|, so its last
+    column, at N = G, is every |H|, and ``order`` is every |N|: the
+    verifiers' exhaustive lemmas are reductions over these arrays."""
 
-    __slots__ = ("_node", "_column", "reach", "co", "cap_co")
+    __slots__ = ("_node", "_column", "meet", "order", "reach", "co",
+                 "cap_co")
 
-    def __init__(self, node_of: dict, columns, reach, co, cap_co):
+    def __init__(self, node_of: dict, columns, meet, order, reach, co,
+                 cap_co):
         self._node = node_of
         self._column = {H: j for j, H in enumerate(columns)}
+        self.meet = meet
+        self.order = order
         self.reach = reach
         self.co = co
         self.cap_co = cap_co
@@ -196,12 +204,15 @@ class PiFamily:
         return bool(self.cap_co[self._column[H]])
 
 
-def _meet(P: Subgroup, columns, nodes) -> np.ndarray:
-    """|H cap N| for every column H, a subgroup of P, and every node N, as
-    one integer matmul: every H lies in P, so the counts are taken on P's
-    elements alone."""
-    h_rows = np.stack([H.mask[P.idx] for H in columns]).astype(np.int32)
-    return h_rows @ np.stack([N.mask[P.idx] for N in nodes]).T.astype(np.int32)
+def _meet(P: Subgroup, rows, columns) -> np.ndarray:
+    """|A cap B| for every A in ``rows`` and B in ``columns``, as one
+    matmul, where the subgroups of one side lie in P: the counts are then
+    taken on P's elements alone. It runs in float32, whose sums of 0/1
+    products are exact below 2^24 > |P|, many times faster than an integer
+    matmul."""
+    a = np.stack([A.mask[P.idx] for A in rows]).astype(np.float32)
+    b = np.stack([B.mask[P.idx] for B in columns]).astype(np.float32)
+    return (a @ b.T).astype(np.int32)
 
 
 def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
@@ -235,15 +246,19 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
 
     The nodes are the normal subgroups in canonical order, which is by
     order and so topological; the edges K -> L are the chief factors, and
-    the columns are ``subgroups_in(G, P, caps).all``. One integer matmul of
-    the columns' masks against the nodes' gives every |H cap N|
-    (``_meet``). At a factor K < L the trace is D = HK cap L = (H cap L)K
-    (Dedekind's rule, as K <= L), so |D| = |H cap L| |K| / |H cap K|. A D
-    of order |K| or |L| is normal, and the factor passes with index 1;
-    only the others build D, those of one factor in one gather
-    (``_inner_passes``), and each distinct D takes its index from
+    the columns are ``subgroups_in(G, P, caps).all``. One matmul of the
+    nodes' masks against the columns' gives every |H cap N| (``_meet``),
+    which the family keeps. At a factor K < L the trace is
+    D = HK cap L = (H cap L)K (Dedekind's rule, as K <= L), so
+    |D : K| = |H cap L| / |H cap K|, a divisor of |L : K|. A D of order
+    |K| or |L| is normal, and the factor passes with index 1. Only a
+    composite |L : K| leaves room for another D; those factors are
+    compared over blocks of 512 edges, and only the D strictly between K
+    and L are built, those of one factor in one gather
+    (``_inner_passes``), each distinct D taking its index from
     ``_normalizer``, as the search does. Both routes judge a factor by
-    ``_pi_condition``.
+    ``_pi_condition``. Only the edges with such an inner column keep a
+    row of pass bits.
 
     The walks are ``reach[L] |= reach[K] & pass[K -> L]`` up from 1 and
     ``co[K] |= pass[K -> L] & co[L]`` down from G. By the correspondence
@@ -261,13 +276,22 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     over those bits gives the partial CAP verdict of every column, its
     row at 1 (``cap_co``). The family's guard covers that search too.
 
-    The family is None when |P| > caps.lattice, or when the DAG has more
-    paths from 1 to G than caps.series; the callers then search per pair.
-    Under that guard no search can raise, so both routes give the same
-    verdicts: each prefix a search counts (a complete chain, a pruned
-    prefix or a dead child) extends to its own chains, so it counts at
-    most one per path from its bottom, and the paths from N number no more
-    than those from 1.
+    The family is None when |P| > caps.lattice, or when
+    min(paths, E + 1) > caps.series, for the paths from 1 to G and the E
+    edges of the DAG; the callers then search per pair. Under that guard
+    no search the family replaces can raise, so both routes give the same
+    verdicts. Each of them is read through ``next``, so it counts only up
+    to its first chain. Each prefix it counts (the complete chain, a
+    pruned prefix or a dead child) extends to its own chains, so it
+    counts at most one per path from its bottom, and the paths from N
+    number no more than those from 1. And before its first chain a search
+    expands each node at most once: a node whose expansion ends without a
+    chain is dead, and one whose expansion completes one lies on the
+    chain found. So it counts at most once per edge out of an expanded
+    node, plus once for the chain: at most E + 1. The path bound is the
+    smaller one on a DAG that is nearly one chain. ``all_chief_series``
+    reads every chain, so the edge bound does not hold for it; it is no
+    consumer of the family.
     """
     if P.order > caps.lattice:
         return None
@@ -278,33 +302,41 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     paths = [1] + [0] * (len(nodes) - 1)
     for k, l in edges:
         paths[l] += paths[k]
-    if paths[-1] > caps.series:
+    if min(paths[-1], len(edges) + 1) > caps.series:
         return None
     columns = subgroups_in(G, P, caps).all
     m = len(columns)
     elements = np.concatenate([H.idx for H in columns])
     owner = np.repeat(np.arange(m), [H.order for H in columns])
-    meet = _meet(P, columns, nodes)
+    meet = _meet(P, nodes, columns)  # node x column
     order = np.array([N.order for N in nodes])
     below, above = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    d = meet[:, above] * order[below] // meet[:, below]
-    inner = np.ascontiguousarray(((d != order[below])
-                                  & (d != order[above])).T)  # edge x column
-    passed = ~inner
-    for e in np.flatnonzero(inner.any(axis=1)):
-        passed[e] = _inner_passes(G, nodes[below[e]], nodes[above[e]],
-                                  inner[e], elements, owner)
+    factor = order[above] // order[below]
+    prime = {r: _is_prime(r) for r in set(factor.tolist())}
+    # |D : K| = |H cap L| / |H cap K| divides |L : K|: only a composite
+    # factor order leaves room for a D strictly between K and L
+    wide = np.flatnonzero([not prime[r] for r in factor.tolist()])
+    ends, passed = {}, {}  # edge -> its columns' bits, where some is inner
+    for start in range(0, len(wide), 512):
+        block = wide[start:start + 512]
+        low, high = meet[below[block]], meet[above[block]]
+        inner = (low < high) & (high < factor[block, None] * low)
+        for i in np.flatnonzero(inner.any(axis=1)):
+            e = int(block[i])
+            ends[e] = ~inner[i]
+            passed[e] = _inner_passes(G, nodes[below[e]], nodes[above[e]],
+                                      inner[i], elements, owner)
     reach = np.zeros((len(nodes), m), dtype=bool)
     co = np.zeros_like(reach)
     cap = np.zeros_like(reach)
     reach[0] = co[-1] = cap[-1] = True
     for e, (k, l) in enumerate(edges):
-        reach[l] |= reach[k] & passed[e]
+        reach[l] |= reach[k] & passed.get(e, True)
     for e in range(len(edges) - 1, -1, -1):
         k, l = edges[e]
-        co[k] |= passed[e] & co[l]
-        cap[k] |= ~inner[e] & cap[l]
-    return PiFamily(node_of, columns, reach, co, cap[0])
+        co[k] |= passed.get(e, True) & co[l]
+        cap[k] |= ends.get(e, True) & cap[l]
+    return PiFamily(node_of, columns, meet.T, order, reach, co, cap[0])
 
 
 def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:
@@ -425,7 +457,7 @@ def _complemented_in_normal_sylow(G: Group, H: Subgroup, P: Subgroup,
 def complement_family(G: Group, P: Subgroup,
                       caps: Caps = DEFAULT_CAPS) -> dict:
     """{H: is H complemented in G} for every subgroup H of the abelian
-    normal Sylow p-subgroup P, from one integer matmul.
+    normal Sylow p-subgroup P, from one matmul.
 
     H <= P is complemented in G iff some normal subgroup N of G inside P
     has |N cap H| = 1 and |N| |H| = |P|. If so, take a complement R of P
@@ -446,8 +478,9 @@ def complement_family(G: Group, P: Subgroup,
     columns = subgroups_in(G, P, caps).all
     inside = [N for N in normal_subgroups(G) if P.contains(N)]
     meet = _meet(P, columns, inside)
-    sizes = np.outer([H.order for H in columns], [N.order for N in inside])
-    verdicts = ((meet == 1) & (sizes == P.order)).any(axis=1)
+    fits = (np.array([[H.order] for H in columns])
+            == P.order // np.array([N.order for N in inside]))
+    verdicts = ((meet == 1) & fits).any(axis=1)
     return dict(zip(columns, verdicts.tolist()))
 
 

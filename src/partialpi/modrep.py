@@ -143,17 +143,15 @@ def section_as_module(G: Group, above: Subgroup, below: Subgroup,
     coset_rep = table[below.idx, :].min(axis=0)
     reps = np.unique(coset_rep[above.idx])
     below_mask = below.mask
-    for x in reps:
-        x = int(x)
-        xp = 0  # x^p via repeated multiplication from identity
-        for _ in range(p):
-            xp = int(table[xp, x])
-        if not below_mask[xp]:
-            raise NotElementaryAbelian("section has exponent larger than p")
-    for x, y in itertools.combinations([int(r) for r in reps], 2):
-        comm = table[table[int(inv[x]), int(inv[y])], table[x, y]]
-        if not below_mask[comm]:
-            raise NotElementaryAbelian("section is not abelian")
+    power = reps
+    for _ in range(p - 1):
+        power = table[power, reps]  # x^p for every coset rep x
+    if not below_mask[power].all():
+        raise NotElementaryAbelian("section has exponent larger than p")
+    # [x, y] = x^-1 y^-1 x y for every pair of coset reps
+    if not below_mask[table[table[inv[reps][:, None], inv[reps]],
+                            table[reps[:, None], reps]]].all():
+        raise NotElementaryAbelian("section is not abelian")
     # greedy canonical basis: ascending coset reps, new rep = new direction
     assigned = {int(reps[0]): ()}
     basis_elems = []
@@ -351,17 +349,19 @@ def module_hom_space_dim(V: FpModule, W: FpModule) -> int:
 
 
 def _hom_basis(V: FpModule, W: FpModule) -> list:
-    p = V.p
-    blocks = []
-    eye_v = np.eye(V.dim, dtype=np.int64)
-    eye_w = np.eye(W.dim, dtype=np.int64)
-    for a, b in zip(V.acting_gens, W.acting_gens):
-        blocks.append((np.kron(a.T, eye_w) - np.kron(eye_v, b)) % p)
-    if not blocks:
-        vecs = np.eye(V.dim * W.dim, dtype=np.int64)
+    p, v, w = V.p, V.dim, W.dim
+    if not len(V.acting_gens):
+        vecs = np.eye(v * w, dtype=np.int64)
     else:
-        vecs = nullspace(np.vstack(blocks), p)
-    return [v.reshape(V.dim, W.dim).T % p for v in vecs]
+        # one block kron(a.T, 1_w) - kron(1_v, b) per generator pair,
+        # its entry ((i, k), (j, l)) being a[j, i] [k == l] - [i == j] b[k, l]
+        a = np.stack(V.acting_gens).transpose(0, 2, 1)[:, :, None, :, None]
+        b = np.stack(W.acting_gens)[:, None, :, None, :]
+        eye_v = np.eye(v, dtype=np.int64)[:, None, :, None]
+        eye_w = np.eye(w, dtype=np.int64)[None, :, None, :]
+        rows = len(V.acting_gens) * v * w
+        vecs = nullspace((a * eye_w - eye_v * b).reshape(rows, v * w) % p, p)
+    return [x.reshape(v, w).T % p for x in vecs]
 
 
 def _some_invertible(basis: list, p: int, coefficients) -> bool:

@@ -200,12 +200,18 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     with x^p in S, the union S, Sx, ..., Sx^(p-1) is a subgroup of order
     p^(j+1). So layer j+1 is the set of these unions over layer j, and the
     walk is complete (Holt, Eick and O'Brien, *Handbook of Computational
-    Group Theory*, 2005, ch. 4). An x that lies in a cover of S found
-    already gives that cover again and is skipped. The normaliser mask of
-    S in P (P's elements alone tested) gives its normal flag in P; S's
-    generators plus x generate a cover. No closure is taken: a cover is
-    the products of S with x's powers. Layers sort by positions in P. When
-    P is abelian every S is normal in P, and no normaliser is built.
+    Group Theory*, 2005, ch. 4). No closure is taken: a cover is the
+    products of S with x's powers.
+
+    Each layer is one batch of arrays. One ``normalizer_mask`` call on the
+    whole layer (P's elements alone tested) gives every S its normal flag
+    in P and its candidates x. Two covers of one S meet in S, so each
+    cover T of S is formed once, from the least x of T outside S (by
+    position in P); covers met from several S are deduped by the bytes of
+    their positions, keeping the first (S, x) in layer order, and the next
+    layer is sorted by those bytes. A cover's generators are those of its
+    S plus x. When P is abelian every S is normal in P, and no normaliser
+    is built.
     """
     table, inv, elts = G.table, G.inverses, P.idx
     abelian = _is_abelian_in(G, P)
@@ -218,25 +224,30 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     position[elts] = np.arange(len(elts), dtype=_DTYPE)
 
     subs, flags = [], []
-    layer = [(np.zeros(1, dtype=_DTYPE), ())]
-    while layer:  # P itself, with no cover, ends the walk
-        covers: dict = {}
-        for idx, gens_idx in layer:
-            norm = (np.ones(len(elts), dtype=bool) if abelian else
-                    _kernels.normalizer_mask(table, inv, idx, elts))
-            subs.append(G.subgroup(idx, generator_idx=gens_idx))
-            flags.append(bool(norm.all()))
-            covered = np.zeros(G.order, dtype=bool)
-            covered[idx] = True
-            for j in np.flatnonzero(norm & ~covered[elts]
-                                    & covered[power[p]]):
-                if covered[elts[j]]:
-                    continue
-                cover = np.sort(table[idx[:, None], power[:p, j]], axis=None)
-                covered[cover] = True
-                covers.setdefault(position[cover].tobytes(),
-                                  (cover, gens_idx + (int(elts[j]),)))
-        layer = [covers[key] for key in sorted(covers)]
+    layer, gens = np.zeros((1, 1), dtype=_DTYPE), [()]
+    while len(layer):  # P itself, with no cover, ends the walk
+        m = len(layer)
+        norm = (np.ones((m, len(elts)), dtype=bool) if abelian else
+                _kernels.normalizer_mask(table, inv, layer, elts))
+        subs += [Subgroup(G, idx, generator_idx=g)
+                 for idx, g in zip(layer, gens)]
+        flags += norm.all(axis=1).tolist()
+        member = np.zeros((m, len(elts)), dtype=bool)  # by position in P
+        member[np.arange(m)[:, None], position[layer]] = True
+        s, j = np.nonzero(norm & ~member & member[:, position[power[p]]])
+        # S<x> outside S: the cosets S x^i, 0 < i < p, as positions in P
+        outside = position[table[layer[s][:, :, None],
+                                 power[1:p, j].T[:, None, :]]]
+        outside = outside.reshape(len(s), layer.shape[1] * (p - 1))
+        least = outside.min(axis=1, initial=len(elts)) == j
+        s, j = s[least], j[least]
+        cover = np.sort(np.hstack([position[layer[s]], outside[least]]),
+                        axis=1)
+        keys = cover.view(np.dtype((np.void, cover.shape[1] * cover.itemsize)))
+        first = np.unique(keys.ravel(), return_index=True)[1]
+        layer = elts[cover[first]]
+        gens = [gens[i] + (x,)
+                for i, x in zip(s[first].tolist(), elts[j[first]].tolist())]
     return SubgroupLattice(subs, flags)
 
 
@@ -577,11 +588,13 @@ def _climb(G: Group, bottom: Subgroup | None, accept) -> Subgroup:
         cur = step
 
 
+@memo("o_p")
 def o_p(G: Group, p: int, bottom: Subgroup | None = None) -> Subgroup:
     """Largest normal p-subgroup; from ``bottom`` = K, that of G/K."""
     return _climb(G, bottom, lambda n: _p_part(n, p) == n)
 
 
+@memo("o_p_prime")
 def o_p_prime(G: Group, p: int, bottom: Subgroup | None = None) -> Subgroup:
     """Largest normal p'-subgroup; from ``bottom`` = K, that of G/K."""
     return _climb(G, bottom, lambda n: n % p != 0)

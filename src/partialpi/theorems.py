@@ -17,8 +17,11 @@ chain search for that one (N, H). The partial CAP question goes through
 ``_has_cap``, read off the same family or searched alike, and the
 complement question, asked only of an abelian normal Sylow P, through
 ``_complemented``, read off P's ``complement_family`` (one table of
-|H cap N| for the normal N inside P). No verifier searches per subgroup
-while the families stand. Nor
+|H cap N| for the normal N inside P). The lemmas that range over every
+(N, H) pair, and the hypotheses on every subgroup of an order, are
+reductions over the family's arrays (``_tally_table``); their per-pair
+loops run only when the family is over a cap. No verifier searches per
+subgroup while the families stand. Nor
 do they build a subgroup as a group of its own: a p-subgroup's lattice,
 Phi and Q8 sections are read in G's table (``structure.subgroups_in``),
 and so is Phi(E) of a normal E that is nilpotent, or that meets Phi(G)
@@ -176,17 +179,24 @@ def _complemented(G: Group, P: Subgroup, H: Subgroup, caps: Caps) -> bool:
 @memo("all_of_order_pi")
 def all_of_order_satisfy_pi(G: Group, P: Subgroup, order: int,
                             caps: Caps = DEFAULT_CAPS) -> bool:
-    """Does every subgroup of P of the given order satisfy the property?"""
-    return all(_has_pi(G, P, H, caps)
-               for H in subgroups_of_order_in(G, P, order, caps))
+    """Does every subgroup of P of the given order satisfy the property?
+    One reduction over the columns of P's ``pi_family`` of that order."""
+    family = pi_family(G, P, caps)
+    if family is None:
+        return all(_has_pi(G, P, H, caps)
+                   for H in subgroups_of_order_in(G, P, order, caps))
+    return bool(family.co[0, family.meet[:, -1] == order].all())
 
 
 @memo("cyclic_order4_pi")
 def cyclic_order4_satisfy_pi(G: Group, P: Subgroup,
                              caps: Caps = DEFAULT_CAPS) -> bool:
-    return all(_has_pi(G, P, H, caps)
-               for H in subgroups_of_order_in(G, P, 4, caps)
-               if int(G.element_orders[H.idx].max()) == 4)  # cyclic C4
+    cyclic = [H for H in subgroups_of_order_in(G, P, 4, caps)
+              if int(G.element_orders[H.idx].max()) == 4]  # C4
+    family = pi_family(G, P, caps)
+    if family is None:
+        return all(_has_pi(G, P, H, caps) for H in cyclic)
+    return bool(family.co[0, [family._column[H] for H in cyclic]].all())
 
 
 def all_of_order_complemented(G: Group, P: Subgroup, order: int,
@@ -275,28 +285,51 @@ def _section_constituents(G, above, below, H, p, caps):
     return homog, k, not_absirr
 
 
-def _tally(rep: VerdictReport, detail: str, case: str, batches) -> None:
+def _tally(rep: VerdictReport, detail: str, case: str, counts,
+           failed) -> None:
     """Record an exhaustive check of a universally quantified statement.
 
-    ``batches`` yields iterables with one bool per instance that meets the
-    statement's premise: does the conclusion hold there. The count goes to
-    the detail ``detail``, the hypothesis ``applicable`` says whether any
-    instance met the premise, and the conclusion case is ``case`` when
-    every instance held. The batch that holds the first failure is counted
-    to its end, and no later batch is evaluated.
+    The instances that meet the statement's premise come in batches (one
+    per normal subgroup N, in canonical order, for a statement over (N, H)
+    pairs): ``counts[i]`` of them in batch i, and ``failed[i]`` says
+    whether the conclusion fails at one of them. The batch that holds the first failure is counted to its end,
+    and no later batch counts: one argmax over ``failed``, the counts
+    summed up to it. The count goes to the detail ``detail``, the
+    hypothesis ``applicable`` says whether any instance met the premise,
+    and the conclusion case is ``case`` when every instance held.
     """
-    checked = 0
-    ok = True
-    for batch in batches:
-        for held in batch:
-            checked += 1
-            ok = ok and bool(held)
-        if not ok:
-            break
+    counts = np.asarray(counts, dtype=np.int64)
+    failed = np.asarray(failed, dtype=bool)
+    ok = not failed.any()
+    checked = int(counts.sum() if ok else counts[:failed.argmax() + 1].sum())
     rep.hypotheses["applicable"] = checked > 0
     rep.details[detail] = checked
     if checked and ok:
         rep.conclusion_cases = (case,)
+
+
+def _tally_batches(rep: VerdictReport, detail: str, case: str,
+                   batches) -> None:
+    """``_tally`` over ``batches``, each an iterable with one bool per
+    instance that meets the premise (does the conclusion hold there),
+    evaluated in order up to the first batch with a failure."""
+    counts, failed = [], []
+    for batch in batches:
+        held = [bool(h) for h in batch]
+        counts.append(len(held))
+        failed.append(not all(held))
+        if failed[-1]:
+            break
+    _tally(rep, detail, case, counts, failed)
+
+
+def _tally_table(rep: VerdictReport, detail: str, case: str, premise,
+                 conclusion) -> None:
+    """``_tally`` over (column x node) boolean matrices of P's
+    ``pi_family``: each node is a batch, and its instances are the
+    columns where ``premise`` holds."""
+    _tally(rep, detail, case, premise.sum(axis=0),
+           (premise & ~conclusion).any(axis=0))
 
 
 # -- Theorems A, B, C ------------------------------------------------------------
@@ -418,8 +451,19 @@ def _lemma_p_length_one(G, p, d, caps, rep):
 
 def _lemma_quotient_inheritance(G, p, d, caps, rep):
     """For H <= P and N normal with N <= H or gcd(|H|,|N|) = 1: the property
-    passes to HN/N in G/N. H ranges over subgroups of the Sylow p-subgroup."""
+    passes to HN/N in G/N. H ranges over subgroups of the Sylow p-subgroup:
+    the columns of P's ``pi_family``, with N <= H iff |H cap N| = |N|."""
     P = sylow(G, p)
+    family = pi_family(G, P, caps)
+    if family is not None:
+        meet, n = family.meet, family.order
+        # gcd(|H|, |N|) = 1 for the p-group H: H = 1 or p does not divide |N|
+        premise = (((meet == n) | (meet[:, -1:] == 1) | (n % p != 0))
+                   & family.co[0][:, None])
+        proper = (n != 1) & (n != G.order)
+        _tally_table(rep, "pairs_checked", "inherited", premise[:, proper],
+                     family.co.T[:, proper])
+        return
 
     def pairs(N):
         for H in subgroups_in(G, P, caps).all:
@@ -427,19 +471,28 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
                     and _has_pi(G, P, H, caps)):
                 yield _has_pi(G, P, H, caps, bottom=N)
 
-    _tally(rep, "pairs_checked", "inherited",
-           (pairs(N) for N in normal_subgroups(G)
-            if N.order not in (1, G.order)))
+    _tally_batches(rep, "pairs_checked", "inherited",
+                   (pairs(N) for N in normal_subgroups(G)
+                    if N.order not in (1, G.order)))
 
 
 def _lemma_series_through(G, p, d, caps, rep):
     """Every p-subgroup H of a normal N that has the property admits a chief
     series through N with p-number normalizer indices at every factor.
     H ranges over the subgroups of P cap N, a Sylow subgroup of N; its
-    conjugates in G give the same verdicts. They are read off P's lattice
-    (H <= N iff |H cap N| = |H|, one table for every N), or, when P is
-    over the lattice cap, off that of P cap N."""
+    conjugates in G give the same verdicts. They are the columns of P's
+    ``pi_family`` with |H cap N| = |H|, or, without the family, read off
+    P's lattice by the same table, or, when P is over the lattice cap,
+    off that of P cap N."""
     P = sylow(G, p)
+    family = pi_family(G, P, caps)
+    if family is not None:
+        meet = family.meet
+        premise = (meet == meet[:, -1:]) & family.co[0][:, None]
+        keep = family.order % p == 0
+        _tally_table(rep, "pairs_checked", "series-found", premise[:, keep],
+                     (family.reach & family.co).T[:, keep])
+        return
     nodes = [N for N in normal_subgroups(G) if N.order % p == 0]
     if P.order <= caps.lattice:
         lattice = subgroups_in(G, P, caps).all
@@ -455,8 +508,8 @@ def _lemma_series_through(G, p, d, caps, rep):
             if _has_pi(G, P, H, caps):
                 yield _has_pi(G, P, H, caps, through=N)
 
-    _tally(rep, "pairs_checked", "series-found",
-           (pairs(N, below) for N, below in zip(nodes, batches)))
+    _tally_batches(rep, "pairs_checked", "series-found",
+                   (pairs(N, below) for N, below in zip(nodes, batches)))
 
 
 def _lemma_minimal_normal_order(G, p, d, caps, rep):
@@ -491,7 +544,7 @@ def _lemma_cyclic_in_hypercenter(G, p, d, caps, rep):
             p != 2 or _quaternion_free_in(G, P0, caps)
             or z_u.mask[P0.idx[orders == 4]].all())
 
-    _tally(rep, "subgroups_checked", "contained",
+    _tally_batches(rep, "subgroups_checked", "contained",
            [(z_u.contains(P0) for P0 in normal_subgroups(G)
              if _is_p_group(P0, p) and premise(P0))])
 
@@ -501,7 +554,7 @@ def _lemma_frattini_quotient_hypercenter(G, p, d, caps, rep):
     def premise(P0):
         return hypercenter_u(G, _frattini_in(G, P0, caps)).contains(P0)
 
-    _tally(rep, "subgroups_checked", "contained",
+    _tally_batches(rep, "subgroups_checked", "contained",
            [(hypercenter_u(G).contains(P0) for P0 in normal_subgroups(G)
              if _is_p_group(P0, p) and premise(P0))])
 
@@ -513,7 +566,7 @@ def _lemma_frattini_factor_hypercenter(G, p, d, caps, rep):
         return lhs == hypercenter_up(
             G, p, _frattini_in(G, E, caps)).contains(E)
 
-    _tally(rep, "subgroups_checked", "equivalent",
+    _tally_batches(rep, "subgroups_checked", "equivalent",
            [(equivalent(E) for E in normal_subgroups(G) if E.order % p == 0)])
 
 
@@ -525,7 +578,7 @@ def _lemma_product_transfer(G, p, d, caps, rep):
         return G.subgroup_from_mask(
             _kernels.product_mask(G.table, N.idx, K.idx))
 
-    _tally(rep, "pairs_checked", "transferred",
+    _tally_batches(rep, "pairs_checked", "transferred",
            [(_has_pi(G, P, K, caps)
              for N in minimal_normal_subgroups(G) if N.order == p
              for K in subgroups_of_order_in(G, P, p, caps)
@@ -549,7 +602,7 @@ def _lemma_cap_from_pi(G, p, d, caps, rep):
     P = sylow(G, p)
     rep.hypotheses["sylow_normal"] = o_p(G, p).order == P.order
     if rep.hypotheses["sylow_normal"]:
-        _tally(rep, "subgroups_checked", "partial-cap",
+        _tally_batches(rep, "subgroups_checked", "partial-cap",
                [(_has_cap(G, P, H, caps)
                  for H in two_maximal_subgroups(G, P, caps)
                  if _has_pi(G, P, H, caps))])

@@ -19,6 +19,7 @@ from partialpi.config import Caps
 from partialpi.errors import HypothesisViolated, SeriesCapExceeded
 from partialpi.groups import (
     cyclic,
+    elementary_abelian,
     lift_subgroup,
     quotient,
     subgroup_generated,
@@ -137,6 +138,26 @@ def test_pi_family_stands_down_over_caps(groups):
     assert pi_family(G, P, Caps(series=21)) is not None
     assert pi_family(G, P, Caps(lattice=7)) is None
     assert pi_family(G, P, Caps(lattice=8)) is not None
+
+
+def test_pi_family_edge_bound_on_c2_4():
+    """C2^4 has 315 chief series but 240 chief factors, so a search read
+    through ``next`` counts at most 241 prefixes: the family is built at
+    caps.series = 241, not at 240, and there every search it replaces
+    runs under the cap and agrees with it."""
+    G = elementary_abelian(2, 4)
+    P = G.as_subgroup()
+    assert pi_family(G, P, Caps(series=240)) is None
+    caps = Caps(series=241)
+    family = pi_family(G, P, caps)
+    for H in subgroups_in(G, P, caps).all:
+        assert family.pi(H) == satisfies_partial_pi(G, H, caps)[0]
+        assert family.cap(H) == satisfies_partial_cap(G, H, caps)[0]
+        for N in normal_subgroups(G):
+            assert family.pi(H, N) == satisfies_partial_pi(G, H, caps, N)[0]
+            if N.contains(H) and family.pi(H):
+                assert family.through(H, N) == pi_series_through(
+                    G, H, N, 2, caps)[0]
 
 
 def test_partial_cap(groups):

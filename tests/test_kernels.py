@@ -241,6 +241,26 @@ def test_subgroup_kernels_agree(s4, f294, name):
                 assert kernel.dtype == reference.dtype
                 assert np.array_equal(kernel, reference)
                 assert np.array_equal(kernel, results[0][within])
+        if name == "normalizer_mask":
+            # 2-D batches of equal-order subgroups, one per row, as the
+            # layer walk passes them (the seeds' closures and the cyclic
+            # subgroups), against the reference row by row
+            subs = {}
+            for seed in seeds + [[x] for x in range(G.order)]:
+                sub = np.flatnonzero(_kernels.closure_idx(table, seed))
+                subs.setdefault(len(sub), {})[sub.tobytes()] = sub
+            assert max(len(batch) for batch in subs.values()) > 1
+            for batch in subs.values():
+                rows = np.stack(list(batch.values())).astype(_DTYPE)
+                within = rows[-1]
+                for elements in (None, within):
+                    kernel = _kernels.normalizer_mask(table, inv, rows,
+                                                      elements)
+                    assert kernel.shape == (len(rows), G.order if elements
+                                            is None else len(within))
+                    for row, out in zip(rows, kernel):
+                        assert np.array_equal(out, _normalizer_mask_loop(
+                            table, inv, row, elements))
 
 
 @pytest.mark.parametrize("group", ["s4", "f294"])

@@ -13,7 +13,7 @@ from partialpi.errors import (
     NotSemisimpleContext,
 )
 from partialpi import _kernels, modrep
-from partialpi.groups import subgroup_generated
+from partialpi.groups import group_from_generators, subgroup_generated
 from partialpi.modrep import (
     FpModule,
     _all_spins,
@@ -97,6 +97,14 @@ def test_section_errors(groups):
         # C4 has exponent 4
         section_as_module(s4, c4, s4.trivial_subgroup(), c4, 2)
     assert section_as_module(s4, v4, s4.trivial_subgroup(), c3, 2).dim == 2
+    # the Heisenberg group mod 3, (x, y) -> (x + a, y + bx + c) on F_3^2, has
+    # exponent 3 but is not abelian
+    heis = group_from_generators(9, [parse_cycles("(1 4 7)(2 5 8)(3 6 9)", 9),
+                                     parse_cycles("(4 5 6)(7 9 8)", 9)])
+    assert heis.order == 27
+    with pytest.raises(NotElementaryAbelian, match="not abelian"):
+        section_as_module(heis, heis.as_subgroup(), heis.trivial_subgroup(),
+                          heis.trivial_subgroup(), 3)
 
 
 def test_submodules_counts():
@@ -179,6 +187,34 @@ def test_hom_space_and_isomorphism():
     Pinv = np.array([[1, 1], [0, 1]])  # self-inverse mod 2
     conj = FpModule(2, 2, [(P @ A @ Pinv) % 2])
     assert are_isomorphic_modules(M, conj)
+
+
+def test_hom_basis_matches_kron_reference():
+    """The intertwiners X (X a_V(h) = a_W(h) X for every generator h) from
+    broadcast blocks, against the nullspace of the stacked Kronecker
+    blocks kron(a^T, 1) - kron(1, b), on modules of equal and of
+    different dimensions."""
+    from partialpi.modrep import _hom_basis
+    B = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    pairs = [(FpModule(2, 2, [A]), FpModule(2, 2, [A])),
+             (FpModule(7, 2, [R7, S7]), FpModule(7, 2, [R7, S7])),
+             (FpModule(2, 1, [np.eye(1)]), FpModule(2, 3, [B])),
+             (FpModule(2, 3, [B]), FpModule(2, 2, [np.eye(2)])),
+             (FpModule(3, 3, [B, B.T]), FpModule(3, 3, [B.T, B]))]
+    for V, W in pairs:
+        p = V.p
+        blocks = [(np.kron(a.T, np.eye(W.dim, dtype=np.int64))
+                   - np.kron(np.eye(V.dim, dtype=np.int64), b)) % p
+                  for a, b in zip(V.acting_gens, W.acting_gens)]
+        reference = [v.reshape(V.dim, W.dim).T % p
+                     for v in nullspace(np.vstack(blocks), p)]
+        basis = _hom_basis(V, W)
+        assert len(basis) == len(reference)
+        for x, y in zip(basis, reference):
+            assert np.array_equal(x, y)
+            for a, b in zip(V.acting_gens, W.acting_gens):
+                assert not ((x @ a - b @ x) % p).any()
+    assert [len(_hom_basis(V, W)) for V, W in pairs] == [2, 1, 1, 2, 3]
 
 
 def test_absolute_irreducibility():

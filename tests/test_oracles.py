@@ -14,7 +14,9 @@ Pi-property of HN/N, the preimages of Z_U(G/N) and Z_{U_p}(G/N) and the
 cyclicity of G/N are checked against the materialised quotient G/N. The Pi
 family of a Sylow subgroup, read off two walks of the chief-factor DAG, is
 checked against the chain search for every (N, H), and its partial CAP
-verdicts against the CAP search for every H; the complement family of an
+verdicts against the CAP search for every H; the verifiers' reductions
+over the family against their per-pair route, also over doctored
+families that force failures; the complement family of an
 abelian normal Sylow subgroup, read off G's normal subgroups inside it, is
 checked against the complement search. The chief-factor DAG,
 built lazily from class closures, is checked against a scan of the normal
@@ -38,12 +40,13 @@ constituents by Schur's lemma, is checked against module isomorphism and
 absolute irreducibility tested separately.
 """
 
+import copy
 import itertools
 import time
 
 import numpy as np
 
-from partialpi import _kernels
+from partialpi import _kernels, theorems
 from partialpi.chiefs import (
     _chief_children,
     _is_normal,
@@ -63,11 +66,13 @@ from partialpi.embedding import (
     satisfies_partial_cap,
     satisfies_partial_pi,
 )
+from partialpi.corpus import builtin_corpus
 from partialpi.groupfile import build_directive
 from partialpi.groups import (
     Group,
     QuotientMap,
     alternating,
+    clear_memo,
     cyclic,
     dicyclic,
     dihedral,
@@ -88,6 +93,8 @@ from partialpi.theorems import (
     _is_cyclic_quotient,
     _section_constituents,
     _section_module,
+    default_checks,
+    run_check,
 )
 from partialpi.modrep import (
     are_isomorphic_modules,
@@ -601,6 +608,80 @@ def test_pi_family_matches_search_on_c2_5_premised_pairs():
                     G, H, N, 2)[0], (N, H)
                 through += 1
     assert (inherited, through) == (5766, 5768)
+
+
+# The checks whose Pi questions are reductions over P's family: the two
+# lemmas over (N, H) pairs, and every check whose hypotheses ask that all
+# subgroups of P of an order (or its cyclic ones of order 4) have the
+# property.
+REDUCED_CHECKS = {"A", "C", "lemma:quotient-inheritance",
+                  "lemma:series-through", "lemma:p-length-one",
+                  "lemma:minimal-normal-order",
+                  "lemma:minimal-normal-elementary",
+                  "lemma:prime-order-supersoluble"}
+REDUCTION_EXTRA = ("dp:dihedral:8xdihedral:8", "elemab:2:5",
+                   "dp:quaternion:8xquaternion:8xcyclic:2")
+
+
+def _reduced_reports(G, name):
+    return [run_check(G, cid, params, group_name=name).record_fields()
+            for cid, params in default_checks(G) if cid in REDUCED_CHECKS]
+
+
+def test_family_reductions_match_per_pair_route(monkeypatch):
+    """Every report of the checks that reduce over the Pi family equals
+    the report of the per-pair route, taken when the family is over a cap
+    (forced here): every (N, H) pair and every subgroup searched on its
+    own. On every corpus group and prime, and on D8 x D8, C2^5 and
+    Q8 x Q8 x C2, each route on a fresh group."""
+    makers = [(name, lambda name=name: builtin_corpus().group(name))
+              for name in builtin_corpus().names()]
+    makers += [(d, lambda d=d: build_directive(d)) for d in REDUCTION_EXTRA]
+    compared = 0
+    for name, make in makers:
+        reduced = _reduced_reports(make(), name)
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "pi_family", lambda *args: None)
+            assert _reduced_reports(make(), name) == reduced, name
+        compared += len(reduced)
+    assert compared == 573
+
+
+def test_family_reductions_match_per_pair_route_with_failures(monkeypatch):
+    """The same two routes over one doctored copy of each family, whose
+    ``co`` and ``reach`` bits are each cleared with probability 1/20 (seeded),
+    so that premises and conclusions fail at scattered (N, H): the per-pair
+    route reads the doctored family through ``_has_pi``. The counts up to
+    the first failing N and the verdicts agree on every corpus group."""
+    rng = np.random.default_rng(25)
+    statuses = []
+    for name in builtin_corpus().names():
+        G = builtin_corpus().group(name)
+        doctored = {}
+
+        def family(X, P, caps=DEFAULT_CAPS):
+            key = P.idx.tobytes()
+            if key not in doctored:
+                doctored[key] = real = copy.copy(pi_family(X, P, caps))
+                real.co = real.co & (rng.random(real.co.shape) > 0.05)
+                real.reach = real.reach & (rng.random(real.reach.shape) > 0.05)
+            return doctored[key]
+
+        def has_pi(X, P, H, caps, bottom=None, through=None):
+            if through is not None:
+                return family(X, P, caps).through(H, through)
+            return family(X, P, caps).pi(H, bottom)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "pi_family", family)
+            reduced = _reduced_reports(G, name)
+            clear_memo(G)
+            patch.setattr(theorems, "pi_family", lambda *args: None)
+            patch.setattr(theorems, "_has_pi", has_pi)
+            assert _reduced_reports(G, name) == reduced, name
+            clear_memo(G)
+        statuses += [dict(r)["status"] for r in reduced]
+    assert len(statuses) == 498 and "fail" in statuses
 
 
 # Groups beyond the corpus for the complement and CAP families: C2^5 and

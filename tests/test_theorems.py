@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from partialpi import _kernels, theorems
 from partialpi.chiefs import _prime_factors
+from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.errors import BadParameter, UnknownLemma
 from partialpi.groups import Subgroup
@@ -190,6 +193,26 @@ def test_c2_5_exhaustive_pairs():
     assert pairs["lemma:series-through"] == 5768
 
 
+def test_c2_6_exhaustive_pairs_within_budget():
+    """C2^6 has 615 195 chief series but 23 562 chief factors, so P's Pi
+    family stands under the default series cap (its edge bound) and the
+    exhaustive lemmas reduce over it: 95 703 and 95 705 pairs, every check
+    pass (27) or vacuous (26), the whole run under 20 s (1.4 s on a 2-vCPU
+    host, against 93 s when the per-pair searches ran)."""
+    import time
+    from collections import Counter
+    from partialpi.groups import elementary_abelian
+    G = elementary_abelian(2, 6)
+    t0 = time.perf_counter()
+    reports = run_corpus([("C2^6", G)])
+    assert time.perf_counter() - t0 < 20
+    assert Counter(r.status for r in reports) == {"pass": 27, "vacuous": 26}
+    pairs = {r.check_id: r.details["pairs_checked"] for r in reports
+             if "pairs_checked" in r.details}
+    assert pairs["lemma:quotient-inheritance"] == 95703
+    assert pairs["lemma:series-through"] == 95705
+
+
 def test_empty_corpus_and_unique_names():
     from partialpi.corpus import Corpus
     assert run_corpus(Corpus(())) == []
@@ -238,10 +261,28 @@ class _Everything:
 
 # The verifiers read a quotient G/N inside G, from the first term N: the
 # replacements below tell its calls from those on G itself by ``bottom``.
-# Every Pi question goes through ``theorems._has_pi`` (H in G, HN/N from
-# ``bottom`` = N, or a series through ``through`` = N), every partial CAP
-# question through ``_has_cap`` and every complement question through
-# ``_complemented``.
+# quotient-inheritance and series-through reduce over the tables of P's
+# ``theorems.pi_family``; a doctored copy of the family clears the rows of
+# their conclusion (``co`` at N != 1, ``reach``). Without the family (over
+# a cap) they, and every other Pi question, go through ``theorems._has_pi``
+# (H in G, HN/N from ``bottom`` = N, or a series through ``through`` = N);
+# every partial CAP question goes through ``_has_cap`` and every complement
+# question through ``_complemented``.
+
+
+def _family_without(rows):
+    """pi_family with the table ``rows`` cleared at every N != 1; the row
+    of co at 1 is the property in G itself, and series-through reads no
+    row at 1."""
+    def replace(G, real):
+        def family(X, P, caps=DEFAULT_CAPS):
+            doctored = copy.copy(real(X, P, caps))
+            table = getattr(doctored, rows).copy()
+            table[1:] = False
+            setattr(doctored, rows, table)
+            return doctored
+        return family
+    return replace
 
 
 def _pi_false_in_quotients(G, real):
@@ -275,9 +316,9 @@ def _never(G, real):
 
 _FAILURES = (
     # lemma, group, p, replaced name, replacement, detail, count at failure
-    ("quotient-inheritance", "D8", 2, "_has_pi",
-     _pi_false_in_quotients, "pairs_checked", 6),
-    ("series-through", "D8", 2, "_has_pi", _no_series_through,
+    ("quotient-inheritance", "D8", 2, "pi_family", _family_without("co"),
+     "pairs_checked", 6),
+    ("series-through", "D8", 2, "pi_family", _family_without("reach"),
      "pairs_checked", 2),
     ("cyclic-in-hypercenter", "D8", 2, "hypercenter_u",
      lambda G, real: _Everything, "subgroups_checked", 5),
@@ -306,6 +347,28 @@ def test_exhaustive_lemma_failure_branch(monkeypatch, lemma, name, p, attr,
     assert r.status == "fail" and not r.passed
     assert r.hypotheses_hold and r.conclusion_cases == ()
     assert r.details[detail] == count
+
+
+_FAILURES_WITHOUT_FAMILY = (
+    ("quotient-inheritance", _pi_false_in_quotients, 6),
+    ("series-through", _no_series_through, 2),
+)
+
+
+@pytest.mark.parametrize("lemma, replacement, count", _FAILURES_WITHOUT_FAMILY,
+                         ids=[case[0] for case in _FAILURES_WITHOUT_FAMILY])
+def test_exhaustive_lemma_failure_branch_without_family(monkeypatch, lemma,
+                                                        replacement, count):
+    """The per-pair route of the two lemmas, taken when P's family is over
+    a cap, forced here: the same failures, counted alike."""
+    G = builtin_corpus().group("D8")
+    monkeypatch.setattr(theorems, "pi_family", lambda *args: None)
+    monkeypatch.setattr(theorems, "_has_pi",
+                        replacement(G, theorems._has_pi))
+    r = check_lemma(G, lemma, {"p": 2})
+    assert r.status == "fail" and not r.passed
+    assert r.hypotheses_hold and r.conclusion_cases == ()
+    assert r.details["pairs_checked"] == count
 
 
 def test_cyclicity_criterion_check_agrees_with_verifier(corpus):

@@ -220,21 +220,27 @@ def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
     """The pass bits at the factor K < L of every column, where those not
     flagged ``inner`` pass (their traces are K or L). The traces
     D = HK cap L of the inner ones come from one gather (a column j's
-    elements are ``elements[owner == j]``), and each distinct D is judged
-    once."""
+    elements are ``elements[owner == j]``); the distinct D of one order
+    take their normalisers from one batched ``normalizer_mask`` call, and
+    each distinct D is judged once."""
+    cols = np.flatnonzero(inner)
     pick = inner[owner]
     rows = np.zeros((len(inner), G.order), dtype=bool)
     rows[owner[pick][:, None], G.table[elements[pick][:, None], K.idx]] = True
-    rows &= L.mask
+    rows = rows[cols] & L.mask
+    keys = rows.view(np.dtype((np.void, G.order))).ravel()
+    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+    traces = rows[first]
+    sizes = traces.sum(axis=1)
+    verdicts = np.zeros(len(traces), dtype=bool)
+    for size in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes == size)
+        d_idx = np.nonzero(traces[same])[1].reshape(len(same), size)
+        norm = _kernels.normalizer_mask(G.table, G.inverses, d_idx)
+        verdicts[same] = [_pi_condition(size // K.order, G.order // n)[1]
+                          for n in norm.sum(axis=1).tolist()]
     out = ~inner
-    verdicts = {}
-    for j in np.flatnonzero(inner):
-        key = rows[j].tobytes()
-        if key not in verdicts:
-            d_idx = np.flatnonzero(rows[j]).astype(_DTYPE)
-            index = G.order // _normalizer(G, d_idx.tobytes())[0]
-            verdicts[key] = _pi_condition(len(d_idx) // K.order, index)[1]
-        out[j] = verdicts[key]
+    out[cols] = verdicts[back.reshape(-1)]
     return out
 
 
@@ -254,11 +260,10 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     |K| or |L| is normal, and the factor passes with index 1. Only a
     composite |L : K| leaves room for another D; those factors are
     compared over blocks of 512 edges, and only the D strictly between K
-    and L are built, those of one factor in one gather
-    (``_inner_passes``), each distinct D taking its index from
-    ``_normalizer``, as the search does. Both routes judge a factor by
-    ``_pi_condition``. Only the edges with such an inner column keep a
-    row of pass bits.
+    and L are built, those of one factor in one gather, and their
+    normalisers one batch per order (``_inner_passes``). The search and
+    the family judge a factor by the same ``_pi_condition``. Only the
+    edges with such an inner column keep a row of pass bits.
 
     The walks are ``reach[L] |= reach[K] & pass[K -> L]`` up from 1 and
     ``co[K] |= pass[K -> L] & co[L]`` down from G. By the correspondence

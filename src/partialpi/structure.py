@@ -225,30 +225,35 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
 
     subs, flags = [], []
     layer, gens = np.zeros((1, 1), dtype=_DTYPE), [()]
-    while len(layer):  # P itself, with no cover, ends the walk
-        m = len(layer)
-        norm = (np.ones((m, len(elts)), dtype=bool) if abelian else
-                _kernels.normalizer_mask(table, inv, layer, elts))
+    while True:
+        m, k = layer.shape
         subs += [Subgroup(G, idx, generator_idx=g)
                  for idx, g in zip(layer, gens)]
-        flags += norm.all(axis=1).tolist()
+        if k == len(elts):  # P itself, with no cover, ends the walk
+            return SubgroupLattice(subs, flags + [True])
+        at = position[layer]
         member = np.zeros((m, len(elts)), dtype=bool)  # by position in P
-        member[np.arange(m)[:, None], position[layer]] = True
-        s, j = np.nonzero(norm & ~member & member[:, position[power[p]]])
+        member[np.arange(m)[:, None], at] = True
+        candidate = member[:, position[power[p]]] & ~member
+        if abelian:
+            flags += [True] * m
+        else:
+            norm = _kernels.normalizer_mask(table, inv, layer, elts)
+            flags += norm.all(axis=1).tolist()
+            candidate &= norm
+        s, j = np.nonzero(candidate)
         # S<x> outside S: the cosets S x^i, 0 < i < p, as positions in P
         outside = position[table[layer[s][:, :, None],
                                  power[1:p, j].T[:, None, :]]]
-        outside = outside.reshape(len(s), layer.shape[1] * (p - 1))
+        outside = outside.reshape(len(s), k * (p - 1))
         least = outside.min(axis=1, initial=len(elts)) == j
         s, j = s[least], j[least]
-        cover = np.sort(np.hstack([position[layer[s]], outside[least]]),
-                        axis=1)
+        cover = np.sort(np.hstack([at[s], outside[least]]), axis=1)
         keys = cover.view(np.dtype((np.void, cover.shape[1] * cover.itemsize)))
         first = np.unique(keys.ravel(), return_index=True)[1]
         layer = elts[cover[first]]
         gens = [gens[i] + (x,)
                 for i, x in zip(s[first].tolist(), elts[j[first]].tolist())]
-    return SubgroupLattice(subs, flags)
 
 
 def _lattice_by_extension(G: Group) -> SubgroupLattice:
@@ -341,8 +346,9 @@ def _least_conjugate(G: Group, idx: np.ndarray) -> Subgroup:
     least ``idx.tobytes()`` among the sorted index arrays of its conjugates."""
     table, inv = G.table, G.inverses
     conj = table[table[inv][:, idx], np.arange(G.order, dtype=_DTYPE)[:, None]]
-    conj.sort(axis=1)
-    return G.subgroup(min(conj, key=lambda row: row.tobytes()))
+    conj = np.ascontiguousarray(np.sort(conj, axis=1))
+    keys = conj.view(np.dtype((np.void, conj.shape[1] * conj.itemsize)))
+    return G.subgroup(conj[keys.ravel().argsort()[0]])
 
 
 def _pi_elements(G: Group, pi) -> np.ndarray:
@@ -546,11 +552,9 @@ def _frattini_soluble(G: Group) -> Subgroup:
 
 def _self_centralising(G: Group, K: Subgroup, H: Subgroup) -> bool:
     """C_G(H/K) = H for an abelian chief factor H/K."""
-    table, inv = G.table, G.inverses
-    cent = np.ones(G.order, dtype=bool)
-    for h in G.indices_of(H.generators):
-        # [h, g] = h^-1 g^-1 h g for every g
-        cent &= K.mask[table[table[inv[h], inv], table[h]]]
+    table, inv, h = G.table, G.inverses, H.idx
+    # [h, g] = h^-1 g^-1 h g for every h in H and every g, one gather
+    cent = K.mask[table[table[inv[h]][:, inv], table[h]]].all(axis=0)
     return int(cent.sum()) == H.order
 
 

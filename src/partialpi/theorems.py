@@ -369,10 +369,9 @@ def _theorem_B(G, p, d, caps, rep):
     P = sylow(G, p)
     rep.hypotheses["o_p_prime_trivial"] = o_p_prime(G, p).order == 1
     rep.hypotheses["sylow_at_least_p2"] = P.order >= p * p
-    rep.hypotheses["two_maximal_subgroups_pi"] = (
-        P.order >= p * p and all(
-            _has_pi(G, P, H, caps)
-            for H in two_maximal_subgroups(G, P, caps)))
+    rep.hypotheses["two_maximal_subgroups_pi"] = (  # those of index p^2
+        P.order >= p * p
+        and all_of_order_satisfy_pi(G, P, P.order // (p * p), caps))
     if all(rep.hypotheses.values()):
         cases = []
         soluble, _ = p_solubility(G, p)

@@ -614,7 +614,7 @@ def test_pi_family_matches_search_on_c2_5_premised_pairs():
 # lemmas over (N, H) pairs, and every check whose hypotheses ask that all
 # subgroups of P of an order (or its cyclic ones of order 4) have the
 # property.
-REDUCED_CHECKS = {"A", "C", "lemma:quotient-inheritance",
+REDUCED_CHECKS = {"A", "B", "C", "lemma:quotient-inheritance",
                   "lemma:series-through", "lemma:p-length-one",
                   "lemma:minimal-normal-order",
                   "lemma:minimal-normal-elementary",
@@ -644,7 +644,7 @@ def test_family_reductions_match_per_pair_route(monkeypatch):
             patch.setattr(theorems, "pi_family", lambda *args: None)
             assert _reduced_reports(make(), name) == reduced, name
         compared += len(reduced)
-    assert compared == 573
+    assert compared == 634
 
 
 def test_family_reductions_match_per_pair_route_with_failures(monkeypatch):
@@ -681,7 +681,7 @@ def test_family_reductions_match_per_pair_route_with_failures(monkeypatch):
             assert _reduced_reports(G, name) == reduced, name
             clear_memo(G)
         statuses += [dict(r)["status"] for r in reduced]
-    assert len(statuses) == 498 and "fail" in statuses
+    assert len(statuses) == 556 and "fail" in statuses
 
 
 # Groups beyond the corpus for the complement and CAP families: C2^5 and

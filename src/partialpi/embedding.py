@@ -204,15 +204,19 @@ class PiFamily:
         return bool(self.cap_co[self._column[H]])
 
 
-def _meet(P: Subgroup, rows, columns) -> np.ndarray:
-    """|A cap B| for every A in ``rows`` and B in ``columns``, as one
-    matmul, where the subgroups of one side lie in P: the counts are then
-    taken on P's elements alone. It runs in float32, whose sums of 0/1
-    products are exact below 2^24 > |P|, many times faster than an integer
-    matmul."""
-    a = np.stack([A.mask[P.idx] for A in rows]).astype(np.float32)
-    b = np.stack([B.mask[P.idx] for B in columns]).astype(np.float32)
-    return (a @ b.T).astype(np.int32)
+def _meet(P: Subgroup, columns, nodes) -> np.ndarray:
+    """|H cap N| for every column H, a subgroup of P, and every node N, a
+    subgroup of G, as one (node x column) matmul over P's elements: the
+    columns' rows are scattered from their index arrays, the nodes' read
+    off their masks. It runs in float32, whose sums of 0/1 products are
+    exact below 2^24 > |P|, many times faster than an integer matmul."""
+    position = np.zeros(P.ambient.order, dtype=np.intp)
+    position[P.idx] = np.arange(P.order)
+    h = np.zeros((len(columns), P.order), dtype=np.float32)
+    h[np.repeat(np.arange(len(columns)), [H.order for H in columns]),
+      position[np.concatenate([H.idx for H in columns])]] = 1
+    n = np.stack([N.mask[P.idx] for N in nodes]).astype(np.float32)
+    return (n @ h.T).astype(np.int32)
 
 
 def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
@@ -313,7 +317,7 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     m = len(columns)
     elements = np.concatenate([H.idx for H in columns])
     owner = np.repeat(np.arange(m), [H.order for H in columns])
-    meet = _meet(P, nodes, columns)  # node x column
+    meet = _meet(P, columns, nodes)  # node x column
     order = np.array([N.order for N in nodes])
     below, above = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     factor = order[above] // order[below]
@@ -483,9 +487,9 @@ def complement_family(G: Group, P: Subgroup,
     columns = subgroups_in(G, P, caps).all
     inside = [N for N in normal_subgroups(G) if P.contains(N)]
     meet = _meet(P, columns, inside)
-    fits = (np.array([[H.order] for H in columns])
-            == P.order // np.array([N.order for N in inside]))
-    verdicts = ((meet == 1) & fits).any(axis=1)
+    fits = (np.array([H.order for H in columns])
+            == P.order // np.array([[N.order] for N in inside]))
+    verdicts = ((meet == 1) & fits).any(axis=0)
     return dict(zip(columns, verdicts.tolist()))
 
 

@@ -495,9 +495,9 @@ def _lemma_series_through(G, p, d, caps, rep):
     nodes = [N for N in normal_subgroups(G) if N.order % p == 0]
     if P.order <= caps.lattice:
         lattice = subgroups_in(G, P, caps).all
-        inside = _meet(P, lattice, nodes) == [[H.order] for H in lattice]
-        batches = ([lattice[j] for j in np.flatnonzero(inside[:, i])]
-                   for i in range(len(nodes)))
+        inside = _meet(P, lattice, nodes) == [H.order for H in lattice]
+        batches = ([lattice[j] for j in np.flatnonzero(row)]
+                   for row in inside)
     else:
         batches = (subgroups_in(G, G.subgroup_from_mask(P.mask & N.mask),
                                 caps).all for N in nodes)

@@ -292,11 +292,12 @@ def _tally(rep: VerdictReport, detail: str, case: str, counts,
     The instances that meet the statement's premise come in batches (one
     per normal subgroup N, in canonical order, for a statement over (N, H)
     pairs): ``counts[i]`` of them in batch i, and ``failed[i]`` says
-    whether the conclusion fails at one of them. The batch that holds the first failure is counted to its end,
-    and no later batch counts: one argmax over ``failed``, the counts
-    summed up to it. The count goes to the detail ``detail``, the
-    hypothesis ``applicable`` says whether any instance met the premise,
-    and the conclusion case is ``case`` when every instance held.
+    whether the conclusion fails at one of them. The batch that holds the
+    first failure is counted to its end, and no later batch counts: one
+    argmax over ``failed``, the counts summed up to it. The count goes to
+    the detail ``detail``, the hypothesis ``applicable`` says whether any
+    instance met the premise, and the conclusion case is ``case`` when
+    every instance held.
     """
     counts = np.asarray(counts, dtype=np.int64)
     failed = np.asarray(failed, dtype=bool)
@@ -544,8 +545,8 @@ def _lemma_cyclic_in_hypercenter(G, p, d, caps, rep):
             or z_u.mask[P0.idx[orders == 4]].all())
 
     _tally_batches(rep, "subgroups_checked", "contained",
-           [(z_u.contains(P0) for P0 in normal_subgroups(G)
-             if _is_p_group(P0, p) and premise(P0))])
+                   [(z_u.contains(P0) for P0 in normal_subgroups(G)
+                     if _is_p_group(P0, p) and premise(P0))])
 
 
 def _lemma_frattini_quotient_hypercenter(G, p, d, caps, rep):
@@ -554,8 +555,9 @@ def _lemma_frattini_quotient_hypercenter(G, p, d, caps, rep):
         return hypercenter_u(G, _frattini_in(G, P0, caps)).contains(P0)
 
     _tally_batches(rep, "subgroups_checked", "contained",
-           [(hypercenter_u(G).contains(P0) for P0 in normal_subgroups(G)
-             if _is_p_group(P0, p) and premise(P0))])
+                   [(hypercenter_u(G).contains(P0)
+                     for P0 in normal_subgroups(G)
+                     if _is_p_group(P0, p) and premise(P0))])
 
 
 def _lemma_frattini_factor_hypercenter(G, p, d, caps, rep):
@@ -566,7 +568,8 @@ def _lemma_frattini_factor_hypercenter(G, p, d, caps, rep):
             G, p, _frattini_in(G, E, caps)).contains(E)
 
     _tally_batches(rep, "subgroups_checked", "equivalent",
-           [(equivalent(E) for E in normal_subgroups(G) if E.order % p == 0)])
+                   [(equivalent(E) for E in normal_subgroups(G)
+                     if E.order % p == 0)])
 
 
 def _lemma_product_transfer(G, p, d, caps, rep):
@@ -578,10 +581,10 @@ def _lemma_product_transfer(G, p, d, caps, rep):
             _kernels.product_mask(G.table, N.idx, K.idx))
 
     _tally_batches(rep, "pairs_checked", "transferred",
-           [(_has_pi(G, P, K, caps)
-             for N in minimal_normal_subgroups(G) if N.order == p
-             for K in subgroups_of_order_in(G, P, p, caps)
-             if _has_pi(G, P, product(N, K), caps))])
+                   [(_has_pi(G, P, K, caps)
+                     for N in minimal_normal_subgroups(G) if N.order == p
+                     for K in subgroups_of_order_in(G, P, p, caps)
+                     if _has_pi(G, P, product(N, K), caps))])
 
 
 def _lemma_minimal_normal_elementary(G, p, d, caps, rep):
@@ -602,9 +605,9 @@ def _lemma_cap_from_pi(G, p, d, caps, rep):
     rep.hypotheses["sylow_normal"] = o_p(G, p).order == P.order
     if rep.hypotheses["sylow_normal"]:
         _tally_batches(rep, "subgroups_checked", "partial-cap",
-               [(_has_cap(G, P, H, caps)
-                 for H in two_maximal_subgroups(G, P, caps)
-                 if _has_pi(G, P, H, caps))])
+                       [(_has_cap(G, P, H, caps)
+                         for H in two_maximal_subgroups(G, P, caps)
+                         if _has_pi(G, P, H, caps))])
 
 
 def _lemma_pi_iff_complemented(G, p, d, caps, rep):

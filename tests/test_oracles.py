@@ -662,9 +662,11 @@ def test_family_reductions_match_per_pair_route_with_failures(monkeypatch):
         def family(X, P, caps=DEFAULT_CAPS):
             key = P.idx.tobytes()
             if key not in doctored:
-                doctored[key] = real = copy.copy(pi_family(X, P, caps))
-                real.co = real.co & (rng.random(real.co.shape) > 0.05)
-                real.reach = real.reach & (rng.random(real.reach.shape) > 0.05)
+                doctored[key] = copied = copy.copy(pi_family(X, P, caps))
+                for rows in ("co", "reach"):
+                    table = getattr(copied, rows)
+                    setattr(copied, rows,
+                            table & (rng.random(table.shape) > 0.05))
             return doctored[key]
 
         def has_pi(X, P, H, caps, bottom=None, through=None):

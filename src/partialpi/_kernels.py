@@ -51,22 +51,19 @@ def normalizer_mask(table, inv, sub_idx, elements=None):
     A 2-D ``sub_idx`` is a batch of equal-order subgroups, one per row, and
     out[s, i] answers for row s: one gather conjugates every row by every
     element, and row s reads its own membership row, at offset s*n of one
-    flat mask."""
+    flat mask. A 1-D ``sub_idx`` is a batch of one row."""
     n = table.shape[0]
     elements = np.arange(n, dtype=np.int32) if elements is None else elements
     sub_idx = np.asarray(sub_idx)
     if sub_idx.shape[-1] == 0:
         return np.ones(sub_idx.shape[:-1] + (len(elements),), np.bool_)
-    if sub_idx.ndim == 1:
-        member = np.zeros(n, np.bool_)
-        member[sub_idx] = True
-        conj = table[table[inv[elements]][:, sub_idx], elements[:, None]]
-        return member[conj].all(axis=1)
-    offset = np.arange(0, len(sub_idx) * n, n)[:, None]
-    member = np.zeros(len(sub_idx) * n, np.bool_)
-    member[sub_idx + offset] = True
-    conj = table[table[inv[elements]][:, sub_idx], elements[:, None, None]]
-    return member[conj + offset].all(axis=2).T
+    batch = sub_idx if sub_idx.ndim == 2 else sub_idx[None]
+    offset = np.arange(0, len(batch) * n, n)[:, None]
+    member = np.zeros(len(batch) * n, np.bool_)
+    member[batch + offset] = True
+    conj = table[table[inv[elements]][:, batch], elements[:, None, None]]
+    out = member[conj + offset].all(axis=2).T
+    return out if sub_idx.ndim == 2 else out[0]
 
 
 def centralizer_mask(table, sub_idx):

@@ -171,8 +171,8 @@ class PiFamily:
     whether a chain of passing factors runs from N up to G, and ``reach``,
     whether one runs from 1 up to N; and ``cap_co``, whether a chain of
     factors that H covers or avoids runs from 1 up to G, one bit per
-    column. ``meet`` (column x node) is every |H cap N|, so its last
-    column, at N = G, is every |H|, and ``order`` is every |N|: the
+    column. ``meet`` (node x column too) is every |H cap N|, so its last
+    row, at N = G, is every |H|, and ``order`` is every |N|: the
     verifiers' exhaustive lemmas are reductions over these arrays."""
 
     __slots__ = ("_node", "_column", "meet", "order", "reach", "co",
@@ -345,7 +345,7 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
         k, l = edges[e]
         co[k] |= passed.get(e, True) & co[l]
         cap[k] |= ends.get(e, True) & cap[l]
-    return PiFamily(node_of, columns, meet.T, order, reach, co, cap[0])
+    return PiFamily(node_of, columns, meet, order, reach, co, cap[0])
 
 
 def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:

@@ -346,9 +346,8 @@ def _least_conjugate(G: Group, idx: np.ndarray) -> Subgroup:
     least ``idx.tobytes()`` among the sorted index arrays of its conjugates."""
     table, inv = G.table, G.inverses
     conj = table[table[inv][:, idx], np.arange(G.order, dtype=_DTYPE)[:, None]]
-    conj = np.ascontiguousarray(np.sort(conj, axis=1))
-    keys = conj.view(np.dtype((np.void, conj.shape[1] * conj.itemsize)))
-    return G.subgroup(conj[keys.ravel().argsort()[0]])
+    conj.sort(axis=1)
+    return G.subgroup(min(conj, key=lambda row: row.tobytes()))
 
 
 def _pi_elements(G: Group, pi) -> np.ndarray:

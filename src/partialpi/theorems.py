@@ -18,9 +18,8 @@ chain search for that one (N, H). The partial CAP question goes through
 complement question, asked only of an abelian normal Sylow P, through
 ``_complemented``, read off P's ``complement_family`` (one table of
 |H cap N| for the normal N inside P). The lemmas that range over every
-(N, H) pair, and the hypotheses on every subgroup of an order, are
-reductions over the family's arrays (``_tally_table``); their per-pair
-loops run only when the family is over a cap. No verifier searches per
+(N, H) pair are reductions over the family's arrays (``_tally_table``);
+their per-pair loops run only when the family is over a cap. No verifier searches per
 subgroup while the families stand. Nor
 do they build a subgroup as a group of its own: a p-subgroup's lattice,
 Phi and Q8 sections are read in G's table (``structure.subgroups_in``),
@@ -179,24 +178,17 @@ def _complemented(G: Group, P: Subgroup, H: Subgroup, caps: Caps) -> bool:
 @memo("all_of_order_pi")
 def all_of_order_satisfy_pi(G: Group, P: Subgroup, order: int,
                             caps: Caps = DEFAULT_CAPS) -> bool:
-    """Does every subgroup of P of the given order satisfy the property?
-    One reduction over the columns of P's ``pi_family`` of that order."""
-    family = pi_family(G, P, caps)
-    if family is None:
-        return all(_has_pi(G, P, H, caps)
-                   for H in subgroups_of_order_in(G, P, order, caps))
-    return bool(family.co[0, family.meet[:, -1] == order].all())
+    """Does every subgroup of P of the given order satisfy the property?"""
+    return all(_has_pi(G, P, H, caps)
+               for H in subgroups_of_order_in(G, P, order, caps))
 
 
 @memo("cyclic_order4_pi")
 def cyclic_order4_satisfy_pi(G: Group, P: Subgroup,
                              caps: Caps = DEFAULT_CAPS) -> bool:
-    cyclic = [H for H in subgroups_of_order_in(G, P, 4, caps)
-              if int(G.element_orders[H.idx].max()) == 4]  # C4
-    family = pi_family(G, P, caps)
-    if family is None:
-        return all(_has_pi(G, P, H, caps) for H in cyclic)
-    return bool(family.co[0, [family._column[H] for H in cyclic]].all())
+    return all(_has_pi(G, P, H, caps)
+               for H in subgroups_of_order_in(G, P, 4, caps)
+               if int(G.element_orders[H.idx].max()) == 4)  # cyclic C4
 
 
 def all_of_order_complemented(G: Group, P: Subgroup, order: int,
@@ -326,11 +318,11 @@ def _tally_batches(rep: VerdictReport, detail: str, case: str,
 
 def _tally_table(rep: VerdictReport, detail: str, case: str, premise,
                  conclusion) -> None:
-    """``_tally`` over (column x node) boolean matrices of P's
+    """``_tally`` over (node x column) boolean matrices of P's
     ``pi_family``: each node is a batch, and its instances are the
     columns where ``premise`` holds."""
-    _tally(rep, detail, case, premise.sum(axis=0),
-           (premise & ~conclusion).any(axis=0))
+    _tally(rep, detail, case, premise.sum(axis=1),
+           (premise & ~conclusion).any(axis=1))
 
 
 # -- Theorems A, B, C ------------------------------------------------------------
@@ -370,9 +362,10 @@ def _theorem_B(G, p, d, caps, rep):
     P = sylow(G, p)
     rep.hypotheses["o_p_prime_trivial"] = o_p_prime(G, p).order == 1
     rep.hypotheses["sylow_at_least_p2"] = P.order >= p * p
-    rep.hypotheses["two_maximal_subgroups_pi"] = (  # those of index p^2
-        P.order >= p * p
-        and all_of_order_satisfy_pi(G, P, P.order // (p * p), caps))
+    rep.hypotheses["two_maximal_subgroups_pi"] = (
+        P.order >= p * p and all(
+            _has_pi(G, P, H, caps)
+            for H in two_maximal_subgroups(G, P, caps)))
     if all(rep.hypotheses.values()):
         cases = []
         soluble, _ = p_solubility(G, p)
@@ -456,13 +449,13 @@ def _lemma_quotient_inheritance(G, p, d, caps, rep):
     P = sylow(G, p)
     family = pi_family(G, P, caps)
     if family is not None:
-        meet, n = family.meet, family.order
+        meet, n = family.meet, family.order[:, None]
         # gcd(|H|, |N|) = 1 for the p-group H: H = 1 or p does not divide |N|
-        premise = (((meet == n) | (meet[:, -1:] == 1) | (n % p != 0))
-                   & family.co[0][:, None])
-        proper = (n != 1) & (n != G.order)
-        _tally_table(rep, "pairs_checked", "inherited", premise[:, proper],
-                     family.co.T[:, proper])
+        premise = (((meet == n) | (meet[-1] == 1) | (n % p != 0))
+                   & family.co[0])
+        proper = (family.order != 1) & (family.order != G.order)
+        _tally_table(rep, "pairs_checked", "inherited", premise[proper],
+                     family.co[proper])
         return
 
     def pairs(N):
@@ -487,11 +480,10 @@ def _lemma_series_through(G, p, d, caps, rep):
     P = sylow(G, p)
     family = pi_family(G, P, caps)
     if family is not None:
-        meet = family.meet
-        premise = (meet == meet[:, -1:]) & family.co[0][:, None]
+        premise = (family.meet == family.meet[-1]) & family.co[0]
         keep = family.order % p == 0
-        _tally_table(rep, "pairs_checked", "series-found", premise[:, keep],
-                     (family.reach & family.co).T[:, keep])
+        _tally_table(rep, "pairs_checked", "series-found", premise[keep],
+                     (family.reach & family.co)[keep])
         return
     nodes = [N for N in normal_subgroups(G) if N.order % p == 0]
     if P.order <= caps.lattice:

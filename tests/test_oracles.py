@@ -610,10 +610,10 @@ def test_pi_family_matches_search_on_c2_5_premised_pairs():
     assert (inherited, through) == (5766, 5768)
 
 
-# The checks whose Pi questions are reductions over P's family: the two
-# lemmas over (N, H) pairs, and every check whose hypotheses ask that all
-# subgroups of P of an order (or its cyclic ones of order 4) have the
-# property.
+# The checks whose Pi questions read P's family: the two lemmas over
+# (N, H) pairs, which reduce over its tables, and every check whose
+# hypotheses ask that all subgroups of P of an order (or its cyclic ones
+# of order 4) have the property, which read it per subgroup.
 REDUCED_CHECKS = {"A", "B", "C", "lemma:quotient-inheritance",
                   "lemma:series-through", "lemma:p-length-one",
                   "lemma:minimal-normal-order",
@@ -629,7 +629,7 @@ def _reduced_reports(G, name):
 
 
 def test_family_reductions_match_per_pair_route(monkeypatch):
-    """Every report of the checks that reduce over the Pi family equals
+    """Every report of the checks that read the Pi family equals
     the report of the per-pair route, taken when the family is over a cap
     (forced here): every (N, H) pair and every subgroup searched on its
     own. On every corpus group and prime, and on D8 x D8, C2^5 and

@@ -5,14 +5,20 @@ that at every factor, writing D for the trace (H G_{i-1} cap G_i) G_{i-1},
 the normalizer index of the factor image of D in G/G_{i-1} is divisible only
 by primes dividing that image's order.
 
+Every step reads the trace by one rule (``_image_order``). As
+G_{i-1} <= G_i, Dedekind's rule gives D = (H cap G_i) G_{i-1}, so the
+image of D in G/G_{i-1} has order |H cap G_i| / |H cap G_{i-1}|. Since
+G_i/G_{i-1} is a chief factor, D is normal exactly when it is G_{i-1} or
+G_i, that is when the image is 1 or |G_i : G_{i-1}|: there the index is 1
+and nothing is built, and H covers the factor (G_i <= H G_{i-1}) or avoids
+it (H cap G_i <= G_{i-1}). Any other D is built from the elements of
+H cap G_i alone.
+
 Two evaluation routes exist and must agree:
 
 * the fast route stays inside G (correspondence theorem): the image of D in
-  G/G_{i-1} has order |D|/|G_{i-1}| and its quotient-normalizer index equals
-  |G : N_G(D)|, so no quotient group is ever materialized. Since
-  G_{i-1} <= D <= G_i and G_i/G_{i-1} is a chief factor, D is normal
-  exactly when it is G_{i-1} or G_i; at those endpoints, told apart by
-  |D| alone, the index is 1 and no normaliser is built;
+  G/G_{i-1} has its order by the rule above and its quotient-normalizer
+  index equals |G : N_G(D)|, so no quotient group is ever materialized;
 * the oracle route builds each quotient G/G_{i-1} explicitly and evaluates
   the definition verbatim: an oracle for the tests, which no verdict uses.
 
@@ -32,12 +38,12 @@ the chief-factor DAG up from 1 and one down from G. It judges a factor by
 the same ``_pi_condition`` as the search, and it stands down (None) over
 the lattice or series cap, where the callers search per pair. It keeps
 its table of orders |H cap N|, over which the verifiers' exhaustive
-lemmas reduce. The same table gives every H's partial CAP verdict: H covers
-or avoids a factor exactly when its trace is an end of the factor
-(Dedekind's rule). ``complement_family`` reads off one more such table,
-against G's normal subgroups inside P, which subgroups of an abelian
-normal Sylow P are complemented (Schur-Zassenhaus). The searches, with
-their witnesses, stay for single subgroups and as the families' oracles.
+lemmas reduce, and which gives every trace by the rule above, so every
+H's partial CAP verdict too. ``complement_family`` reads off one more
+such table, against G's normal subgroups inside P, which subgroups of an
+abelian normal Sylow P are complemented (Schur-Zassenhaus). The
+searches, with their witnesses, stay for single subgroups and as the
+families' oracles.
 """
 
 from __future__ import annotations
@@ -110,27 +116,27 @@ class CapWitness:
         self.per_factor = list(per_factor)  # (factor_index, "covers"|"avoids")
 
 
-@memo("normalizer")
-def _normalizer(G: Group, d_key: bytes) -> tuple:
-    """(|N_G(D)|, the mask of N_G(D)) for D given by the bytes of its index
-    array: one normaliser per D, whoever asks first."""
-    d_idx = np.frombuffer(d_key, dtype=_DTYPE)
-    mask = _kernels.normalizer_mask(G.table, G.inverses, d_idx)
-    return int(mask.sum()), mask
+def _image_order(H: Subgroup, K: Subgroup, L: Subgroup) -> int:
+    """|HK cap L : K| = |H cap L| / |H cap K| for the chief factor K < L
+    (Dedekind's rule: HK cap L = (H cap L)K, as K <= L)."""
+    return int(L.mask[H.idx].sum()) // int(K.mask[H.idx].sum())
 
 
 def _trace(G: Group, H: Subgroup, below: Subgroup, above: Subgroup) -> tuple:
     """(|D/below|, |G : N_G(D)|) for the trace D = (H below) cap above.
 
-    below <= D <= above, so D of the order of either is that term, which
-    is normal, and its index is 1 with no normaliser built.
+    An image of 1 or |above : below| makes D that term, which is normal,
+    and its index is 1 with nothing built; any other D is built as
+    (H cap above) below.
     """
-    d_mask = _kernels.product_mask(G.table, H.idx, below.idx) & above.mask
-    d_idx = np.flatnonzero(d_mask).astype(_DTYPE)
-    if len(d_idx) in (below.order, above.order):
-        return len(d_idx) // below.order, 1
-    return (len(d_idx) // below.order,
-            G.order // _normalizer(G, d_idx.tobytes())[0])
+    image = _image_order(H, below, above)
+    if image in (1, above.order // below.order):
+        return image, 1
+    d_mask = _kernels.product_mask(G.table, H.idx[above.mask[H.idx]],
+                                   below.idx)
+    norm = _kernels.normalizer_mask(G.table, G.inverses,
+                                    np.flatnonzero(d_mask).astype(_DTYPE))
+    return image, G.order // int(norm.sum())
 
 
 def _pi_condition(image_order: int, index: int) -> tuple:
@@ -223,15 +229,15 @@ def _inner_passes(G: Group, K: Subgroup, L: Subgroup, inner, elements,
                   owner):
     """The pass bits at the factor K < L of every column, where those not
     flagged ``inner`` pass (their traces are K or L). The traces
-    D = HK cap L of the inner ones come from one gather (a column j's
-    elements are ``elements[owner == j]``); the distinct D of one order
-    take their normalisers from one batched ``normalizer_mask`` call, and
-    each distinct D is judged once."""
+    D = (H cap L)K of the inner ones come from one gather over the columns'
+    elements in L (a column j's elements are ``elements[owner == j]``); the
+    distinct D of one order take their normalisers from one batched
+    ``normalizer_mask`` call, and each distinct D is judged once."""
     cols = np.flatnonzero(inner)
-    pick = inner[owner]
+    pick = inner[owner] & L.mask[elements]
     rows = np.zeros((len(inner), G.order), dtype=bool)
     rows[owner[pick][:, None], G.table[elements[pick][:, None], K.idx]] = True
-    rows = rows[cols] & L.mask
+    rows = rows[cols]
     keys = rows.view(np.dtype((np.void, G.order))).ravel()
     _, first, back = np.unique(keys, return_index=True, return_inverse=True)
     traces = rows[first]
@@ -258,16 +264,14 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     order and so topological; the edges K -> L are the chief factors, and
     the columns are ``subgroups_in(G, P, caps).all``. One matmul of the
     nodes' masks against the columns' gives every |H cap N| (``_meet``),
-    which the family keeps. At a factor K < L the trace is
-    D = HK cap L = (H cap L)K (Dedekind's rule, as K <= L), so
-    |D : K| = |H cap L| / |H cap K|, a divisor of |L : K|. A D of order
-    |K| or |L| is normal, and the factor passes with index 1. Only a
-    composite |L : K| leaves room for another D; those factors are
-    compared over blocks of 512 edges, and only the D strictly between K
-    and L are built, those of one factor in one gather, and their
-    normalisers one batch per order (``_inner_passes``). The search and
-    the family judge a factor by the same ``_pi_condition``. Only the
-    edges with such an inner column keep a row of pass bits.
+    which the family keeps, and so every image |D : K| by the trace rule
+    (``_image_order``), a divisor of |L : K|. An image of 1 or |L : K|
+    passes with index 1. Only a composite |L : K| leaves room for another
+    D; those factors are compared over blocks of 512 edges, and only the D
+    strictly between K and L are built, those of one factor in one gather,
+    and their normalisers one batch per order (``_inner_passes``). The
+    search and the family judge a factor by the same ``_pi_condition``.
+    Only the edges with such an inner column keep a row of pass bits.
 
     The walks are ``reach[L] |= reach[K] & pass[K -> L]`` up from 1 and
     ``co[K] |= pass[K -> L] & co[L]`` down from G. By the correspondence
@@ -279,11 +283,10 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     step of ``pi_series_through`` and the Pi step accept the same factors,
     and ``reach[N] & co[N]`` is ``pi_series_through(G, H, N, p)``.
 
-    H covers K < L when L <= HK, that is D = L, and avoids it when
-    H cap L <= K, that is D = K. So the factors H covers or avoids are
-    exactly those whose D has order |K| or |L|, and the same walk down
-    over those bits gives the partial CAP verdict of every column, its
-    row at 1 (``cap_co``). The family's guard covers that search too.
+    The factors H covers or avoids are exactly those whose image is 1 or
+    |L : K|, and the same walk down over those bits gives the partial CAP
+    verdict of every column, its row at 1 (``cap_co``). The family's guard
+    covers that search too.
 
     The family is None when |P| > caps.lattice, or when
     min(paths, E + 1) > caps.series, for the paths from 1 to G and the E
@@ -322,7 +325,7 @@ def pi_family(G: Group, P: Subgroup, caps: Caps = DEFAULT_CAPS):
     below, above = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     factor = order[above] // order[below]
     prime = {r: _is_prime(r) for r in set(factor.tolist())}
-    # |D : K| = |H cap L| / |H cap K| divides |L : K|: only a composite
+    # the image |H cap L| / |H cap K| divides |L : K|: only a composite
     # factor order leaves room for a D strictly between K and L
     wide = np.flatnonzero([not prime[r] for r in factor.tolist()])
     ends, passed = {}, {}  # edge -> its columns' bits, where some is inner
@@ -390,14 +393,15 @@ def satisfies_partial_pi_by_quotients(G: Group, H: Subgroup,
 def satisfies_partial_cap(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     """(verdict, witness): some chief series is covered-or-avoided by H.
 
-    Covers at a factor: G_i <= H G_{i-1}; avoids: H cap G_i <= G_{i-1}.
-    When both hold "covers" is recorded (determinism only).
+    Covers at a factor: G_i <= H G_{i-1}, that is the image
+    |H G_{i-1} cap G_i : G_{i-1}| is |G_i : G_{i-1}|; avoids:
+    H cap G_i <= G_{i-1}, that is the image is 1.
     """
     def step(below, above, i):
-        hn = _kernels.product_mask(G.table, H.idx, below.idx)
-        if not (above.mask & ~hn).any():
+        image = _image_order(H, below, above)
+        if image == above.order // below.order:
             return (i, "covers")
-        if not (H.mask & above.mask & ~below.mask).any():
+        if image == 1:
             return (i, "avoids")
         return None
 
@@ -423,8 +427,7 @@ def is_complemented(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS):
     p = _prime_power(H.order)
     if p is not None:
         P = sylow(G, p)
-        if (P.contains(H)
-                and _normalizer(G, P.idx.tobytes())[0] == G.order):
+        if P.contains(H) and P.is_normal():
             return _complemented_in_normal_sylow(G, H, P, caps)
     return _complemented_by_lattice(G, H, caps)
 
@@ -453,8 +456,8 @@ def _complemented_in_normal_sylow(G: Group, H: Subgroup, P: Subgroup,
     for T in subgroups_in(G, P, caps).of_order(P.order // H.order):
         if H.mask[T.idx[1:]].any():
             continue
-        order, norm = _normalizer(G, T.idx.tobytes())
-        if order % p_prime:
+        norm = _kernels.normalizer_mask(G.table, G.inverses, T.idx)
+        if int(norm.sum()) % p_prime:
             continue
         R = _maximal_pi_subgroup(G, _prime_factors(p_prime), norm)
         return True, G.subgroup_from_mask(_kernels.product_mask(

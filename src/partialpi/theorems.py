@@ -51,7 +51,6 @@ from .chiefs import (_is_prime, _prime_factors, _prime_power,
                      minimal_normal_subgroups, normal_subgroups)
 from .config import Caps, DEFAULT_CAPS
 from .embedding import (
-    _meet,
     complement_family,
     pi_family,
     pi_series_through,
@@ -69,6 +68,7 @@ from .modrep import (
 )
 from .structure import (
     _frattini_in,
+    _is_abelian_in,
     _p_part,
     _quaternion_free_in,
     _valuation,
@@ -235,9 +235,7 @@ def _is_cyclic_quotient(G: Group, N: Subgroup) -> bool:
 
 def _is_elementary_abelian(G: Group, P: Subgroup, p: int) -> bool:
     orders = G.element_orders[P.idx]
-    if not all(int(o) in (1, p) for o in orders):
-        return False
-    return centralizer(G, P).contains(P)
+    return all(int(o) in (1, p) for o in orders) and _is_abelian_in(G, P)
 
 
 def _is_p_group(N: Subgroup, p: int) -> bool:
@@ -474,9 +472,8 @@ def _lemma_series_through(G, p, d, caps, rep):
     series through N with p-number normalizer indices at every factor.
     H ranges over the subgroups of P cap N, a Sylow subgroup of N; its
     conjugates in G give the same verdicts. They are the columns of P's
-    ``pi_family`` with |H cap N| = |H|, or, without the family, read off
-    P's lattice by the same table, or, when P is over the lattice cap,
-    off that of P cap N."""
+    ``pi_family`` with |H cap N| = |H|, or, without the family, the
+    lattice of P cap N."""
     P = sylow(G, p)
     family = pi_family(G, P, caps)
     if family is not None:
@@ -485,23 +482,16 @@ def _lemma_series_through(G, p, d, caps, rep):
         _tally_table(rep, "pairs_checked", "series-found", premise[keep],
                      (family.reach & family.co)[keep])
         return
-    nodes = [N for N in normal_subgroups(G) if N.order % p == 0]
-    if P.order <= caps.lattice:
-        lattice = subgroups_in(G, P, caps).all
-        inside = _meet(P, lattice, nodes) == [H.order for H in lattice]
-        batches = ([lattice[j] for j in np.flatnonzero(row)]
-                   for row in inside)
-    else:
-        batches = (subgroups_in(G, G.subgroup_from_mask(P.mask & N.mask),
-                                caps).all for N in nodes)
 
-    def pairs(N, below):
-        for H in below:
+    def pairs(N):
+        below = G.subgroup_from_mask(P.mask & N.mask)
+        for H in subgroups_in(G, below, caps).all:
             if _has_pi(G, P, H, caps):
                 yield _has_pi(G, P, H, caps, through=N)
 
     _tally_batches(rep, "pairs_checked", "series-found",
-                   (pairs(N, below) for N, below in zip(nodes, batches)))
+                   (pairs(N) for N in normal_subgroups(G)
+                    if N.order % p == 0))
 
 
 def _lemma_minimal_normal_order(G, p, d, caps, rep):
@@ -857,19 +847,17 @@ def run_check(G: Group, check_id: str, params, caps: Caps = DEFAULT_CAPS,
         return rep
 
 
-def run_corpus(corpus, checks=None, caps: Caps = DEFAULT_CAPS,
-               p_filter=None, d_filter=None, theorem_filter=None) -> list:
-    """Run checks over every corpus entry; report order is corpus order.
+def run_corpus(corpus, caps: Caps = DEFAULT_CAPS, p_filter=None,
+               d_filter=None, theorem_filter=None) -> list:
+    """Run the admissible checks of every corpus entry (``default_checks``);
+    report order is corpus order.
 
-    ``checks``: explicit sequence of (check_id, params) applied to every
-    group; default derives the admissible grid per group. Reports with
-    status "fail" mean the statement failed on an instance (or the engine
-    is wrong); "indeterminate" marks cap violations.
+    Reports with status "fail" mean the statement failed on an instance (or
+    the engine is wrong); "indeterminate" marks cap violations.
     """
     reports = []
     for name, G in corpus:
-        instances = checks if checks is not None else \
-            default_checks(G, p_filter, d_filter, theorem_filter)
         reports.extend(run_check(G, check_id, params, caps, name)
-                       for check_id, params in instances)
+                       for check_id, params in default_checks(
+                           G, p_filter, d_filter, theorem_filter))
     return reports

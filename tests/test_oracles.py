@@ -58,6 +58,7 @@ from partialpi.chiefs import (
 from partialpi.config import DEFAULT_CAPS
 from partialpi.embedding import (
     _complemented_by_lattice,
+    _image_order,
     _trace,
     complement_family,
     is_complemented,
@@ -72,6 +73,7 @@ from partialpi.groups import (
     Group,
     QuotientMap,
     alternating,
+    centralizer,
     clear_memo,
     cyclic,
     dicyclic,
@@ -91,6 +93,7 @@ from partialpi.groups import (
 from partialpi.theorems import (
     _is_cyclic,
     _is_cyclic_quotient,
+    _is_elementary_abelian,
     _section_constituents,
     _section_module,
     default_checks,
@@ -381,10 +384,12 @@ def test_class_union_normality_matches_normalizer(corpus):
 
 def test_trace_matches_normalizer(corpus):
     """``_trace`` against D and |G : N_G(D)| taken directly, with the
-    normaliser kernel at every factor, endpoints included: on each factor
-    of the first 5 chief series of every corpus group, C2^5 and C3^4, for
-    H each Sylow subgroup and, on groups of order <= 48, each lattice
-    subgroup."""
+    normaliser kernel at every factor, endpoints included, and the partial
+    CAP rule against its definition: H covers the factor (above <= H below)
+    iff the image is |above : below|, and avoids it (H cap above <= below)
+    iff the image is 1. On each factor of the first 5 chief series of every
+    corpus group, C2^5 and C3^4, for H each Sylow subgroup and, on groups
+    of order <= 48, each lattice subgroup."""
     extra = [("C2^5", elementary_abelian(2, 5)),
              ("C3^4", elementary_abelian(3, 4))]
     for name, G in itertools.chain(corpus, extra):
@@ -402,6 +407,14 @@ def test_trace_matches_normalizer(corpus):
                                 G.order // int(normaliser.sum()))
                     assert _trace(G, H, below, above) == expected, \
                         (name, series, H)
+                    in_hk = np.zeros(G.order, dtype=bool)
+                    in_hk[products] = True
+                    covers = bool(in_hk[above.idx].all())
+                    avoids = bool(below.mask[H.idx[above.mask[H.idx]]].all())
+                    image = _image_order(H, below, above)
+                    assert covers == (image == above.order // below.order), \
+                        (name, series, H)
+                    assert avoids == (image == 1), (name, series, H)
 
 
 def test_central_factor_matches_every_commutator(corpus):
@@ -537,6 +550,22 @@ def test_climbs_from_K_match_quotients(corpus):
             assert _is_cyclic_quotient(G, K) == is_cyclic, (name, K)
             cyclic_kinds.add(is_cyclic)
     assert cyclic_kinds == {True, False}
+
+
+def test_elementary_abelian_matches_centralizer(corpus):
+    """``_is_elementary_abelian`` against exponent p and P <= C_G(P), on
+    every Sylow and normal subgroup of every corpus group and of the
+    Heisenberg group mod 3, which has exponent 3 but is not abelian."""
+    kinds = set()
+    for name, G in itertools.chain(corpus, [("3^(1+2)", heisenberg_mod_3())]):
+        for p in _prime_factors(G.order):
+            for P in [sylow(G, p), *normal_subgroups(G)]:
+                exponent_p = set(G.element_orders[P.idx].tolist()) <= {1, p}
+                expected = exponent_p and centralizer(G, P).contains(P)
+                assert _is_elementary_abelian(G, P, p) == expected, \
+                    (name, p, P)
+                kinds.add((exponent_p, expected))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_pi_from_N_matches_quotients(corpus):

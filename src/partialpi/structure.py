@@ -13,10 +13,12 @@ P of G is read in G's own table, with no standalone group: its lattice
 by the same walk, Phi(P) = P'P^p, and its Q8 sections for the
 quaternion-free test.
 
-The subgroup lattice of G is the general route to Phi(G) and Hall
-subgroups. A soluble G (every chief factor of prime-power order) never
-needs it: ``hall`` grows a maximal pi-subgroup element by element
-(P. Hall). ``_frattini_in`` is the one Frattini dispatcher, for G, a
+Sylow subgroups, and the Hall subgroups of a soluble G (every chief
+factor of prime-power order), come from one maximal-pi routine: a
+pi-subgroup grown element by element, read as its least conjugate
+(``_hall_by_closure``; Sylow, P. Hall). The subgroup lattice of G is the
+route to the Hall subgroups of any other G and to some Phi(G).
+``_frattini_in`` is the one Frattini dispatcher, for G, a
 p-subgroup or a normal subgroup E, from two facts: Phi(E) <= Phi(G) for
 a normal E, and the Phi of a nilpotent group is the product of its
 Sylow subgroups' own. A nilpotent P gives P'P^r (r the product of its
@@ -55,7 +57,14 @@ from .chiefs import (
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import LatticeCapExceeded, NoHallSubgroup, NotPSoluble
-from .groups import Group, Subgroup, clear_memo, derived_subgroup, memo
+from .groups import (
+    Group,
+    Subgroup,
+    _greedy_closure,
+    clear_memo,
+    derived_subgroup,
+    memo,
+)
 from .perms import _DTYPE
 
 
@@ -208,10 +217,8 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     in P and its candidates x. Two covers of one S meet in S, so each
     cover T of S is formed once, from the least x of T outside S (by
     position in P); covers met from several S are deduped by the bytes of
-    their positions, keeping the first (S, x) in layer order, and the next
-    layer is sorted by those bytes. A cover's generators are those of its
-    S plus x. When P is abelian every S is normal in P, and no normaliser
-    is built.
+    their positions, and the next layer is sorted by those bytes. When P
+    is abelian every S is normal in P, and no normaliser is built.
     """
     table, inv, elts = G.table, G.inverses, P.idx
     abelian = _is_abelian_in(G, P)
@@ -224,11 +231,10 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     position[elts] = np.arange(len(elts), dtype=_DTYPE)
 
     subs, flags = [], []
-    layer, gens = np.zeros((1, 1), dtype=_DTYPE), [()]
+    layer = np.zeros((1, 1), dtype=_DTYPE)
     while True:
         m, k = layer.shape
-        subs += [Subgroup(G, idx, generator_idx=g)
-                 for idx, g in zip(layer, gens)]
+        subs += [Subgroup(G, idx) for idx in layer]
         if k == len(elts):  # P itself, with no cover, ends the walk
             return SubgroupLattice(subs, flags + [True])
         at = position[layer]
@@ -247,13 +253,10 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
                                  power[1:p, j].T[:, None, :]]]
         outside = outside.reshape(len(s), k * (p - 1))
         least = outside.min(axis=1, initial=len(elts)) == j
-        s, j = s[least], j[least]
-        cover = np.sort(np.hstack([at[s], outside[least]]), axis=1)
+        cover = np.sort(np.hstack([at[s[least]], outside[least]]), axis=1)
         keys = cover.view(np.dtype((np.void, cover.shape[1] * cover.itemsize)))
         first = np.unique(keys.ravel(), return_index=True)[1]
         layer = elts[cover[first]]
-        gens = [gens[i] + (x,)
-                for i, x in zip(s[first].tolist(), elts[j[first]].tolist())]
 
 
 def _lattice_by_extension(G: Group) -> SubgroupLattice:
@@ -263,10 +266,11 @@ def _lattice_by_extension(G: Group) -> SubgroupLattice:
     2, 1960; Holt, Eick and O'Brien, *Handbook of Computational Group
     Theory*, 2005, ch. 4). ``found`` holds every subgroup met so far with
     its whole conjugation orbit; only the member that was met goes on the
-    work list, as its class's representative R. R is extended by one zuppo
-    (a cyclic subgroup of prime-power order, held by one generator) from
-    each N_G(R)-orbit on the zuppos outside R; the trivial subgroup, with
-    N_G(1) = G, seeds the cyclic classes.
+    work list, as its class's representative R, with the generators it was
+    met by. R is extended by one zuppo (a cyclic subgroup of prime-power
+    order, held by one generator) from each N_G(R)-orbit on the zuppos
+    outside R; the trivial subgroup, with N_G(1) = G, seeds the cyclic
+    classes.
 
     Complete: every subgroup H is generated by the zuppos it contains, so
     it ends a chain 1 = H_0 < H_1 < ... < H_k = H with H_i = <H_{i-1}, z_i>
@@ -289,12 +293,9 @@ def _lattice_by_extension(G: Group) -> SubgroupLattice:
             return
         conj = table[table[inv[:, None], idx], all_g]
         conj.sort(axis=1)
-        orbit, first = np.unique(conj, axis=0, return_index=True)
-        normal = len(orbit) == 1
-        for row, g in zip(orbit, first):
-            gi = int(inv[g])
-            cgens = tuple(int(table[table[gi, x], g]) for x in gens_idx)
-            found[row.tobytes()] = (row, cgens, normal)
+        orbit = np.unique(conj, axis=0)
+        for row in orbit:
+            found[row.tobytes()] = (row, len(orbit) == 1)
         work.append((idx, gens_idx))
 
     add_orbit(np.zeros(1, dtype=_DTYPE), ())
@@ -316,11 +317,8 @@ def _lattice_by_extension(G: Group) -> SubgroupLattice:
             add_orbit(np.flatnonzero(mask).astype(_DTYPE), extended)
 
     entries = sorted(found.values(), key=lambda e: (len(e[0]), e[0].tobytes()))
-    subs, flags = [], []
-    for idx, gens_idx, normal in entries:
-        subs.append(G.subgroup(idx, generator_idx=gens_idx))
-        flags.append(normal)
-    return SubgroupLattice(subs, flags)
+    return SubgroupLattice([Subgroup(G, idx) for idx, _ in entries],
+                           [normal for _, normal in entries])
 
 
 def subgroups_of_order_in(G: Group, P: Subgroup, order: int,
@@ -362,49 +360,38 @@ def _maximal_pi_subgroup(G: Group, pi, within: np.ndarray) -> np.ndarray:
     pi-element of ``within`` extends to a larger pi-subgroup.
 
     The pi-elements are added in index order while the closure stays a
-    pi-group. One pass suffices: if <S, x> is not a pi-group, neither is
-    <S', x> for any S' containing S. The pass stops at the pi-part of
-    |within|, which no pi-subgroup exceeds.
+    pi-group (``_greedy_closure``). One pass suffices: if <S, x> is not a
+    pi-group, neither is <S', x> for any S' containing S. The pass stops at
+    the pi-part of |within|, which no pi-subgroup exceeds.
     """
-    limit = _pi_part(int(within.sum()), pi)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
-    gens: list = []
-    for x in np.flatnonzero(_pi_elements(G, pi) & within):
-        if int(mask.sum()) == limit:
-            break
-        if mask[x]:
-            continue
-        trial = _kernels.closure_idx(G.table, np.array(gens + [x], dtype=_DTYPE))
-        size = int(trial.sum())
-        if _pi_part(size, pi) == size:
-            gens.append(x)
-            mask = trial
-    return mask
+    candidates = np.flatnonzero(_pi_elements(G, pi) & within).tolist()
+    return _greedy_closure(G, candidates,
+                           lambda size: _pi_part(size, pi) == size,
+                           _pi_part(int(within.sum()), pi))[1]
+
+
+def _hall_by_closure(G: Group, pi) -> Subgroup:
+    """The least conjugate of a maximal pi-subgroup of G, when that is a
+    Hall pi-subgroup: for pi one prime in any G, and for any pi in a
+    soluble G.
+
+    Every p-subgroup lies in a Sylow p-subgroup (Sylow), and in a soluble
+    group every pi-subgroup lies in a Hall pi-subgroup (P. Hall, 1928); in
+    both cases these are all conjugate. So a maximal pi-subgroup is a Hall
+    one, and its least conjugate is the lattice's first subgroup of its
+    order.
+    """
+    mask = _maximal_pi_subgroup(G, pi, np.ones(G.order, dtype=bool))
+    return _least_conjugate(G, np.flatnonzero(mask).astype(_DTYPE))
 
 
 @memo("sylow")
 def sylow(G: Group, p: int) -> Subgroup:
-    """The canonical Sylow p-subgroup (the lattice's first of its order).
-
-    Normalizer ascent builds one Sylow subgroup; its least conjugate is the
-    least Sylow in canonical lattice order, because Sylow subgroups are all
-    conjugate.
-    """
-    pk = _p_part(G.order, p)
-    if pk == 1:
+    """The canonical Sylow p-subgroup (the lattice's first of its order):
+    the least conjugate of a maximal p-subgroup (``_hall_by_closure``)."""
+    if _p_part(G.order, p) == 1:
         return G.trivial_subgroup()
-    table, inv = G.table, G.inverses
-    is_p_elt = _pi_elements(G, {p})
-    gens = [int(np.flatnonzero(is_p_elt)[0])]
-    mask = _kernels.closure_idx(table, np.array(gens, dtype=_DTYPE))
-    while int(mask.sum()) < pk:
-        norm = _kernels.normalizer_mask(
-            table, inv, np.flatnonzero(mask).astype(_DTYPE))
-        cand = np.flatnonzero(norm & is_p_elt & ~mask)
-        gens.append(int(cand[0]))
-        mask = _kernels.closure_idx(table, np.array(gens, dtype=_DTYPE))
-    return _least_conjugate(G, np.flatnonzero(mask).astype(_DTYPE))
+    return _hall_by_closure(G, {p})
 
 
 def hall(G: Group, pi, caps: Caps = DEFAULT_CAPS) -> Subgroup:
@@ -420,21 +407,10 @@ def _hall(G: Group, pi: frozenset, caps: Caps) -> Subgroup:
         return G.trivial_subgroup()
     if target == G.order:
         return G.as_subgroup()
-    if _is_soluble(G):
-        return _hall_soluble(G, pi)
+    # a single prime of |G| in pi asks for a Sylow subgroup
+    if _prime_power(target) is not None or _is_soluble(G):
+        return _hall_by_closure(G, pi)
     return _hall_by_lattice(G, target, caps)
-
-
-def _hall_soluble(G: Group, pi) -> Subgroup:
-    """Hall pi-subgroup of a soluble G without its lattice.
-
-    In a soluble group every pi-subgroup lies in a Hall pi-subgroup, and
-    the Hall pi-subgroups are all conjugate (P. Hall, 1928). So a maximal
-    pi-subgroup is a Hall one, and its least conjugate is the lattice's
-    first subgroup of that order.
-    """
-    mask = _maximal_pi_subgroup(G, pi, np.ones(G.order, dtype=bool))
-    return _least_conjugate(G, np.flatnonzero(mask).astype(_DTYPE))
 
 
 def _hall_by_lattice(G: Group, target: int, caps: Caps) -> Subgroup:

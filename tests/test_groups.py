@@ -130,11 +130,13 @@ def _indices_by_compare_all(G, perms):
 
 
 def test_indices_of_matches_compare_all(corpus):
-    """The range-narrowing lookup finds every element of every corpus group
-    and of ``cyclic(2049)`` (whose element rows are wider than 8 KiB) at
-    its own row, and agrees with the compare with every element row on 20
-    seeded random permutations of each group's points: a perm outside the
-    group raises ElementNotInGroup and is not ``in`` it."""
+    """The base-key lookup finds every element of every corpus group and of
+    ``cyclic(2049)`` (whose element rows are wider than 8 KiB) at its own
+    row, and agrees with the compare with every element row on 20 seeded
+    random permutations of each group's points: a perm outside the group,
+    though it may share its base key with an element, raises
+    ElementNotInGroup and is not ``in`` it, also in a list with elements
+    or with a perm of another degree."""
     rng = np.random.default_rng(1)
     outside = 0
     for name, G in list(corpus) + [("cyclic:2049", cyclic(2049))]:
@@ -152,6 +154,9 @@ def test_indices_of_matches_compare_all(corpus):
     assert outside > 500
     with pytest.raises(ElementNotInGroup):
         symmetric(4).index_of(parse_cycles("(1 2)", 5))
+    s4 = symmetric(4)
+    with pytest.raises(ElementNotInGroup):
+        s4.indices_of([s4.elements[1], parse_cycles("(1 2)", 5)])
 
 
 def brute_normalizer(G, H):

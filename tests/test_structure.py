@@ -194,19 +194,26 @@ def test_sylow(groups):
 
 
 def test_sylow_count_congruence(corpus):
+    """n_p = 1 mod p, and hall(G, {p}) is sylow(G, p) on every corpus
+    group."""
+    cases = 0
     for name, G in corpus:
-        if G.order > 100:
-            continue
         for p in _prime_factors(G.order):
             P = sylow(G, p)
-            count = G.order // normalizer(G, P).order
-            assert count % p == 1, (name, p)
+            assert hall(G, {p}).idx.tobytes() == P.idx.tobytes(), (name, p)
+            cases += 1
+            if G.order <= 100:
+                count = G.order // normalizer(G, P).order
+                assert count % p == 1, (name, p)
+    assert cases == 58
 
 
 def test_sylow_is_lattice_least(groups):
     # the chosen Sylow subgroup is the first of its order-class that is a
     # p-group in canonical lattice order
-    cases = [(groups[name], p) for name in ("S4", "A4", "SL(2,3)")
+    # A5 and GL(3,2) are not soluble
+    cases = [(groups[name], p)
+             for name in ("S4", "A4", "SL(2,3)", "A5", "GL(3,2)")
              for p in _prime_factors(groups[name].order)]
     # indices past 255: the least index bytes are not the least indices
     cases.append((direct_product(general_linear_3_2(), cyclic(2)), 3))

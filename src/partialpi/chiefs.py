@@ -5,7 +5,10 @@ is a chief factor (nothing normal strictly between). The chief-factor DAG
 joins each normal subgroup N to its chief children, and is built lazily:
 ``_chief_children`` forms every product N·C with a class closure C outside
 N and keeps the minimal ones, from N and the closures alone, so a search
-pays only for the nodes it reaches. ``normal_subgroups`` is the set of
+pays only for the nodes it reaches. G's memo keeps the children of N as
+arrays (index array, mask and index bytes, keyed by N's index bytes) and
+each call builds their Subgroups afresh, so the DAG a search walks holds
+no reference back to G. ``normal_subgroups`` is the set of
 nodes reached from 1. ``search_chains`` is the one enumeration: a DFS from
 the bottom in canonical order, streamed lazily, which prunes any prefix a
 per-factor step function rejects.
@@ -113,36 +116,57 @@ def _bottom(G: Group, bottom: Subgroup | None) -> Subgroup:
     return G.trivial_subgroup() if bottom is None else bottom
 
 
-@memo("chief_children")
 def _chief_children(G: Group, top: Subgroup) -> list:
     """The chief children of the normal ``top``: the normal M > top with
     nothing normal strictly between, in canonical order.
 
-    They are the minimal products top·C over the class closures C outside
-    top. If K is normal with top < K < top·C, then top·C' <= K for C' the
-    closure of any x in K outside top, so top·C is not minimal; and a child
-    K of top is top·C' itself, as top < top·C' <= K. All products come from
-    one gather over top × (the closures' elements), scattered into one
-    boolean row per closure. Row i is dropped when some row j lies inside
-    it (|P_i ∩ P_j| = |P_j|) and is smaller, or equal with j < i.
+    Each call builds them afresh from the arrays that ``_child_arrays``
+    keeps in G's memo, which hold no Subgroup, so no memo value refers
+    back to G.
     """
-    if top.order == G.order:
-        return []
+    return [Subgroup._of_arrays(G, idx, mask, key)
+            for idx, mask, key in _child_arrays(G, top._key[1])]
+
+
+@memo("chief_children")
+def _child_arrays(G: Group, top: bytes) -> tuple:
+    """(index array, mask, index bytes) of each chief child of the normal
+    subgroup whose index bytes are ``top``, in canonical order, all
+    read-only.
+
+    The children are the minimal products top·C over the class closures C
+    outside top. If K is normal with top < K < top·C, then top·C' <= K for
+    C' the closure of any x in K outside top, so top·C is not minimal; and
+    a child K of top is top·C' itself, as top < top·C' <= K. All products
+    come from one gather over top × (the closures' elements), scattered
+    into one boolean row per closure. Row i is dropped when some row j lies
+    inside it (|P_i ∩ P_j| = |P_j|) and is smaller, or equal with j < i.
+    The rows kept are the children's masks.
+    """
+    top_idx = np.frombuffer(top, dtype=_DTYPE)
+    if len(top_idx) == G.order:
+        return ()
+    top_mask = np.zeros(G.order, dtype=bool)
+    top_mask[top_idx] = True
     flat, starts, row_of = _closure_layout(G)
-    outside = ~np.logical_and.reduceat(top.mask[flat], starts)
+    outside = ~np.logical_and.reduceat(top_mask[flat], starts)
     keep = outside[row_of]
     prods = np.zeros((len(starts), G.order), dtype=bool)
-    prods[row_of[keep], G.table[top.idx[:, None], flat[keep]]] = True
+    prods[row_of[keep], G.table[top_idx[:, None], flat[keep]]] = True
     prods = prods[outside]
     k = len(prods)
     f = prods.astype(np.float32)
     sizes = prods.sum(axis=1)
     rank = sizes * k + np.arange(k)               # by size, then by row
     drop = (((f @ f.T) == sizes) & (rank < rank[:, None])).any(axis=1)
-    cols = np.nonzero(prods[~drop])[1].astype(_DTYPE)
+    masks = prods[~drop]
+    masks.setflags(write=False)
+    cols = np.nonzero(masks)[1].astype(_DTYPE)
+    cols.setflags(write=False)
     ends = np.cumsum(sizes[~drop]).tolist()
-    return _canonical(Subgroup(G, cols[lo:hi])
-                      for lo, hi in zip([0] + ends, ends))
+    children = [(cols[lo:hi], mask, cols[lo:hi].tobytes())
+                for lo, hi, mask in zip([0] + ends, ends, masks)]
+    return tuple(sorted(children, key=lambda c: (len(c[0]), c[2])))
 
 
 @memo("normals")
@@ -164,7 +188,8 @@ def normal_subgroups(G: Group) -> list:
 
 
 def minimal_normal_subgroups(G: Group) -> list:
-    """The chief children of 1: a shared, memoised list."""
+    """The chief children of 1: a new list on each call, of Subgroups
+    built from the arrays memoised for them."""
     return _chief_children(G, G.trivial_subgroup())
 
 

@@ -65,7 +65,7 @@ from .chiefs import (
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import HypothesisViolated
-from .groups import Group, Subgroup, memo, normalizer, quotient
+from .groups import Group, QuotientMap, Subgroup, memo, normalizer
 from .perms import _DTYPE
 from .structure import (
     _is_abelian_in,
@@ -154,7 +154,6 @@ def _pi_step(G: Group, H: Subgroup, below: Subgroup, above: Subgroup,
     return PiFactorRecord(factor_index, image_order, index, primes, passed)
 
 
-@memo("partial_pi")
 def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS,
                          bottom: Subgroup | None = None):
     """(verdict, witness): does some chief series pass every factor check?
@@ -169,6 +168,24 @@ def satisfies_partial_pi(G: Group, H: Subgroup, caps: Caps = DEFAULT_CAPS,
 
     found = next(search_chains(G, step, caps=caps, bottom=bottom), None)
     return found is not None, found and PiWitness(*found)
+
+
+def _pi_verdict(G: Group, H: Subgroup, caps: Caps,
+                bottom: Subgroup | None = None) -> bool:
+    """``satisfies_partial_pi(G, H, caps, bottom)[0]``, memoised under the
+    index bytes of H and bottom, so that the memo holds no Subgroup. The
+    per-pair searches ask it again for each normal subgroup."""
+    return _pi_verdict_of(G, H._key[1], caps,
+                          None if bottom is None else bottom._key[1])
+
+
+@memo("partial_pi")
+def _pi_verdict_of(G: Group, h: bytes, caps: Caps,
+                   bottom: bytes | None) -> bool:
+    H = G.subgroup(np.frombuffer(h, dtype=_DTYPE))
+    N = None if bottom is None else G.subgroup(np.frombuffer(bottom,
+                                                             dtype=_DTYPE))
+    return satisfies_partial_pi(G, H, caps, N)[0]
 
 
 class PiFamily:
@@ -360,13 +377,21 @@ def evaluate_series(G: Group, H: Subgroup, series: ChiefSeries) -> list:
 # -- quotient-materializing oracle -------------------------------------------
 
 
-def evaluate_series_by_quotients(G: Group, H: Subgroup,
-                                 series: ChiefSeries) -> list:
-    """Per-factor records computed verbatim in materialized quotients."""
+def evaluate_series_by_quotients(G: Group, H: Subgroup, series: ChiefSeries,
+                                 maps: dict | None = None) -> list:
+    """Per-factor records computed verbatim in materialized quotients.
+
+    Each G/N is built as a ``QuotientMap`` and kept in ``maps`` (N -> map;
+    a new dict when None), never in G's memo, so a caller can share the
+    quotients among series and G holds none of them.
+    """
+    maps = {} if maps is None else maps
     out = []
     for i in range(len(series)):
         below, above = series.terms[i], series.terms[i + 1]
-        q = quotient(G, below)
+        q = maps.get(below)
+        if q is None:
+            q = maps[below] = QuotientMap(G, below)
         h_bar = q.push_subgroup(H)
         a_bar = q.push_subgroup(above)
         d_bar = q.target.subgroup_from_mask(h_bar.mask & a_bar.mask)
@@ -379,9 +404,11 @@ def evaluate_series_by_quotients(G: Group, H: Subgroup,
 
 def satisfies_partial_pi_by_quotients(G: Group, H: Subgroup,
                                       caps: Caps = DEFAULT_CAPS):
-    """Oracle evaluation over every chief series, no pruning, no shortcuts."""
+    """Oracle evaluation over every chief series, no pruning, no shortcuts.
+    The series share one quotient per term, built for this call only."""
+    maps = {}
     for series in all_chief_series(G, caps):
-        records = evaluate_series_by_quotients(G, H, series)
+        records = evaluate_series_by_quotients(G, H, series, maps)
         if all(r.passed for r in records):
             return True, PiWitness(series, records)
     return False, None
@@ -511,7 +538,7 @@ def pi_series_through(G: Group, H: Subgroup, N: Subgroup, p: int,
         raise HypothesisViolated("H is not a p-group")
     if not N.contains(H):
         raise HypothesisViolated("H is not contained in N")
-    if not satisfies_partial_pi(G, H, caps)[0]:
+    if not _pi_verdict(G, H, caps):
         raise HypothesisViolated("H does not satisfy the partial pi-property")
     def step(below, above, i):
         image_order, index = _trace(G, H, below, above)

@@ -12,7 +12,12 @@ generator conjugation, class representatives) is held in
 the instance. Every other per-group cache goes through ``memo``:
 ``fn(G, *args)`` is keyed by all its arguments, caps included, so a cached
 value answers only a call with equal arguments and equal caps.
-``clear_memo`` empties that cache when a caller is done with the group.
+A cached Subgroup refers back to G, so most memo values tie G into a
+reference cycle; ``clear_memo`` empties the cache when a caller is done
+with the group. The values that deciding one subgroup's partial Pi and
+CAP properties fills (``chiefs``' class-closure layout and chief
+children) hold arrays only, so such a G is freed as soon as its last
+reference goes.
 
 Subgroups are index arrays into the ambient element table. Index 0 is always
 the identity because the identity is the lex-least permutation. One lookup
@@ -101,10 +106,13 @@ def memo(key: str):
 def clear_memo(G: "Group") -> None:
     """Drop every value ``memo`` cached for G.
 
-    Cached subgroups refer back to G, so a group with a filled cache is
-    part of a reference cycle that only a full garbage collection frees;
-    emptied, it is freed as soon as its last reference goes. Later calls
-    recompute what they need.
+    A cached value that holds a Subgroup (a lattice, the normal
+    subgroups, a Sylow subgroup, a family, a quotient map) refers back to
+    G, so a group with one is part of a reference cycle that only a full
+    garbage collection frees; emptied, it is freed as soon as its last
+    reference goes. Values that hold arrays, bytes or verdicts only, such
+    as the chief children, make no cycle. Later calls recompute what they
+    need.
     """
     G._cache.clear()
 
@@ -336,6 +344,21 @@ class Subgroup:
         self._gens = tuple(generators) if generators is not None else None
         self._mask = None
         self._key = (id(ambient), idx.tobytes())
+
+    @classmethod
+    def _of_arrays(cls, ambient: Group, idx: np.ndarray, mask: np.ndarray,
+                   key: bytes) -> "Subgroup":
+        """A Subgroup on arrays already built for it: ``idx`` sorted and
+        read-only, ``mask`` its read-only mask and ``key`` its
+        ``idx.tobytes()``. They are used as they are, not copied, so
+        values that hold only arrays can rebuild Subgroups cheaply."""
+        S = cls.__new__(cls)
+        S.ambient = ambient
+        S.idx = idx
+        S._gens = None
+        S._mask = mask
+        S._key = (id(ambient), key)
+        return S
 
     @property
     def order(self) -> int:

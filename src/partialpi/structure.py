@@ -407,8 +407,10 @@ def _hall(G: Group, pi: frozenset, caps: Caps) -> Subgroup:
         return G.trivial_subgroup()
     if target == G.order:
         return G.as_subgroup()
-    # a single prime of |G| in pi asks for a Sylow subgroup
-    if _prime_power(target) is not None or _is_soluble(G):
+    q = _prime_power(target)
+    if q is not None:  # a single prime of |G| in pi asks for a Sylow subgroup
+        return sylow(G, q)
+    if _is_soluble(G):
         return _hall_by_closure(G, pi)
     return _hall_by_lattice(G, target, caps)
 

@@ -51,11 +51,11 @@ from .chiefs import (_is_prime, _prime_factors, _prime_power,
                      minimal_normal_subgroups, normal_subgroups)
 from .config import Caps, DEFAULT_CAPS
 from .embedding import (
+    _pi_verdict,
     complement_family,
     pi_family,
     pi_series_through,
     satisfies_partial_cap,
-    satisfies_partial_pi,
 )
 from .errors import BadParameter, CapExceeded, NotElementaryAbelian, UnknownLemma
 from .groups import Group, Subgroup, centralizer, memo
@@ -152,7 +152,7 @@ def _has_pi(G: Group, P: Subgroup, H: Subgroup, caps: Caps,
         if through is not None:
             return pi_series_through(G, H, through, _prime_power(P.order),
                                      caps)[0]
-        return satisfies_partial_pi(G, H, caps, bottom)[0]
+        return _pi_verdict(G, H, caps, bottom)
     if through is not None:
         return family.through(H, through)
     return family.pi(H, bottom)

@@ -1,4 +1,8 @@
+import gc
+import json
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from partialpi.embedding import (
 )
 from partialpi.config import Caps
 from partialpi.errors import HypothesisViolated, SeriesCapExceeded
+from partialpi.groupfile import build_directive
 from partialpi.groups import (
     cyclic,
     elementary_abelian,
@@ -309,3 +314,32 @@ def test_lemma_two_property(corpus):
             for H in two_maximal_subgroups(G, P):
                 if satisfies_partial_pi(G, H)[0]:
                     assert satisfies_partial_cap(G, H)[0], (name, p)
+
+
+def test_check_pi_request_leaves_no_reference_cycle():
+    """With gc off, a check-pi pool group is freed as soon as G, H and the
+    verdicts are dropped, after the Pi search, the CAP search and the
+    quotient oracle: no value left in G's memo refers back to G."""
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+            / "check-pi-pool.json")
+    pool = {g["name"]: g for g in
+            json.loads(path.read_text(encoding="utf-8"))["groups"]}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("C3^4:C4", "D8xD8", "C2^5", "S4"):
+            G = build_directive(pool[name]["directive"])
+            request = [r for r in pool[name]["requests"]
+                       if 1 < r["order"] < G.order][0]
+            H = subgroup_generated(G, [parse_cycles(text, G.degree)
+                                       for text in request["gens"]])
+            results = [satisfies_partial_pi(G, H), satisfies_partial_cap(G, H),
+                       satisfies_partial_pi_by_quotients(G, H)]
+            verdicts = [r[0] for r in results]
+            assert verdicts == [request["pi"], request["cap"], request["pi"]]
+            alive = weakref.ref(G)
+            del G, H, results
+            assert alive() is None, name
+    finally:
+        if enabled:
+            gc.enable()

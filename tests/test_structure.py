@@ -195,12 +195,14 @@ def test_sylow(groups):
 
 def test_sylow_count_congruence(corpus):
     """n_p = 1 mod p, and hall(G, {p}) is sylow(G, p) on every corpus
-    group."""
+    group: the same object when G is not a p-group."""
     cases = 0
     for name, G in corpus:
         for p in _prime_factors(G.order):
             P = sylow(G, p)
             assert hall(G, {p}).idx.tobytes() == P.idx.tobytes(), (name, p)
+            if P.order < G.order:
+                assert hall(G, {p}) is P, (name, p)
             cases += 1
             if G.order <= 100:
                 count = G.order // normalizer(G, P).order

@@ -32,11 +32,17 @@ group, G's normal subgroups found first: the order-162
 normal subgroup of ``C3^4:C4`` and the order-147 one of ``F7^2:S3``, which
 meet Phi(G) = 1 and so have Phi(E) = 1 once Phi(G) is read, and SL(2,3)
 in SL(2,3) x C2, which meets Phi(G) = C2, is not nilpotent, and so is
-built standalone by ``_frattini_in`` too. A fifth times the module layer
-on fresh groups:
-the memoised analysis of the section P/1 under a Hall p'-complement (the
-module, its homogeneity by Schur's lemma, its constituent dimension) with
-the spins it takes, on ``C2^4:C3`` and ``C3^4:C4``; then
+built standalone by ``_frattini_in`` too. A fifth times the module layer:
+first by function, over every section a cold builtin sweep builds
+(``section_as_module`` on each, then ``minimal_submodules``,
+``is_irreducible`` and ``homogeneous_constituents`` on fresh copies of
+the modules, so no spin is cached, and ``module_hom_space_dim`` of each
+constituent with itself), then ``rref`` on the matrices that
+``groups._singular`` checks while the check-pi pool groups are built, by
+size and per check-pi pass; then, on fresh groups, the memoised analysis
+of the section P/1 under a Hall p'-complement (the module, its
+homogeneity by Schur's lemma, its constituent dimension) with the
+line vectors it spins, on ``C2^4:C3`` and ``C3^4:C4``; then
 ``is_quaternion_free``, which counts squares on one lattice, and the lemma
 ``cyclic-in-hypercenter`` at p = 2, which runs the same test on every
 normal 2-subgroup, read in G, on ``C2^5``, ``D8xD8`` and ``Q8xQ8xC2``.
@@ -64,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from partialpi import _kernels
+from partialpi import _kernels, groups, theorems
 from partialpi.chiefs import (
     _chief_children,
     _class_closures,
@@ -82,6 +88,7 @@ from partialpi.embedding import (
     satisfies_partial_cap,
     satisfies_partial_pi,
 )
+from partialpi.errors import ClosureCapExceeded, NotSemisimpleContext
 from partialpi.groupfile import build_directive
 from partialpi.groups import (
     QuotientMap,
@@ -89,6 +96,15 @@ from partialpi.groups import (
     elementary_abelian,
     group_from_generators,
     symmetric,
+)
+from partialpi.modrep import (
+    FpModule,
+    homogeneous_constituents,
+    is_irreducible,
+    minimal_submodules,
+    module_hom_space_dim,
+    rref,
+    section_as_module,
 )
 from partialpi.perms import Perm, _DTYPE
 from partialpi.structure import (
@@ -102,7 +118,7 @@ from partialpi.structure import (
     subgroups_of_order_in,
     sylow,
 )
-from partialpi.theorems import _section_constituents, run_check
+from partialpi.theorems import _section_constituents, run_check, run_corpus
 
 
 def timed(fn, repeat=3):
@@ -156,21 +172,23 @@ def workloads():
         for sub in subs60:
             _kernels.product_mask(t60, sub, subs60[0])
 
+    vecs = (np.arange(1, 7 ** 4, 9)[:, None] // weights) % 7
+
     def spins():
-        for code in range(1, 7 ** 4, 9):
-            v = (code // weights) % 7
-            _kernels.spin_basis(mats, v.astype(np.int64), 7)
+        _kernels.spin_basis(mats, vecs.astype(np.int64), 7)
 
     return [("closure x61 (|G|=60)", closure_storm),
             ("normalizer x26", normalizer_storm),
             ("centralizer x25", centralizer_storm),
             ("class reps (60+294)", classes),
             ("product sets x25", products),
-            ("spin_basis x267 (F_7^4)", spins)]
+            ("spin_basis, 267 vectors (F_7^4)", spins)]
 
 
 POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
         / "check-pi-pool.json")
+# A check-pi pass of perfbench builds each pool group this many times.
+REQUESTS_PER_GROUP = 6
 
 
 def per_call_us(fn, number=2000, repeat=7):
@@ -292,6 +310,23 @@ def index_2_of_c3_4_c4():
     return next(N for N in normal_subgroups(G) if N.order == 162).as_group()
 
 
+def vectors_spun(build, G) -> int:
+    """How many vectors ``build(G)`` spins, over all its ``spin_basis``
+    calls."""
+    kernel, vectors = _kernels.spin_basis, 0
+
+    def counted(mats, v, p):
+        nonlocal vectors
+        vectors += np.atleast_2d(v).shape[0]
+        return kernel(mats, v, p)
+    _kernels.spin_basis = counted
+    try:
+        build(G)
+    finally:
+        _kernels.spin_basis = kernel
+    return vectors
+
+
 def calls_of(build, G, name) -> int:
     """How many calls of the kernel ``name`` ``build(G)`` makes."""
     kernel, calls = getattr(_kernels, name), 0
@@ -390,12 +425,92 @@ def soluble_routes():
               f"{alone * 1000:>11.1f}ms")
 
 
+def sweep_sections():
+    """The arguments of every section a cold builtin sweep builds."""
+    built = []
+    inner = theorems.section_as_module
+
+    def recorded(*args):
+        module = inner(*args)
+        built.append(args)
+        return module
+    theorems.section_as_module = recorded
+    try:
+        run_corpus(builtin_corpus())
+    finally:
+        theorems.section_as_module = inner
+    return built
+
+
+def singular_matrices():
+    """(matrix, p) for every ``groups._singular`` call of one build of each
+    check-pi pool group."""
+    seen = []
+    inner = groups._singular
+
+    def recorded(mat, p):
+        seen.append((mat.copy(), p))
+        return inner(mat, p)
+    groups._singular = recorded
+    try:
+        for g in json.loads(POOL.read_text(encoding="utf-8"))["groups"]:
+            build_directive(g["directive"])
+    finally:
+        groups._singular = inner
+    return seen
+
+
+def module_functions():
+    """The module layer by function over the sweep's sections, and rref on
+    the matrices of groups._singular."""
+    sections = sweep_sections()
+    modules = [section_as_module(*args) for args in sections]
+
+    def fresh():
+        return [FpModule(M.p, M.dim, M.acting_gens) for M in modules]
+
+    def homogeneous(M):
+        try:
+            return homogeneous_constituents(M)[1]
+        except (NotSemisimpleContext, ClosureCapExceeded):
+            return []
+    constituents = [c for M in fresh() for c in homogeneous(M)]
+    rows = [("section_as_module", len(sections),
+             lambda: [section_as_module(*args) for args in sections]),
+            ("minimal_submodules", len(modules),
+             lambda: [minimal_submodules(M) for M in fresh()]),
+            ("is_irreducible", len(modules),
+             lambda: [is_irreducible(M) for M in fresh()]),
+            ("homogeneous_constituents", len(modules),
+             lambda: [homogeneous(M) for M in fresh()]),
+            ("module_hom_space_dim (End)", len(constituents),
+             lambda: [module_hom_space_dim(c, c) for c in constituents])]
+    print(f"\nmodule layer by function, the {len(sections)} sections of a "
+          f"cold builtin sweep (best of 3):")
+    print(f"{'function':<28}{'calls':>6}{'total':>11}")
+    for name, calls, fn in rows:
+        print(f"{name:<28}{calls:>6}{timed(fn) * 1000:>9.2f}ms")
+    mats = singular_matrices()
+    print(f"rref on the {len(mats)} matrices groups._singular checks in one "
+          f"build of each check-pi pool group:")
+    for k in sorted({m.shape[0] for m, _ in mats}):
+        of_size = [(m, p) for m, p in mats if m.shape[0] == k]
+        each = per_call_us(lambda: [rref(m, p) for m, p in of_size], 500)
+        print(f"  {k}x{k}: {len(of_size):>2} matrices, "
+              f"{each / len(of_size):6.1f}us a call")
+    total = per_call_us(lambda: [rref(m, p) for m, p in mats], 500)
+    print(f"  a check-pi pass ({REQUESTS_PER_GROUP} builds of each group, "
+          f"{REQUESTS_PER_GROUP * len(mats)} calls): "
+          f"{total * REQUESTS_PER_GROUP / 1000:.2f}ms")
+
+
 def module_layer():
     """The section P/1 under a Hall p'-complement, analysed on fresh groups
     with P and the complement found; then the quaternion-free test and the
     lemma that calls it, on fresh groups with their tables built."""
+    module_functions()
     print("\nmodule layer, fresh group each:")
-    print(f"{'group':<10}{'p':>3}{'spins':>7}{'section analysis':>19}")
+    print(f"{'group':<10}{'p':>3}{'lines':>7}{'section analysis':>19}")
     for name, p in [("C2^4:C3", 2), ("C3^4:C4", 3)]:
         def make():
             return builtin_corpus().group(name)
@@ -410,8 +525,8 @@ def module_layer():
         seconds = timed_fresh(make, analyse, before=prepare)
         G = make()
         prepare(G)
-        spins = calls_of(analyse, G, "spin_basis")
-        print(f"{name:<10}{p:>3}{spins:>7}{seconds * 1000:>17.2f}ms")
+        lines = vectors_spun(analyse, G)
+        print(f"{name:<10}{p:>3}{lines:>7}{seconds * 1000:>17.2f}ms")
 
     def hypercenter_lemma(G):
         return run_check(G, "lemma:cyclic-in-hypercenter", {"p": 2})

@@ -24,6 +24,8 @@ benchmark can rebind an attribute here and see every call.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -31,7 +33,7 @@ BACKEND = "numpy"
 
 def closure_idx(table, gens):
     n = table.shape[0]
-    gens = np.asarray(gens, np.int32)
+    gens = np.asarray(gens, np.intp)
     member = np.zeros(n, np.bool_)
     member[0] = True
     member[gens] = True
@@ -53,7 +55,7 @@ def normalizer_mask(table, inv, sub_idx, elements=None):
     element, and row s reads its own membership row, at offset s*n of one
     flat mask. A 1-D ``sub_idx`` is a batch of one row."""
     n = table.shape[0]
-    elements = np.arange(n, dtype=np.int32) if elements is None else elements
+    elements = np.arange(n, dtype=np.intp) if elements is None else elements
     sub_idx = np.asarray(sub_idx)
     if sub_idx.shape[-1] == 0:
         return np.ones(sub_idx.shape[:-1] + (len(elements),), np.bool_)
@@ -85,7 +87,7 @@ def class_min_rep(conj):
     each orbit, which the rows permute, carries one label; its least
     element has kept its own, so that is the label.
     """
-    label = np.arange(conj.shape[1], dtype=np.int32)
+    label = np.arange(conj.shape[1], dtype=np.intp)
     if not len(conj):
         return label
     while True:
@@ -104,41 +106,124 @@ def product_mask(table, a_idx, b_idx):
     return out
 
 
-def spin_basis(mats, v, p):
-    """Smallest invariant subspace containing v, as a reduced echelon basis.
+# Batched reductions run in blocks of at most this many matrix entries.
+BLOCK = 1 << 18
 
-    Returns (basis, pivots, nrows); rows basis[:nrows] are in RREF ordered
-    by pivot column, which is the canonical form used for deduplication.
+
+def blocks(count, entries):
+    """Slices of range(count), each of at most BLOCK entries when every
+    item has ``entries`` of them (and one item at least)."""
+    size = BLOCK // max(entries, 1) + 1
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_table(p):
+    """inverse[a] = a^-1 mod p for 0 < a < p, and inverse[0] = 0 (one
+    read-only array per p)."""
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], np.int64)
+    inverse.setflags(write=False)
+    return inverse
+
+
+def echelon(mats, p):
+    """Row-reduce a b x r x c stack of matrices over F_p at once.
+
+    Returns the b x c x c square echelon forms: row j of ``out[i]`` is the
+    reduced-row-echelon basis vector of ``mats[i]``'s row space whose pivot
+    is column j, or zero when no row pivots at j, so the RREF of
+    ``mats[i]`` is ``out[i][diag != 0]`` and the rank is the trace. A
+    vector x lies in the row space iff ``x @ out[i] == x`` mod p.
+
+    One step per column, each a few whole-stack operations, with no loop
+    over rows or members: the input rows sit above c output rows, all zero.
+    At column j every member takes as pivot the row with the largest entry
+    in column j among its input rows (any nonzero entry would do: the RREF
+    does not depend on which), scales it to lead with 1 and subtracts its
+    multiples from every row, its own included, which so becomes zero and
+    is never chosen again; the scaled row becomes output row j. A member
+    with no nonzero entry picks a zero one, whose inverse 0 makes its step
+    change nothing.
     """
-    g, k = mats.shape[0], v.shape[0]
-    basis = np.zeros((k, k), np.int64)
-    pivots = np.full(k, -1, np.int64)
-    nrows = 0
-    queue = [np.asarray(v, np.int64) % p]
-    while queue and nrows < k:
-        w = queue.pop(0).copy()
-        for r in range(nrows):
-            c = int(w[pivots[r]])
-            if c:
-                w = (w - c * basis[r]) % p
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            continue
-        piv = int(nz[0])
-        w = w * pow(int(w[piv]), -1, p) % p
-        basis[nrows] = w
-        pivots[nrows] = piv
-        nrows += 1
-        if nrows == k:
-            break
-        for t in range(g):
-            queue.append((mats[t] @ w) % p)
-    order = np.argsort(pivots[:nrows])
-    basis[:nrows] = basis[order]
-    pivots[:nrows] = pivots[order]
-    for r in range(nrows):
-        col = pivots[r]
-        for r2 in range(nrows):
-            if r2 != r and basis[r2, col]:
-                basis[r2] = (basis[r2] - basis[r2, col] * basis[r]) % p
+    b, rows, cols = mats.shape
+    m = np.zeros((b, rows + cols, cols), np.int64)
+    np.remainder(mats, p, out=m[:, :rows])
+    inverse = _inverse_table(p)
+    at = np.arange(b)
+    for j in range(cols if rows else 0):
+        prow = m[at, m[:, :rows, j].argmax(1)]
+        prow *= inverse[prow[:, j, None]]
+        m -= m[:, :, j, None] * prow[:, None]
+        m[:, rows + j] = prow
+        m %= p
+    return m[:, rows:]
+
+
+# Spins multiply by at most this many words per dimension.
+_WORDS_PER_DIM = 4
+
+
+def _spin_words(mats, p, k):
+    """(the distinct non-scalar words of length 1 .. L in the matrices, L):
+    L as large as keeps the number of words, repeats included, within
+    _WORDS_PER_DIM k, but at most k - 1 and at least 1. A scalar word maps
+    every subspace into itself, so it adds nothing to a spin."""
+    g, length, count = len(mats), 1, len(mats)
+    while length < k - 1 and count + g ** (length + 1) <= _WORDS_PER_DIM * k:
+        length += 1
+        count += g ** length
+    words = [mats % p]
+    for _ in range(length - 1):
+        words.append((words[-1][:, None] @ mats).reshape(-1, k, k) % p)
+    flat = np.concatenate(words).reshape(-1, k * k)
+    scalar = (flat == flat[:, :1] * np.eye(k, dtype=np.int64).ravel()).all(axis=1)
+    repeat = np.triu((flat[:, None] == flat).all(axis=2), 1).any(axis=0)
+    return flat[~(scalar | repeat)].reshape(-1, k, k), length
+
+
+def spin_basis(mats, v, p):
+    """Smallest invariant subspaces containing the vectors v, as reduced
+    echelon bases.
+
+    ``v`` is one vector of F_p^k or a b x k stack of them, all spun at once
+    in rounds W <- echelon[W; W X_1^T; ...; W X_n^T] from W = <v>, the X
+    the words of length at most L in the matrices (``_spin_words``). The
+    words of length below k already span the spin of v (the spans of the
+    words of length at most i grow until they stop, within k - 1 steps),
+    so ceil((k - 1) / L) rounds suffice, whatever the order of the group
+    the matrices generate; the rounds stop early once every W is the whole
+    space or none grew. Returns (basis, pivots, nrows), each with a leading
+    batch axis when v is a stack: rows basis[:nrows] are in RREF ordered by
+    pivot column, which is the canonical form used for deduplication, the
+    rows below are zero and the pivots below nrows are -1.
+    """
+    vecs = np.asarray(v, np.int64)
+    k = vecs.shape[-1]
+    flat = vecs.reshape(-1, k)
+    words, length = _spin_words(np.asarray(mats, np.int64), p, k)
+    step = words.transpose(0, 2, 1)
+    rounds = -(-(k - 1) // length) if len(words) else 0
+    square = np.empty((len(flat), k, k), np.int64)
+    for part in blocks(len(flat), (len(step) + 1) * k * k):
+        span = flat[part, None, :]
+        if not rounds:
+            span = echelon(span, p)
+        for r in range(rounds):
+            images = (span[:, None] @ step).reshape(len(span), -1, k)
+            grown = echelon(np.concatenate((span, images), axis=1), p)
+            rank = grown.trace(axis1=1, axis2=2)
+            done = (rank == k).all() or (r and (rank == last).all())
+            span, last = grown, rank
+            if done:
+                break
+        square[part] = span
+    # row j of a square form is zero or pivots at j: nonzero rows first
+    has = square.diagonal(axis1=1, axis2=2) != 0
+    order = np.argsort(~has, axis=1, kind="stable")
+    at = np.arange(len(square))[:, None]
+    basis = square[at, order]
+    pivots = np.where(has[at, order], order, -1)
+    nrows = has.sum(axis=1)
+    if vecs.ndim == 1:
+        return basis[0], pivots[0], int(nrows[0])
     return basis, pivots, nrows

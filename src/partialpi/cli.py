@@ -120,9 +120,10 @@ def _cmd_verify(args) -> int:
     theorem_filter = _theorem_filter(args.theorem)
     p_filter = set(args.p) if args.p else None
     d_filter = set(args.d) if args.d else None
-    reports = run_corpus(corpus, caps=caps, p_filter=p_filter,
-                         d_filter=d_filter, theorem_filter=theorem_filter)
-    for _, G in corpus:
+    reports = []
+    for name, G in corpus:  # a group's memo is freed once its checks end
+        reports += run_corpus([(name, G)], caps=caps, p_filter=p_filter,
+                              d_filter=d_filter, theorem_filter=theorem_filter)
         clear_memo(G)
     summary = {"pass": 0, "fail": 0, "vacuous": 0, "indeterminate": 0}
     for r in reports:

@@ -39,6 +39,15 @@ class Caps:
     series: int = DEFAULT_SERIES_CAP
     module_dim: int = DEFAULT_MODULE_DIM_CAP
 
+    def __post_init__(self):
+        # A Caps is part of the key of every memo entry that takes one, so
+        # it is hashed on every cache hit: hash the fields once, here.
+        object.__setattr__(self, "_hash", hash(
+            tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self):
+        return self._hash
+
     def describe(self) -> str:
         return (f"closure={self.closure} lattice={self.lattice} "
                 f"series={self.series} iso={self.iso} module_dim={self.module_dim}")

@@ -663,9 +663,9 @@ def _matrix_perm(p: int, mat: np.ndarray, extra_images=None) -> Perm:
 
 
 def _singular(mat: np.ndarray, p: int) -> bool:
-    """Is the square matrix singular over F_p (rank below its size)?"""
-    from .modrep import rref  # modrep imports this module
-    return rref(mat, p)[0].shape[0] < mat.shape[0]
+    """Is the square matrix singular over F_p (rank below its size)? The
+    rank is the trace of its square echelon form."""
+    return int(_kernels.echelon(mat[None], p)[0].trace()) < mat.shape[0]
 
 
 def semidirect_product(p: int, k: int, mat, m: int,

@@ -4,14 +4,20 @@ Vectors are columns over F_p; a module is one invertible matrix per acting
 generator. Subspaces are represented by reduced-row-echelon bases (rows),
 which is the canonical form used for deduplication everywhere.
 
-Submodule enumeration spins one nonzero vector per line, then closes the
-spins under sums; at the configured dimension cap this is cheaper and more
-transparent than meataxe-style factorization. Minimal submodules, being
-irreducible, are compared by Schur's lemma.
+All row reduction goes through one batched kernel, ``_kernels.echelon``,
+which reduces a stack of matrices at once into square echelon forms (row j
+the basis vector with pivot j, or zero), and ``_kernels.spin_basis`` spins
+a whole stack of vectors on it. Submodule enumeration spins one nonzero
+vector per line, all in one call, then closes the spins under sums; at the
+configured dimension cap this is cheaper and more transparent than
+meataxe-style factorization. A vector x lies in the subspace with square
+echelon form E iff x E = x, so containment is a matrix product. Minimal
+submodules, being irreducible, are compared by Schur's lemma.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -32,64 +38,50 @@ from .errors import (
 from .groups import Group, Subgroup
 from .structure import _p_part
 
-
 # -- F_p linear algebra -------------------------------------------------------
 
 
 def rref(mat, p: int):
     """(reduced row echelon form, pivot columns); zero rows dropped."""
-    m = np.array(mat, dtype=np.int64) % p
+    m = np.asarray(mat, dtype=np.int64)
     if m.ndim != 2:
         m = m.reshape(1, -1)
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if m[rr, c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], tuple(pivots)
+    square = _kernels.echelon(m[None], p)[0]
+    pivots = square.diagonal().nonzero()[0]
+    return square[pivots], tuple(pivots.tolist())
 
 
 def nullspace(mat, p: int) -> np.ndarray:
     """Basis (rows) of the right nullspace of mat over F_p."""
-    mat = np.array(mat, dtype=np.int64) % p
+    mat = np.asarray(mat, dtype=np.int64)
     if mat.size == 0:
         return np.eye(mat.shape[1] if mat.ndim == 2 else 0, dtype=np.int64)
-    red, pivots = rref(mat, p)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        out[i, f] = 1
-        for r, c in enumerate(pivots):
-            out[i, c] = (-red[r, f]) % p
-    return out
+    if mat.ndim != 2:
+        mat = mat.reshape(1, -1)
+    square = _kernels.echelon(mat[None], p)[0]
+    free = np.flatnonzero(square.diagonal() == 0)
+    # x_f = 1 at a free column f, x_c = -E[c, f] at the pivots c: column f
+    # of I - E, whose free rows are zero but for its own
+    kernel = np.eye(mat.shape[1], dtype=np.int64) - square
+    return np.ascontiguousarray(kernel[:, free].T % p)
 
 
 def _subspace_key(basis: np.ndarray) -> bytes:
     return basis.astype(np.int64).tobytes()
 
 
-def _contains_subspace(big: np.ndarray, small: np.ndarray, p: int) -> bool:
-    if small.shape[0] == 0:
-        return True
-    stacked, _ = rref(np.vstack((big, small)), p)
-    return stacked.shape[0] == big.shape[0]
+def _square(bases, k: int) -> np.ndarray:
+    """The square echelon forms (``_kernels.echelon``) of RREF bases."""
+    ranks = [len(b) for b in bases]
+    rows = np.concatenate(bases) if bases else np.zeros((0, k), np.int64)
+    out = np.zeros((len(bases), k, k), np.int64)
+    out[np.repeat(np.arange(len(bases)), ranks), (rows != 0).argmax(axis=1)] = rows
+    return out
+
+
+def _compact(square: np.ndarray) -> np.ndarray:
+    """The RREF rows of one square echelon form."""
+    return square[square.diagonal() != 0]
 
 
 # -- the module type ----------------------------------------------------------
@@ -101,18 +93,17 @@ class FpModule:
     def __init__(self, p: int, dim: int, acting_gens, provenance=None):
         self.p = int(p)
         self.dim = int(dim)
-        mats = []
-        for a in acting_gens:
-            a = np.array(a, dtype=np.int64).reshape(dim, dim) % p
-            a.setflags(write=False)
-            mats.append(a)
+        mats = np.array(acting_gens, dtype=np.int64)
+        mats = mats.reshape(len(mats), self.dim, self.dim) % self.p
+        mats.setflags(write=False)
+        self._mats = mats
         self.acting_gens = tuple(mats)
         self.provenance = provenance
+        self._spins = None  # filled by _all_spins
 
     def gens_array(self) -> np.ndarray:
-        if not self.acting_gens:
-            return np.zeros((0, self.dim, self.dim), dtype=np.int64)
-        return np.stack(self.acting_gens)
+        """The acting matrices as one read-only g x dim x dim array."""
+        return self._mats
 
     def __repr__(self):
         return f"FpModule<F_{self.p}^{self.dim}, {len(self.acting_gens)} gens>"
@@ -125,12 +116,15 @@ def section_as_module(G: Group, above: Subgroup, below: Subgroup,
     table, inv = G.table, G.inverses
     if not above.contains(below):
         raise NotNormalized("below is not contained in above")
-    norm_below = _kernels.normalizer_mask(table, inv, below.idx)
-    norm_above = _kernels.normalizer_mask(table, inv, above.idx)
-    if not norm_below[above.idx].all():
-        raise NotNormalized("below is not normal in above")
-    if not (norm_below[H.idx].all() and norm_above[H.idx].all()):
-        raise NotNormalized("H does not normalize the section")
+    hs = G.indices_of(H.generators)
+    if not (below.is_normal() and above.is_normal()):
+        norm_below = _kernels.normalizer_mask(
+            table, inv, below.idx, np.concatenate((above.idx, hs)))
+        if not norm_below[:above.order].all():
+            raise NotNormalized("below is not normal in above")
+        if not (norm_below[above.order:].all()
+                and _kernels.normalizer_mask(table, inv, above.idx, hs).all()):
+            raise NotNormalized("H does not normalize the section")
     ratio = above.order // below.order
     if ratio == 1:
         return FpModule(p, 0, [np.zeros((0, 0))] * len(H.generators),
@@ -141,42 +135,44 @@ def section_as_module(G: Group, above: Subgroup, below: Subgroup,
     while p ** dim < ratio:
         dim += 1
     coset_rep = table[below.idx, :].min(axis=0)
-    reps = np.unique(coset_rep[above.idx])
-    below_mask = below.mask
-    power = reps
+    is_rep = np.zeros(G.order, bool)
+    is_rep[coset_rep[above.idx]] = True
+    reps = np.flatnonzero(is_rep)
+    position = np.zeros(G.order, np.intp)
+    position[reps] = np.arange(ratio)
+    # greedy canonical basis: ascending coset reps, new rep = new direction;
+    # the span of the first j directions, as the cosets u b^t (0 <= t < p)
+    # for u in the span before b, takes coordinates (coords(u), t)
+    coords = np.zeros((ratio, dim), np.int64)
+    spanned = np.zeros(ratio, bool)
+    spanned[0] = True
+    span = np.zeros(1, np.intp)
+    basis = np.zeros(dim, np.intp)
+    for j in range(dim):
+        basis[j] = b = reps[int(spanned.argmin())]
+        powers = [0, b]
+        while len(powers) < p:
+            powers.append(table[powers[-1], b])
+        cosets = position[coset_rep[table[reps[span][:, None], powers]]]
+        coords[cosets] = coords[span][:, None, :]
+        coords[cosets, j] = np.arange(p)
+        spanned[cosets] = True
+        span = cosets.ravel()
+    # the section is elementary abelian iff the directions, whose cosets
+    # the walk has spread over all p^dim cosets if it is, have order p and
+    # commute: then they generate the section, and the walk's spans were
+    # the subgroups they generate
+    power = basis
     for _ in range(p - 1):
-        power = table[power, reps]  # x^p for every coset rep x
-    if not below_mask[power].all():
+        power = table[power, basis]  # b^p for every direction b
+    if not below.mask[power].all():
         raise NotElementaryAbelian("section has exponent larger than p")
-    # [x, y] = x^-1 y^-1 x y for every pair of coset reps
-    if not below_mask[table[table[inv[reps][:, None], inv[reps]],
-                            table[reps[:, None], reps]]].all():
+    # [x, y] = x^-1 y^-1 x y for every pair of directions
+    if not below.mask[table[table[inv[basis][:, None], inv[basis]],
+                            table[basis[:, None], basis]]].all():
         raise NotElementaryAbelian("section is not abelian")
-    # greedy canonical basis: ascending coset reps, new rep = new direction
-    assigned = {int(reps[0]): ()}
-    basis_elems = []
-    for r in reps:
-        r = int(r)
-        if r in assigned:
-            continue
-        basis_elems.append(r)
-        extended = dict(assigned)
-        for x_rep, vec in assigned.items():
-            cur = x_rep
-            for t in range(1, p):
-                cur = int(coset_rep[table[cur, r]])
-                extended[cur] = vec + (t,)
-        for x_rep, vec in assigned.items():
-            extended[x_rep] = vec + (0,)
-        assigned = extended
-    mats = []
-    for hi in G.indices_of(H.generators):
-        col = []
-        for b in basis_elems:
-            conj = int(table[table[int(inv[hi]), b], hi])
-            vec = assigned[int(coset_rep[conj])]
-            col.append(vec)
-        mats.append(np.array(col, dtype=np.int64).T % p)
+    conj = table[table[inv[hs][:, None], basis], hs[:, None]]
+    mats = coords[position[coset_rep[conj]]].transpose(0, 2, 1)  # column i: image of b_i
     return FpModule(p, dim, mats, provenance=(G, above, below, H))
 
 
@@ -195,63 +191,92 @@ class SubmoduleLattice:
         return len(self.submodules)
 
 
-def _line_vectors(p: int, k: int):
+@functools.lru_cache(maxsize=None)
+def _line_vectors(p: int, k: int) -> np.ndarray:
     """One nonzero vector of F_p^k per line, the one whose first nonzero
     coordinate is 1; a vector and its nonzero multiples spin to the same
     submodule. Read as base-p numbers, first coordinate most significant,
-    these vectors are the codes p^j .. 2 p^j - 1 for j < k, yielded in
-    increasing order."""
+    these vectors are the codes p^j .. 2 p^j - 1 for j < k, in increasing
+    order, one row each (read-only: one array per (p, k) is kept)."""
     weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for j in range(k):
-        for code in range(p ** j, 2 * p ** j):
-            yield (code // weights) % p
+    codes = np.concatenate([np.arange(p ** j, 2 * p ** j, dtype=np.int64)
+                            for j in range(k)])
+    lines = codes[:, None] // weights % p
+    lines.setflags(write=False)
+    return lines
 
 
 def _all_spins(M: FpModule) -> dict:
-    """Canonical basis per cyclic submodule, keyed by subspace key."""
-    p, k = M.p, M.dim
-    mats = M.gens_array()
-    spins = {}
-    for v in _line_vectors(p, k):
-        basis, _, nrows = _kernels.spin_basis(mats, v, p)
-        sub = basis[:nrows].copy()
-        spins.setdefault(_subspace_key(sub), sub)
-    return spins
+    """Canonical basis per cyclic submodule, keyed by subspace key, in the
+    order of the line vectors that first spin to them; one
+    ``spin_basis`` call for all the lines, kept on M."""
+    if M._spins is None:
+        M._spins = {}
+        if M.dim:
+            basis, _, nrows = _kernels.spin_basis(
+                M.gens_array(), _line_vectors(M.p, M.dim), M.p)
+            flat = np.ascontiguousarray(basis).reshape(len(basis), -1)
+            first = np.unique(flat.view(np.dtype((np.void, 8 * flat.shape[1]))),
+                              return_index=True)[1]
+            for i in np.sort(first):
+                sub = basis[i, :nrows[i]].copy()
+                M._spins[_subspace_key(sub)] = sub
+    return M._spins
 
 
 def submodules(M: FpModule, caps: Caps = DEFAULT_CAPS) -> SubmoduleLattice:
     """Every invariant subspace: spin one vector per line, then close
     under sums. A minimal submodule is cyclic, so it is a spin: the
-    irreducible flags are read off the minimal spins."""
+    irreducible flags are read off the minimal spins.
+
+    The sums are formed in rounds, each the sums of the subspaces the last
+    round found with all found so far, reduced in one batch."""
     if M.dim > caps.module_dim:
         raise ModuleCapExceeded(f"dim {M.dim} exceeds cap {caps.module_dim}")
-    p = M.p
-    zero = np.zeros((0, M.dim), dtype=np.int64)
+    p, k = M.p, M.dim
+    zero = np.zeros((0, k), dtype=np.int64)
     spins = _all_spins(M)
     found = {_subspace_key(zero): zero}
     found.update(spins)
-    work = list(found.values())
-    while work:
-        a = work.pop()
-        for b in list(found.values()):
-            if a.shape[0] == 0 or b.shape[0] == 0:
-                continue
-            s, _ = rref(np.vstack((a, b)), p)
-            key = _subspace_key(s)
-            if key not in found:
-                found[key] = s
-                work.append(s)
+    known = _square(list(spins.values()), k)
+    seen = {s.tobytes() for s in known}
+    fresh = known
+    while len(fresh):
+        sums = np.concatenate([_kernels.echelon(np.concatenate(
+            (np.repeat(fresh[part], len(known), axis=0),
+             np.tile(known, (len(fresh[part]), 1, 1))), axis=1), p)
+            for part in _kernels.blocks(len(fresh), len(known) * 2 * k * k)])
+        new = []
+        for s in np.unique(sums, axis=0):
+            if s.tobytes() not in seen:
+                seen.add(s.tobytes())
+                sub = _compact(s)
+                found[_subspace_key(sub)] = sub
+                new.append(s)
+        fresh = np.array(new, np.int64).reshape(-1, k, k)
+        known = np.concatenate((known, fresh))
     subs = sorted(found.values(), key=lambda s: (s.shape[0], _subspace_key(s)))
     minimal = {_subspace_key(s) for s in _minimal(spins, p)}
     return SubmoduleLattice(M, subs, [_subspace_key(s) in minimal for s in subs])
 
 
 def _minimal(spins: dict, p: int) -> list:
-    """The spins that contain no smaller nonzero spin, in key order."""
+    """The spins that contain no smaller nonzero spin, in key order. T lies
+    in S iff T's square echelon form times S's is T's, which one batched
+    product tests for every pair."""
     subs = [spins[key] for key in sorted(spins)]
-    return [s for s in subs if not any(
-        0 < t.shape[0] < s.shape[0] and _contains_subspace(s, t, p)
-        for t in subs)]
+    rank = np.array([len(s) for s in subs])
+    smaller = rank[:, None] < rank  # [t, s]: t has the smaller rank
+    if not smaller.any():  # spins of one rank contain no other
+        return subs
+    k = subs[0].shape[1]
+    square = _square(subs, k)
+    minimal = np.ones(len(subs), bool)
+    for part in _kernels.blocks(len(subs), len(subs) * k * k):
+        inside = ((square[:, None] @ square[None, part] % p)
+                  == square[:, None]).all(axis=(2, 3))  # [t, s]: t <= s
+        minimal[part] = ~(inside & smaller[:, part]).any(axis=0)
+    return [s for s, keep in zip(subs, minimal) if keep]
 
 
 def minimal_submodules(M: FpModule, caps: Caps = DEFAULT_CAPS) -> list:
@@ -265,25 +290,31 @@ def is_irreducible(M: FpModule) -> bool:
     """Exactly two invariant subspaces: every nonzero vector spins to all."""
     if M.dim == 0:
         return False
-    p, k = M.p, M.dim
-    mats = M.gens_array()
-    for v in _line_vectors(p, k):
-        _, _, nrows = _kernels.spin_basis(mats, v, p)
-        if nrows < k:
-            return False
-    return True
+    return all(s.shape[0] == M.dim for s in _all_spins(M).values())
 
 
 def restrict_to_submodule(M: FpModule, basis: np.ndarray) -> FpModule:
     """The action restricted to an invariant subspace (RREF basis rows)."""
-    _, pivots = rref(basis, M.p)
-    r = basis.shape[0]
-    mats = []
-    for a in M.acting_gens:
-        images = basis @ a.T % M.p  # row i = action applied to basis vector i
-        coeffs = images[:, list(pivots)]  # RREF: coordinates sit at pivots
-        mats.append(coeffs.T % M.p)
-    return FpModule(M.p, r, mats)
+    return _restrictions(M, [basis])[0]
+
+
+def _restrictions(M: FpModule, bases) -> list:
+    """``restrict_to_submodule`` for every basis, those of one rank in one
+    batch: generator t applied to basis vector i of basis b has its
+    coordinates at the pivots of b, where its RREF rows lead."""
+    out = [None] * len(bases)
+    by_rank: dict = {}
+    for i, b in enumerate(bases):
+        by_rank.setdefault(len(b), []).append(i)
+    step = M.gens_array().transpose(0, 2, 1)
+    for r, where in by_rank.items():
+        stack = np.stack([bases[i] for i in where])
+        # pick[b, c, i] = [c is the pivot of row i of basis b]
+        pick = np.eye(M.dim, dtype=np.int64)[(stack != 0).argmax(axis=2)]
+        coeffs = stack[:, None] @ step @ pick.transpose(0, 2, 1)[:, None]
+        for i, mats in zip(where, coeffs.transpose(0, 1, 3, 2)):
+            out[i] = FpModule(M.p, r, mats)
+    return out
 
 
 def matrix_group_order(mats, p: int, cap: int = 100_000) -> int:
@@ -296,7 +327,10 @@ def matrix_group_order(mats, p: int, cap: int = 100_000) -> int:
     ident = np.eye(k, dtype=np.int64)
     seen = {ident.tobytes(): ident}
     work = [ident]
-    gens = [np.array(a, dtype=np.int64) % p for a in mats]
+    # the identity and repeated generators add no element
+    gens = list({a.tobytes(): a for a in (np.array(m, dtype=np.int64) % p
+                                          for m in mats)}.values())
+    gens = [a for a in gens if not np.array_equal(a, ident)]
     while work:
         x = work.pop()
         for g in gens:
@@ -322,18 +356,19 @@ def is_homogeneous(M: FpModule, caps: Caps = DEFAULT_CAPS) -> bool:
 def homogeneous_constituents(M: FpModule, caps: Caps = DEFAULT_CAPS):
     """(is_homogeneous(M), the minimal submodules of M as modules). These
     are irreducible: by Schur, two are isomorphic iff a nonzero hom joins
-    them."""
+    them, and irreducibles of different dimensions are not. M is
+    semisimple by Maschke, as p does not divide the order of its image, so
+    its minimal submodules span it."""
     if M.dim == 0:
         return True, []
     order = matrix_group_order(M.acting_gens, M.p)
     if order % M.p == 0:
         raise NotSemisimpleContext(
             f"acting image order {order} is divisible by {M.p}")
-    mins = minimal_submodules(M, caps)
-    constituents = [restrict_to_submodule(M, b) for b in mins]
-    semisimple = rref(np.vstack(mins), M.p)[0].shape[0] == M.dim  # by Maschke
-    return semisimple and all(module_hom_space_dim(constituents[0], c) > 0
-                              for c in constituents[1:]), constituents
+    constituents = _restrictions(M, minimal_submodules(M, caps))
+    first = constituents[0]
+    return all(c.dim == first.dim for c in constituents) and bool(
+        (_hom_dims([(first, c) for c in constituents[1:]]) > 0).all()), constituents
 
 
 # -- homomorphism spaces --------------------------------------------------------
@@ -345,7 +380,39 @@ def module_hom_space_dim(V: FpModule, W: FpModule) -> int:
         raise ActingGroupMismatch("modules over different acting groups")
     if V.dim == 0 or W.dim == 0:
         return 0
-    return len(_hom_basis(V, W))
+    return int(_hom_dims([(V, W)])[0])
+
+
+def _hom_systems(a, b, p: int) -> np.ndarray:
+    """The intertwiner equations of a batch of module pairs, from their
+    stacked matrices a (n x g x v x v) and b (n x g x w x w): one block
+    kron(a.T, 1_w) - kron(1_v, b) per generator pair, its entry
+    ((i, k), (j, l)) being a[j, i] [k == l] - [i == j] b[k, l]."""
+    n, g, v, _ = a.shape
+    w = b.shape[2]
+    a = a.transpose(0, 1, 3, 2)[:, :, :, None, :, None]
+    b = b[:, :, None, :, None, :]
+    eye_v = np.eye(v, dtype=np.int64)[:, None, :, None]
+    eye_w = np.eye(w, dtype=np.int64)[None, :, None, :]
+    return (a * eye_w - eye_v * b).reshape(n, g * v * w, v * w) % p
+
+
+def _hom_dims(pairs) -> np.ndarray:
+    """dim Hom(V, W) for every pair (V, W) of modules over one acting
+    group, the pairs of one shape reduced in one batch."""
+    dims = np.zeros(len(pairs), np.int64)
+    by_shape: dict = {}
+    for i, (V, W) in enumerate(pairs):
+        by_shape.setdefault((V.dim, W.dim), []).append(i)
+    for (v, w), where in by_shape.items():
+        if not pairs[0][0].acting_gens:
+            dims[where] = v * w
+            continue
+        p = pairs[0][0].p
+        systems = _hom_systems(np.stack([pairs[i][0].gens_array() for i in where]),
+                               np.stack([pairs[i][1].gens_array() for i in where]), p)
+        dims[where] = v * w - _kernels.echelon(systems, p).trace(axis1=1, axis2=2)
+    return dims
 
 
 def _hom_basis(V: FpModule, W: FpModule) -> list:
@@ -353,26 +420,26 @@ def _hom_basis(V: FpModule, W: FpModule) -> list:
     if not len(V.acting_gens):
         vecs = np.eye(v * w, dtype=np.int64)
     else:
-        # one block kron(a.T, 1_w) - kron(1_v, b) per generator pair,
-        # its entry ((i, k), (j, l)) being a[j, i] [k == l] - [i == j] b[k, l]
-        a = np.stack(V.acting_gens).transpose(0, 2, 1)[:, :, None, :, None]
-        b = np.stack(W.acting_gens)[:, None, :, None, :]
-        eye_v = np.eye(v, dtype=np.int64)[:, None, :, None]
-        eye_w = np.eye(w, dtype=np.int64)[None, :, None, :]
-        rows = len(V.acting_gens) * v * w
-        vecs = nullspace((a * eye_w - eye_v * b).reshape(rows, v * w) % p, p)
+        vecs = nullspace(_hom_systems(V.gens_array()[None],
+                                      W.gens_array()[None], p)[0], p)
     return [x.reshape(v, w).T % p for x in vecs]
 
 
 def _some_invertible(basis: list, p: int, coefficients) -> bool:
     """Is some combination of ``basis`` with the given coefficient rows an
-    invertible matrix?"""
-    dim = basis[0].shape[0]
-    for coeffs in coefficients:
-        x = sum(int(c) * b for c, b in zip(coeffs, basis)) % p
-        if rref(x, p)[0].shape[0] == dim:
+    invertible matrix? The rows are taken in blocks, each block's
+    combinations reduced in one batch."""
+    stack = np.stack(basis)
+    dim = stack.shape[1]
+    rows = iter(coefficients)
+    size = _kernels.BLOCK // (dim * dim) + 1
+    while True:
+        block = np.array(list(itertools.islice(rows, size)), np.int64)
+        if not len(block):
+            return False
+        combos = np.tensordot(block, stack, axes=1) % p
+        if (_kernels.echelon(combos, p).trace(axis1=1, axis2=2) == dim).any():
             return True
-    return False
 
 
 def _nonzero_coefficients(p: int, e: int):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegreeMismatch, ParseError
 
-_DTYPE = np.int32
+_DTYPE = np.intp
 
 
 class Perm:

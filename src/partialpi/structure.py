@@ -212,13 +212,18 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     Group Theory*, 2005, ch. 4). No closure is taken: a cover is the
     products of S with x's powers.
 
-    Each layer is one batch of arrays. One ``normalizer_mask`` call on the
-    whole layer (P's elements alone tested) gives every S its normal flag
-    in P and its candidates x. Two covers of one S meet in S, so each
-    cover T of S is formed once, from the least x of T outside S (by
-    position in P); covers met from several S are deduped by the bytes of
-    their positions, and the next layer is sorted by those bytes. When P
-    is abelian every S is normal in P, and no normaliser is built.
+    Each layer is one batch of arrays, and carries a generating set of
+    each of its subgroups: S = T<x> is generated by T's generators and x.
+    x normalises S iff it conjugates S's j generators into S, which one
+    gather over the layer tests for every x in P, giving every S its
+    normal flag in P and its candidates x. Two covers of one S meet in S,
+    so each cover T of S is formed once, from the least x of T outside S
+    (by position in P). Such an x lies below gx and g^-1 x for every
+    generator g of S, as both lie in Sx, so the candidates that fail this
+    are dropped before any product is formed. Covers met from several S
+    are deduped by the bytes of their positions, and the next layer is
+    sorted by those bytes. When P is abelian every S is normal in P, and
+    no conjugate is formed.
     """
     table, inv, elts = G.table, G.inverses, P.idx
     abelian = _is_abelian_in(G, P)
@@ -229,9 +234,11 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     power = np.stack(power)  # power[i, j] = elts[j]^i for 0 <= i <= p
     position = np.zeros(G.order, dtype=_DTYPE)
     position[elts] = np.arange(len(elts), dtype=_DTYPE)
+    conjugators = table[inv[elts]]  # row x: x^-1 g, to be multiplied by x
 
     subs, flags = [], []
     layer = np.zeros((1, 1), dtype=_DTYPE)
+    gens = np.zeros((1, 0), dtype=_DTYPE)  # row s: generators of layer[s]
     while True:
         m, k = layer.shape
         subs += [Subgroup(G, idx) for idx in layer]
@@ -244,19 +251,27 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
         if abelian:
             flags += [True] * m
         else:
-            norm = _kernels.normalizer_mask(table, inv, layer, elts)
+            # conj[x, s, i] = x^-1 g_i x for the generators g_i of layer[s]
+            conj = position[table[conjugators[:, gens], elts[:, None, None]]]
+            norm = member[np.arange(m)[:, None], conj].all(axis=2).T
             flags += norm.all(axis=1).tolist()
             candidate &= norm
         s, j = np.nonzero(candidate)
+        x = elts[j][:, None]
+        kept = ((j[:, None] < position[table[gens[s], x]])
+                & (j[:, None] < position[table[inv[gens[s]], x]])).all(axis=1)
+        s, j = s[kept], j[kept]
         # S<x> outside S: the cosets S x^i, 0 < i < p, as positions in P
         outside = position[table[layer[s][:, :, None],
                                  power[1:p, j].T[:, None, :]]]
         outside = outside.reshape(len(s), k * (p - 1))
         least = outside.min(axis=1, initial=len(elts)) == j
-        cover = np.sort(np.hstack([at[s[least]], outside[least]]), axis=1)
+        s, j = s[least], j[least]
+        cover = np.sort(np.hstack([at[s], outside[least]]), axis=1)
         keys = cover.view(np.dtype((np.void, cover.shape[1] * cover.itemsize)))
         first = np.unique(keys.ravel(), return_index=True)[1]
         layer = elts[cover[first]]
+        gens = np.hstack([gens[s[first]], elts[j[first], None]])
 
 
 def _lattice_by_extension(G: Group) -> SubgroupLattice:

@@ -61,9 +61,9 @@ from .errors import BadParameter, CapExceeded, NotElementaryAbelian, UnknownLemm
 from .groups import Group, Subgroup, centralizer, memo
 from .modrep import (
     _cyclicity_criterion,
+    _hom_dims,
     homogeneous_constituents,
     is_irreducible,
-    module_hom_space_dim,
     section_as_module,
 )
 from .structure import (
@@ -264,14 +264,17 @@ def _section_module(G, above, below, H, p):
 @memo("section_constituents")
 def _section_constituents(G, above, below, H, p, caps):
     """(is_homogeneous, constituent dim k, every constituent not absolutely
-    irreducible, that is, with End of dimension > 1) for _section_module."""
+    irreducible, that is, with End of dimension > 1) for _section_module.
+    The End dimensions come from one batch; the constituents of a
+    homogeneous module are isomorphic, so there the first one's is all."""
     module = _section_module(G, above, below, H, p)
     if module is None:
         return False, 0, False
     homog, constituents = homogeneous_constituents(module, caps)
     k = constituents[0].dim if constituents else 0
-    not_absirr = bool(constituents) and all(
-        module_hom_space_dim(c, c) > 1 for c in constituents)
+    ends = constituents[:1] if homog else constituents
+    not_absirr = bool(constituents) and bool(
+        (_hom_dims([(c, c) for c in ends]) > 1).all())
     return homog, k, not_absirr
 
 

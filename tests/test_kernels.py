@@ -77,7 +77,7 @@ def _centralizer_mask_loop(table, sub_idx):
 
 def _class_min_rep_loop(table, inv):
     n = table.shape[0]
-    rep = np.empty(n, np.int32)
+    rep = np.empty(n, _DTYPE)
     for x in range(n):
         m = x
         for g in range(n):
@@ -171,7 +171,34 @@ def _spin_basis_loop(mats, v, p):
     return basis, pivots, nrows
 
 
+def _echelon_loop(mats, p):
+    """Square echelon forms, one matrix and one row at a time: row j is
+    the reduced row with its pivot at column j, or zero."""
+    b, rows, cols = mats.shape
+    out = np.zeros((b, cols, cols), np.int64)
+    for i in range(b):
+        m = [[int(x) % p for x in row] for row in mats[i]]
+        pivots = []
+        for c in range(cols):
+            r = len(pivots)
+            piv = next((rr for rr in range(r, rows) if m[rr][c]), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            scale = _modinv(m[r][c], p)
+            m[r] = [x * scale % p for x in m[r]]
+            for rr in range(rows):
+                if rr != r and m[rr][c]:
+                    f = m[rr][c]
+                    m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
+            pivots.append(c)
+        for r, c in enumerate(pivots):
+            out[i, c] = m[r]
+    return out
+
+
 REFERENCE = {
+    "echelon": _echelon_loop,
     "closure_idx": _closure_idx_loop,
     "normalizer_mask": _normalizer_mask_loop,
     "centralizer_mask": _centralizer_mask_loop,
@@ -376,3 +403,37 @@ def test_spin_basis_no_generators(p, v):
     if kn:
         assert kb[0, kp[0]] == 1
         assert not ((kb[0] * v[kp[0]] - v) % p).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_echelon_agree(p):
+    """Stacks of random, sparse and low-rank matrices, with no rows, one
+    row and more rows than columns; a stack of none."""
+    rng = np.random.default_rng(p)
+    for b, rows, cols in [(0, 3, 3), (1, 0, 4), (1, 1, 1), (3, 1, 5), (4, 2, 2),
+                          (5, 6, 3), (6, 4, 4), (2, 12, 6), (3, 9, 9)]:
+        dense = rng.integers(0, p, size=(b, rows, cols))
+        sparse = dense * (rng.random((b, rows, cols)) < 0.3)
+        low = rng.integers(0, p, size=(b, rows, 1)) * rng.integers(0, p, size=(b, 1, cols))
+        for mats in (dense, sparse, low, dense - 3 * p):
+            outs = [impl["echelon"](mats, p) for impl in _impls()]
+            assert outs[0].shape == outs[1].shape == (b, cols, cols)
+            assert np.array_equal(outs[0], outs[1])
+
+
+def test_spin_basis_batch_agree():
+    """A stack of vectors, the zero vector among them, spins to what each
+    vector spins to alone, with its pivots and row count."""
+    rng = np.random.default_rng(11)
+    for p, k in [(2, 4), (3, 3), (5, 2), (7, 3), (2, 6)]:
+        for g in range(4):
+            mats = rng.integers(0, p, size=(g, k, k))
+            vecs = rng.integers(0, p, size=(9, k))
+            vecs[0] = 0
+            basis, pivots, nrows = _kernels.spin_basis(mats, vecs, p)
+            for i, v in enumerate(vecs):
+                rb, rp, rn = _spin_basis_loop(mats, v, p)
+                assert nrows[i] == rn
+                assert np.array_equal(basis[i], rb)
+                assert np.array_equal(pivots[i][:rn], rp[:rn])
+                assert (pivots[i][rn:] == -1).all()

@@ -399,19 +399,21 @@ def test_cyclicity_criterion_check_agrees_with_verifier(corpus):
     assert checked == 4
 
 
-@pytest.mark.parametrize("name, spins", [("C2^4:C3", 31), ("C3^4:C4", 81)])
-def test_section_modules_spun_once(monkeypatch, name, spins):
+@pytest.mark.parametrize("name, modules, lines",
+                         [("C2^4:C3", 2, 30), ("C3^4:C4", 2, 80)])
+def test_section_modules_spun_once(monkeypatch, name, modules, lines):
     """A one-group sweep analyses each section module once and compares its
     constituents by Schur's lemma, so it spins one vector per line of each
-    module and few more: pinned on fresh groups."""
+    module, all lines of a module in one call, and nothing more: pinned on
+    fresh groups (C2^4:C3 has two modules F_2^4, C3^4:C4 two F_3^4)."""
     kernel, calls = _kernels.spin_basis, []
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
+    def counted(mats, v, p):
+        calls.append(np.atleast_2d(v).shape[0])
+        return kernel(mats, v, p)
     monkeypatch.setattr(_kernels, "spin_basis", counted)
     run_corpus([(name, builtin_corpus().group(name))])
-    assert len(calls) == spins
+    assert (len(calls), sum(calls)) == (modules, lines)
 
 
 def test_builtin_sweep_builds_no_standalone_subgroup(monkeypatch):

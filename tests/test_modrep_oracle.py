@@ -9,12 +9,10 @@ cosets of a section. Every output is compared exactly: bases, key order,
 flags and matrices.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
-from partialpi import modrep, theorems
+from partialpi import theorems
 from partialpi.corpus import builtin_corpus
 from partialpi.errors import ClosureCapExceeded, NotSemisimpleContext
 from partialpi.modrep import (

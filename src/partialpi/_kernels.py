@@ -169,6 +169,8 @@ def _spin_words(mats, p, k):
     _WORDS_PER_DIM k, but at most k - 1 and at least 1. A scalar word maps
     every subspace into itself, so it adds nothing to a spin."""
     g, length, count = len(mats), 1, len(mats)
+    if not g:
+        return mats, length
     while length < k - 1 and count + g ** (length + 1) <= _WORDS_PER_DIM * k:
         length += 1
         count += g ** length
@@ -176,9 +178,10 @@ def _spin_words(mats, p, k):
     for _ in range(length - 1):
         words.append((words[-1][:, None] @ mats).reshape(-1, k, k) % p)
     flat = np.concatenate(words).reshape(-1, k * k)
-    scalar = (flat == flat[:, :1] * np.eye(k, dtype=np.int64).ravel()).all(axis=1)
-    repeat = np.triu((flat[:, None] == flat).all(axis=2), 1).any(axis=0)
-    return flat[~(scalar | repeat)].reshape(-1, k, k), length
+    keep = ~(flat == flat[:, :1] * np.eye(k, dtype=np.int64).ravel()).all(axis=1)
+    if len(flat) > 1:  # drop repeats
+        keep &= ~np.triu((flat[:, None] == flat).all(axis=2), 1).any(axis=0)
+    return flat[keep].reshape(-1, k, k), length
 
 
 def spin_basis(mats, v, p):

@@ -235,6 +235,7 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
     position = np.zeros(G.order, dtype=_DTYPE)
     position[elts] = np.arange(len(elts), dtype=_DTYPE)
     conjugators = table[inv[elts]]  # row x: x^-1 g, to be multiplied by x
+    place = np.arange(len(elts))  # x's position in P
 
     subs, flags = [], []
     layer = np.zeros((1, 1), dtype=_DTYPE)
@@ -256,11 +257,10 @@ def _lattice_by_layers(G: Group, P: Subgroup) -> SubgroupLattice:
             norm = member[np.arange(m)[:, None], conj].all(axis=2).T
             flags += norm.all(axis=1).tolist()
             candidate &= norm
+        # x is below gx and g^-1 x for every generator g of S
+        candidate &= ((place < position[table[gens[:, :, None], elts]])
+                      & (place < position[table[inv[gens][:, :, None], elts]])).all(axis=1)
         s, j = np.nonzero(candidate)
-        x = elts[j][:, None]
-        kept = ((j[:, None] < position[table[gens[s], x]])
-                & (j[:, None] < position[table[inv[gens[s]], x]])).all(axis=1)
-        s, j = s[kept], j[kept]
         # S<x> outside S: the cosets S x^i, 0 < i < p, as positions in P
         outside = position[table[layer[s][:, :, None],
                                  power[1:p, j].T[:, None, :]]]
